@@ -50,6 +50,14 @@ _SETTING_KEYS = (
 )
 
 
+#: Numeric settings and their types; config-file values are checked against them.
+_NUMERIC_KEYS = {
+    "lambda1": float, "lambda_rest": float, "gamma1": float, "gamma_rest": float,
+    "tol": float, "sigma": float, "max_iter": int, "blur_len": int, "seed": int,
+    "jobs": int,
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as ConfigError (exit code 1)."""
 
@@ -100,6 +108,8 @@ def _resolve_settings(task: str, args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ConfigError("a config file must hold one JSON object")
         unknown = set(file_cfg) - set(_SETTING_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -126,6 +136,10 @@ def _resolve_settings(task: str, args: argparse.Namespace) -> dict:
         if value is not None:
             settings[key] = value
 
+    for key, kind in _NUMERIC_KEYS.items():
+        settings[key] = _number(key, settings[key], kind)
+    if settings["jobs"] < 1:
+        raise ConfigError(f"jobs must be >= 1, got {settings['jobs']}")
     if not settings["input"]:
         raise ConfigError("--input is required (flag or config file)")
     if isinstance(settings["input"], str):
@@ -141,6 +155,15 @@ def _resolve_settings(task: str, args: argparse.Namespace) -> dict:
     if settings["ref"] and not Path(settings["ref"]).is_file():
         raise ConfigError(f"reference image not found: {settings['ref']}")
     return settings
+
+
+def _number(key: str, value, kind):
+    """``value`` as ``kind`` (float or int), or a ConfigError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return kind(value)
 
 
 def _json_metric(x: float):
@@ -172,18 +195,18 @@ def _process_one(job: dict) -> dict:
     bank = bspline_bank()
 
     if task == "deblur":
-        op = DegradationOp.blur(motion_blur_kernel(int(settings["blur_len"])))
+        op = DegradationOp.blur(motion_blur_kernel(settings["blur_len"]))
     else:
         op = DegradationOp.identity()
-    noise = NoiseSpec(sigma=float(settings["sigma"]), seed=int(job["seed"]))
+    noise = NoiseSpec(sigma=settings["sigma"], seed=job["seed"])
     degraded = apply_degradation(clean, op, noise)
 
     cfg = SolverConfig.head_rest(
         bank.m,
         settings["lambda1"], settings["lambda_rest"],
         settings["gamma1"], settings["gamma_rest"],
-        tol=float(settings["tol"]),
-        max_iter=int(settings["max_iter"]),
+        tol=settings["tol"],
+        max_iter=settings["max_iter"],
         u_update=settings["variant"],
         shrinkage=settings["shrinkage"],
         record_trace=bool(settings["trace"]),
@@ -254,10 +277,10 @@ def _run_restoration(task: str, args: argparse.Namespace) -> int:
 
     jobs = [
         {"task": task, "settings": settings, "input": path,
-         "seed": int(settings["seed"]) + i}
+         "seed": settings["seed"] + i}
         for i, path in enumerate(settings["input"])
     ]
-    workers = int(settings["jobs"])
+    workers = settings["jobs"]
     if workers > 1 and len(jobs) > 1:
         with Pool(processes=min(workers, len(jobs))) as pool:
             rows = pool.map(_process_one, jobs)

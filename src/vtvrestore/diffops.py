@@ -66,26 +66,41 @@ def vtv(p, weights=None, isotropic: bool = False) -> float:
     return float((w * per_channel).sum())
 
 
-def shrink(v, threshold) -> np.ndarray:
+def shrink(v, threshold, out=None) -> np.ndarray:
     """Component-wise soft threshold ``sgn(x) * max(|x| - T, 0)``.
 
-    The exact minimizer of ``T*|d| + (d - v)^2 / 2`` per component, with
-    ``sgn(0) = 0``.  ``threshold`` broadcasts, so per-channel values can be
-    passed as a ``(m, 1, 1, 1)`` array.
+    The exact minimizer of ``T*|d| + (d - v)^2 / 2`` per component for
+    ``T >= 0``, with ``sgn(0) = 0``.  ``threshold`` broadcasts, so
+    per-channel values can be passed as a ``(m, 1, 1, 1)`` array.  With
+    ``out`` the result is written there (it must not overlap ``v``) and
+    ``out`` is returned.
     """
     x = np.asarray(v, dtype=np.float64)
-    return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
+    t = np.asarray(threshold, dtype=np.float64)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(x.shape, t.shape))
+    elif np.may_share_memory(x, out):
+        raise ValueError("shrink: out must not overlap the input")
+    # x - clip(x, -T, T) rounds exactly as sgn(x) * (|x| - T) outside the
+    # dead zone and is zero inside it: two passes, no full-size temporary.
+    np.clip(x, -t, t, out=out)
+    return np.subtract(x, out, out=out)
 
 
-def shrink_iso(p, threshold) -> np.ndarray:
+def shrink_iso(p, threshold, out=None) -> np.ndarray:
     """Isotropic shrinkage: soft-threshold the per-pixel gradient magnitude.
 
     Shrinks the length of each ``(gx, gy)`` vector by ``threshold``, keeping
     its direction.  ``threshold`` broadcasts against the ``(..., h, w)``
-    magnitude array.
+    magnitude array.  With ``out`` the result is written there and ``out``
+    is returned.
     """
     q = np.asarray(p, dtype=np.float64)
-    mag = np.sqrt((q * q).sum(axis=-3))
+    px = q[..., 0, :, :]
+    py = q[..., 1, :, :]
+    mag = px * px
+    mag += py * py
+    np.sqrt(mag, out=mag)
     scale = np.zeros_like(mag)
     np.divide(np.maximum(mag - threshold, 0.0), mag, out=scale, where=mag > 0)
-    return q * np.expand_dims(scale, axis=-3)
+    return np.multiply(q, np.expand_dims(scale, axis=-3), out=out)

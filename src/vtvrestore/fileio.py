@@ -69,7 +69,14 @@ def read_pgm(path) -> np.ndarray:
     tokens, offset = _pgm_header_tokens(data, 4)
     if tokens[0] != b"P5":
         raise VTVError(f"not a binary PGM file: magic {tokens[0]!r}")
+    if not all(t.isdigit() for t in tokens[1:]):
+        fields = b" ".join(tokens[1:]).decode("ascii", "replace")
+        raise VTVError(
+            f"malformed PGM header: width, height and maxval must be integers, got {fields!r}"
+        )
     w, h, maxval = (int(t) for t in tokens[1:])
+    if w < 1 or h < 1:
+        raise VTVError(f"PGM image must be at least 1x1, got {w}x{h}")
     if maxval != 255:
         raise VTVError(f"only maxval 255 is supported, got {maxval}")
     raster = data[offset : offset + w * h]

@@ -5,17 +5,23 @@ convolution per channel.  The piecewise-linear B-spline bank built here has
 nine 3x3 kernels (one lowpass, eight detail) and satisfies the perfect
 reconstruction identity: analysis followed by adjoint synthesis is the
 identity, which :func:`verify_uep` checks in the frequency domain.
+
+:class:`FrameGradient` fuses the bank with the forward-difference gradient
+into one stencil, the form the solver iterates with; :func:`analyze` and
+the :mod:`~vtvrestore.diffops` gradient stay the spatial references.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChannelMismatchError
+from .diffops import FORWARD_DIFF_X, FORWARD_DIFF_Y
+from .errors import ChannelMismatchError, DimensionMismatchError
 from .image import as_kernel, conv_adjoint, conv_circular, kernel_symbol
 
 LOWPASS = "lowpass"
@@ -59,6 +65,137 @@ class FilterBank:
     def m(self) -> int:
         """Channel count."""
         return len(self.kernels)
+
+    @functools.cached_property
+    def frame_gradient(self) -> "FrameGradient":
+        """The bank's fused gradient stencil, built on first use."""
+        return FrameGradient(self)
+
+
+def _offset_taps(kernel) -> dict:
+    """``{(p, q): K(p, q)}`` over the kernel's centred offsets."""
+    k = as_kernel(kernel)
+    ry, rx = (k.shape[0] - 1) // 2, (k.shape[1] - 1) // 2
+    return {
+        (p - ry, q - rx): float(k[p, q])
+        for p in range(k.shape[0])
+        for q in range(k.shape[1])
+    }
+
+
+def _compose(outer, inner) -> dict:
+    """Taps by offset of ``conv_circular(conv_circular(u, inner), outer)``."""
+    taps: dict = {}
+    for (p, q), a in _offset_taps(inner).items():
+        for (s, t), b in _offset_taps(outer).items():
+            taps[(p + s, q + t)] = taps.get((p + s, q + t), 0.0) + a * b
+    return taps
+
+
+def _shift_blocks(shape, dy: int, dx: int) -> list:
+    """``(dst, src)`` index pairs such that ``out[dst] = a[src]`` for every
+    pair gives ``out = np.roll(a, (dy, dx), axis=(0, 1))``."""
+    h, w = shape
+    sy, sx = dy % h, dx % w
+    rows = [(slice(sy, h), slice(0, h - sy))]
+    if sy:
+        rows.append((slice(0, sy), slice(h - sy, h)))
+    cols = [(slice(sx, w), slice(0, w - sx))]
+    if sx:
+        cols.append((slice(0, sx), slice(w - sx, w)))
+    return [((r[0], c[0]), (r[1], c[1])) for r in rows for c in cols]
+
+
+def _rows(buffer, n: int) -> np.ndarray:
+    """A C-contiguous buffer viewed as ``n`` flat rows (never a copy)."""
+    if not buffer.flags.c_contiguous:
+        raise DimensionMismatchError("work and out buffers must be C-contiguous")
+    return buffer.reshape(n, -1)
+
+
+class FrameGradient:
+    """``grad(analyze(u, bank))`` as one circular stencil, and its adjoint.
+
+    Each component ``grad(conv_circular(u, K_i))[c]`` is itself a circular
+    convolution, with ``K_i`` composed with the forward difference
+    ``FORWARD_DIFF_X`` or ``FORWARD_DIFF_Y``.  Over the union of the composed
+    kernels' offsets (15 for the 3x3 B-spline bank), the whole operator is
+    the dense ``(2m, n)`` matrix :attr:`taps` applied to the ``n`` shifted
+    copies ``np.roll(u, offsets[j])``: a single matrix product, whose row
+    ``2 i + c`` is the ``(m, 2, h, w)`` layout of :func:`analyze` followed by
+    :func:`~vtvrestore.diffops.grad`.  The adjoint applies the transposed
+    matrix and adds the planes back with the opposite shifts.
+
+    Built once per bank (see :attr:`FilterBank.frame_gradient`); it holds no
+    per-image state, so callers that iterate pass their own ``work`` and
+    ``out`` buffers.
+    """
+
+    def __init__(self, bank: FilterBank):
+        rows = [
+            _compose(diff, k)
+            for k in bank.kernels
+            for diff in (FORWARD_DIFF_X, FORWARD_DIFF_Y)
+        ]
+        offsets = sorted({o for row in rows for o, tap in row.items() if tap != 0.0})
+        taps = np.array([[row.get(o, 0.0) for o in offsets] for row in rows])
+        taps.flags.writeable = False
+        self.m = bank.m
+        #: ``(dy, dx)`` shift of each column of :attr:`taps`.
+        self.offsets = tuple(offsets)
+        #: ``(2m, n)`` read-only tap matrix; row ``2 i + c`` is channel ``i``,
+        #: gradient component ``c`` (0 for x, 1 for y).
+        self.taps = taps
+
+    def apply(self, u, out=None, work=None) -> np.ndarray:
+        """``grad(analyze(u, bank))`` as an ``(m, 2, h, w)`` stack.
+
+        ``work`` receives the ``(n, h, w)`` shifted copies of ``u`` and
+        ``out`` the result; each is allocated when omitted.
+        """
+        f = np.asarray(u, dtype=np.float64)
+        if f.ndim != 2:
+            raise DimensionMismatchError(f"expected a 2-D image, got {f.shape}")
+        # Every row of taps sums to zero (a gradient kills constants), so
+        # removing a constant first changes nothing in exact arithmetic; it
+        # maps constant images to exactly zero and shrinks the cancellation
+        # error.  A pixel value is exact where the mean may round.
+        centred = f - f.flat[0]
+        n = len(self.offsets)
+        if work is None:
+            work = np.empty((n,) + f.shape)
+        for plane, (dy, dx) in zip(work, self.offsets):
+            for dst, src in _shift_blocks(f.shape, dy, dx):
+                plane[dst] = centred[src]
+        if out is None:
+            out = np.empty((self.m, 2) + f.shape)
+        np.matmul(self.taps, _rows(work, n), out=_rows(out, 2 * self.m))
+        return out
+
+    def adjoint(self, p, weights=None, work=None) -> np.ndarray:
+        """``sum_i weights[i] * conv_adjoint(grad_adjoint(p[i]), K_i)``.
+
+        ``p`` is an ``(m, 2, h, w)`` field and ``weights`` default to ones.
+        ``work`` receives the ``(n, h, w)`` per-offset planes.  Returns a new
+        ``(h, w)`` image.
+        """
+        q = np.asarray(p, dtype=np.float64)
+        if q.ndim != 4 or q.shape[:2] != (self.m, 2):
+            raise ChannelMismatchError(
+                f"expected an ({self.m}, 2, h, w) field, got shape {q.shape}"
+            )
+        h, w = q.shape[2:]
+        n = len(self.offsets)
+        row_weights = np.repeat(np.ones(self.m) if weights is None else weights, 2)
+        weighted = np.ascontiguousarray((self.taps * row_weights[:, None]).T)
+        if work is None:
+            work = np.empty((n, h, w))
+        np.matmul(weighted, q.reshape(2 * self.m, h * w), out=_rows(work, n))
+        out = np.zeros((h, w))
+        for plane, (dy, dx) in zip(work, self.offsets):
+            for dst, src in _shift_blocks((h, w), -dy, -dx):
+                out[dst] += plane[src]
+        return out
 
 
 def bspline_bank() -> FilterBank:

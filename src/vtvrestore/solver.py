@@ -19,6 +19,21 @@ Bregman multipliers ``b_i`` yields three alternating updates per iteration:
 
 The loop stops when the relative change ``||u_new - u|| / ||u||`` falls to
 ``tol`` or after ``max_iter`` iterations.
+
+Both directions of the operator run through the bank's fused stencil
+(:class:`~vtvrestore.frames.FrameGradient`): ``grad(F_i u)`` for all
+channels is one matrix product over the shifted copies of ``u``, and the
+u-update numerator ``sum_i gamma_i F_i* G* (d_i - b_i)`` is the
+gamma-weighted transposed product followed by shifted adds.  ``full13`` and
+``reduced17`` share that code and differ only in their denominators.  The
+spatial-domain primitives (:func:`~vtvrestore.frames.analyze`,
+:func:`~vtvrestore.diffops.grad`, ...) remain the references that
+:meth:`SplitBregman.kkt_residual` and the tests check against.
+
+:class:`SplitBregman` preallocates its ``(m, 2, h, w)`` stacks and updates
+``d`` and ``b`` **in place** on every :meth:`~SplitBregman.advance`: a caller
+that keeps ``sb.d`` or ``sb.b`` across a step must copy them.  The u-update
+returns a fresh array and never touches ``d`` or ``b``.
 """
 
 from __future__ import annotations
@@ -186,7 +201,7 @@ def energy(u, f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> floa
         raise DimensionMismatchError(f"u {uu.shape} vs f {ff.shape}")
     if len(cfg.lam) != bank.m:
         raise ConfigError(f"config has {len(cfg.lam)} channels, bank has {bank.m}")
-    reg = vtv(grad(analyze(uu, bank)), weights=cfg.lam, isotropic=cfg.shrinkage == ISO)
+    reg = vtv(bank.frame_gradient.apply(uu), weights=cfg.lam, isotropic=cfg.shrinkage == ISO)
     fid = 0.5 * float(np.sum((op.apply(uu) - ff) ** 2))
     return reg + fid
 
@@ -238,42 +253,53 @@ class SplitBregman:
             self._denominator = np.abs(a_sym) ** 2 + cfg.gamma[0] * self._laplace_sym
 
         self._atf = op.adjoint(self.f)
+        self._stencil = bank.frame_gradient
         self.u = self.f.copy()
         self.d = np.zeros((m, 2, h, w))
         self.b = np.zeros((m, 2, h, w))
+        # scratch: v = grad(F u) + b (or d - b), and the stencil's planes
+        self._v = np.empty((m, 2, h, w))
+        self._work = np.empty((len(self._stencil.offsets), h, w))
 
     # -- u-updates ---------------------------------------------------------
 
-    def _numerator(self) -> np.ndarray:
-        """sum_i gamma_i F_i* G* (d_i - b_i) + A* f."""
-        ga = grad_adjoint(self.d - self.b)
-        num = self._atf.copy()
-        for i, k in enumerate(self.bank.kernels):
-            num += self.cfg.gamma[i] * conv_adjoint(ga[i], k)
-        return num
-
     def u_update(self) -> np.ndarray:
-        """Next u from the current d and b, per the configured variant."""
-        return solve_diagonal(self._numerator(), self._denominator, eps=EPS_DENOM)
+        """Next u from the current d and b, per the configured variant.
+
+        Returns a new array; ``d`` and ``b`` are left untouched.
+        """
+        # numerator sum_i gamma_i F_i* G* (d_i - b_i) + A* f
+        np.subtract(self.d, self.b, out=self._v)
+        num = self._stencil.adjoint(self._v, weights=self.cfg.gamma, work=self._work)
+        num += self._atf
+        return solve_diagonal(num, self._denominator, eps=EPS_DENOM)
 
     def kkt_residual(self, u) -> float:
         """Relative residual of the variant's u-subproblem normal equation.
 
-        Evaluated entirely in the spatial domain, independently of the FFT
-        solve path.  For ``full13`` this is the true stationarity condition
+        Evaluated entirely in the spatial domain with the roll-based
+        primitives, independently of the fused stencil and the FFT solve.
+        For ``full13`` this is the true stationarity condition
         ``A*(Au - f) + sum_i gamma_i F_i* G* (G F_i u - d_i + b_i) = 0``;
         for ``reduced17`` it is the residual of the modified equation the
         variant actually solves.
         """
         uu = np.asarray(u, dtype=np.float64)
+
+        def weighted_adjoint(p):
+            """sum_i gamma_i F_i* G* p_i"""
+            return sum(
+                g * conv_adjoint(grad_adjoint(p[i]), k)
+                for i, (g, k) in enumerate(zip(self.cfg.gamma, self.bank.kernels))
+            )
+
         scale = float(np.linalg.norm(self._atf))
         if self.cfg.u_update == FULL13:
-            resid = self.op.adjoint(self.op.apply(uu) - self.f)
-            for i, k in enumerate(self.bank.kernels):
-                t = grad(conv_circular(uu, k)) - self.d[i] + self.b[i]
-                resid += self.cfg.gamma[i] * conv_adjoint(grad_adjoint(t), k)
+            resid = self.op.adjoint(self.op.apply(uu) - self.f) + weighted_adjoint(
+                grad(analyze(uu, self.bank)) - self.d + self.b
+            )
         else:
-            num = self._numerator()
+            num = self._atf + weighted_adjoint(self.d - self.b)
             resid = (
                 self.op.adjoint(self.op.apply(uu))
                 + self.cfg.gamma[0] * grad_adjoint(grad(uu))
@@ -285,14 +311,17 @@ class SplitBregman:
     # -- d/b updates and stepping -------------------------------------------
 
     def advance(self, u_new) -> float:
-        """Run the d and b updates for ``u_new``, install it, return rel. err."""
-        feats = analyze(u_new, self.bank)
-        v = grad(feats) + self.b
+        """Run the d and b updates for ``u_new``, install it, return rel. err.
+
+        ``d`` and ``b`` are overwritten in place.
+        """
+        v = self._stencil.apply(u_new, out=self._v, work=self._work)
+        v += self.b
         if self.cfg.shrinkage == ANISO:
-            self.d = shrink(v, self._thresholds.reshape(-1, 1, 1, 1))
+            shrink(v, self._thresholds.reshape(-1, 1, 1, 1), out=self.d)
         else:
-            self.d = shrink_iso(v, self._thresholds.reshape(-1, 1, 1))
-        self.b = v - self.d
+            shrink_iso(v, self._thresholds.reshape(-1, 1, 1), out=self.d)
+        np.subtract(v, self.d, out=self.b)
         rel = float(np.linalg.norm(u_new - self.u)) / max(
             float(np.linalg.norm(self.u)), _NORM_FLOOR
         )

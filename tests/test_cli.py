@@ -307,6 +307,33 @@ class TestConfigAndErrors:
         assert code == 1
 
 
+    def assert_one_line_error(self, capsys, code):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("vtv-restore: error: ") and err.count("\n") == 1
+
+    def test_non_numeric_pgm_header_is_an_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\nabc 4\n255\n" + bytes(16))
+        code, _ = run_cli("denoise", "--input", str(bad), "--out", str(tmp_path / "o"))
+        self.assert_one_line_error(capsys, code)
+
+    def test_non_numeric_config_value_is_an_error(self, small_pgm, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"tol": "x"}))
+        code, _ = run_cli(
+            "denoise", "--input", small_pgm, "--out", str(tmp_path / "o"),
+            "--config", str(cfg_path),
+        )
+        self.assert_one_line_error(capsys, code)
+
+    def test_zero_jobs_is_an_error(self, small_pgm, tmp_path, capsys):
+        code, _ = run_cli(
+            "denoise", "--input", small_pgm, "--out", str(tmp_path / "o"), "--jobs", "0"
+        )
+        self.assert_one_line_error(capsys, code)
+
+
 class TestCrossVariantParityLimits:
     """PSNR parity across u-update variants is out of reach at the stock
     full13 denoising weights: matching results would require a

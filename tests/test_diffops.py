@@ -153,6 +153,23 @@ class TestShrink:
             assert np.array_equal(out[i], shrink(v[i], float(t[i, 0, 0, 0])))
 
 
+    @pytest.mark.parametrize("isotropic", [False, True])
+    def test_out_argument_matches_returning_form(self, isotropic):
+        rng = np.random.default_rng(12)
+        v = rng.standard_normal((3, 2, 5, 4))
+        v[0, 0, 0, 0] = 0.0
+        fn = shrink_iso if isotropic else shrink
+        t = np.array([0.1, 0.5, 1.0]).reshape((3, 1, 1) if isotropic else (3, 1, 1, 1))
+        out = np.full_like(v, np.nan)
+        assert fn(v, t, out=out) is out
+        assert np.array_equal(out, fn(v, t))
+
+    def test_out_overlapping_input_rejected(self):
+        v = np.ones((2, 3))
+        with pytest.raises(ValueError):
+            shrink(v, 0.5, out=v)
+
+
 class TestShrinkIso:
     def test_shrinks_vector_magnitude(self):
         p = np.zeros((2, 1, 1))

@@ -7,7 +7,10 @@ from vtvrestore import (
     ChannelMismatchError,
     FilterBank,
     analyze,
+    bspline_bank,
     conv_adjoint,
+    grad,
+    grad_adjoint,
     identity_bank,
     load_bank,
     save_bank,
@@ -164,3 +167,67 @@ class TestBankSerialization:
             FilterBank.from_kernels([])
         with pytest.raises(ChannelMismatchError):
             FilterBank.from_kernels([np.ones((1, 1))], roles=("lowpass", "detail"))
+
+
+def random_bank():
+    rng = np.random.default_rng(21)
+    return FilterBank.from_kernels([rng.standard_normal((5, 5)) for _ in range(3)])
+
+
+BANKS = {"bspline": bspline_bank, "identity": identity_bank, "random5x5": random_bank}
+# odd, even, 1xN, Nx1 and 2x2 (smaller than the kernels, so offsets wrap
+# onto each other)
+GRIDS = [(7, 9), (8, 6), (1, 11), (10, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("shape", GRIDS)
+@pytest.mark.parametrize("bank_name", sorted(BANKS))
+class TestFrameGradient:
+    def test_apply_matches_grad_of_analyze(self, bank_name, shape):
+        bank = BANKS[bank_name]()
+        u = np.random.default_rng(22).standard_normal(shape)
+        got = bank.frame_gradient.apply(u)
+        assert got.shape == (bank.m, 2) + shape
+        assert np.max(np.abs(got - grad(analyze(u, bank)))) <= 1e-12
+
+    def test_weighted_adjoint_matches_reference(self, bank_name, shape):
+        bank = BANKS[bank_name]()
+        rng = np.random.default_rng(23)
+        p = rng.standard_normal((bank.m, 2) + shape)
+        gamma = rng.uniform(0.5, 3.0, bank.m)
+        expected = sum(
+            g * conv_adjoint(grad_adjoint(p[i]), k)
+            for i, (g, k) in enumerate(zip(gamma, bank.kernels))
+        )
+        got = bank.frame_gradient.adjoint(p, weights=gamma)
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+    def test_dot_product_identity(self, bank_name, shape):
+        bank = BANKS[bank_name]()
+        rng = np.random.default_rng(24)
+        u = rng.standard_normal(shape)
+        p = rng.standard_normal((bank.m, 2) + shape)
+        stencil = bank.frame_gradient
+        lhs = float(np.sum(stencil.apply(u) * p))
+        rhs = float(np.sum(u * stencil.adjoint(p)))
+        assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
+
+    def test_preallocated_buffers_give_the_same_result(self, bank_name, shape):
+        bank = BANKS[bank_name]()
+        rng = np.random.default_rng(25)
+        u = rng.standard_normal(shape)
+        p = rng.standard_normal((bank.m, 2) + shape)
+        stencil = bank.frame_gradient
+        work = np.empty((len(stencil.offsets),) + shape)
+        out = np.empty((bank.m, 2) + shape)
+        assert stencil.apply(u, out=out, work=work) is out
+        assert np.array_equal(out, stencil.apply(u))
+        assert np.array_equal(stencil.adjoint(p, work=work), stencil.adjoint(p))
+
+
+def test_bspline_stencil_has_fifteen_offsets(bank):
+    stencil = bank.frame_gradient
+    assert stencil.taps.shape == (18, 15)
+    assert bank.frame_gradient is stencil  # built once per bank
+    # constants map to exact zeros
+    assert not np.any(stencil.apply(np.full((6, 5), 37.3)))

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from vtvrestore import (
+    ANISO,
     FULL13,
+    ISO,
     REDUCED17,
     ConfigError,
     DegradationOp,
@@ -15,10 +17,13 @@ from vtvrestore import (
     SingularSymbolError,
     SolverConfig,
     SplitBregman,
+    analyze,
+    conv_adjoint,
     conv_circular,
     energy,
     gaussian_noise,
     grad,
+    grad_adjoint,
     identity_bank,
     kernel_symbol,
     motion_blur_kernel,
@@ -27,6 +32,8 @@ from vtvrestore import (
     tv_aniso,
     write_trace_csv,
 )
+
+from vtvrestore.diffops import FORWARD_DIFF_X, FORWARD_DIFF_Y
 
 from conftest import rof_split_bregman_steps, smoothed_tv_minimizer
 
@@ -333,6 +340,83 @@ class TestSolve:
         )
         res = solve(blurred, op, bank, cfg)
         assert psnr(clean, res.u) > 55.0
+
+
+def reference_split_bregman(f, op, bank, cfg, n_iter):
+    """The split Bregman loop written out from the roll-based primitives.
+
+    Shrinkage, denominators and the FFT solve are inline, so nothing is
+    shared with the solver's fused stencil.  Returns ``(u, rel)`` per
+    iteration and stops early, like :func:`solve`, once ``rel <= cfg.tol``.
+    """
+    shape = f.shape
+    gamma = np.asarray(cfg.gamma)
+    thresholds = np.asarray(cfg.lam) / gamma
+    laplace = sum(np.abs(kernel_symbol(k, shape)) ** 2 for k in (FORWARD_DIFF_X, FORWARD_DIFF_Y))
+    if cfg.u_update == FULL13:
+        frame = sum(g * np.abs(kernel_symbol(k, shape)) ** 2 for g, k in zip(gamma, bank.kernels))
+        denom = np.abs(op.symbol(shape)) ** 2 + laplace * frame
+    else:
+        denom = np.abs(op.symbol(shape)) ** 2 + gamma[0] * laplace
+    atf = op.adjoint(f)
+    u = f.copy()
+    d = np.zeros((bank.m, 2) + shape)
+    b = np.zeros_like(d)
+    steps = []
+    for _ in range(n_iter):
+        num = atf.copy()
+        for i, k in enumerate(bank.kernels):
+            num += gamma[i] * conv_adjoint(grad_adjoint(d[i] - b[i]), k)
+        u_new = np.real(np.fft.ifft2(np.fft.fft2(num) / denom))
+        v = grad(analyze(u_new, bank)) + b
+        if cfg.shrinkage == ANISO:
+            t = thresholds[:, None, None, None]
+            d = np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        else:
+            mag = np.sqrt((v * v).sum(axis=1))
+            scale = np.maximum(mag - thresholds[:, None, None], 0.0) / np.where(mag > 0, mag, 1.0)
+            d = v * scale[:, None]
+        b = v - d
+        rel = np.linalg.norm(u_new - u) / max(np.linalg.norm(u), 1e-12)
+        u = u_new
+        steps.append((u, rel))
+        if rel <= cfg.tol:
+            break
+    return steps
+
+
+class TestFusedTrajectory:
+    @pytest.mark.parametrize("shrinkage", [ANISO, ISO])
+    @pytest.mark.parametrize("variant", [FULL13, REDUCED17])
+    def test_matches_reference_loop(self, bank, variant, shrinkage):
+        rng = np.random.default_rng(16)
+        f = rng.uniform(0, 255, (20, 17)) + 25.5 * rng.standard_normal((20, 17))
+        op = DegradationOp.blur(motion_blur_kernel(3))
+        cfg = denoise_cfg(u_update=variant, shrinkage=shrinkage, tol=1e-30)
+        sb = SplitBregman(f, op, bank, cfg)
+        for expected, expected_rel in reference_split_bregman(f, op, bank, cfg, 15):
+            d_before, b_before = sb.d.copy(), sb.b.copy()
+            first = sb.u_update()
+            second = sb.u_update()
+            # a fresh array each call; d and b untouched
+            assert not np.shares_memory(first, second)
+            assert not any(np.shares_memory(first, a) for a in (sb.u, sb.d, sb.b))
+            assert np.array_equal(first, second)
+            assert np.array_equal(sb.d, d_before) and np.array_equal(sb.b, b_before)
+            assert np.max(np.abs(first - expected)) <= 1e-10
+            assert abs(sb.advance(first) - expected_rel) <= 1e-10
+
+    @pytest.mark.parametrize("shrinkage", [ANISO, ISO])
+    @pytest.mark.parametrize("variant", [FULL13, REDUCED17])
+    def test_solve_takes_the_reference_iteration_count(self, bank, variant, shrinkage):
+        rng = np.random.default_rng(17)
+        f = rng.uniform(0, 255, (24, 24)) + 25.5 * rng.standard_normal((24, 24))
+        op = DegradationOp.identity()
+        cfg = denoise_cfg(u_update=variant, shrinkage=shrinkage, tol=1e-3, max_iter=150)
+        steps = reference_split_bregman(f, op, bank, cfg, cfg.max_iter)
+        res = solve(f, op, bank, cfg)
+        assert res.iterations == len(steps) < cfg.max_iter
+        assert np.max(np.abs(res.u - steps[-1][0])) <= 1e-10
 
 
 class TestTraceCsv:
