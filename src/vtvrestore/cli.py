@@ -1,7 +1,9 @@
 """Command-line harness: degradation synthesis, restoration runs, metrics.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 the solver hit the iteration
-cap without converging, 3 a selftest check failed.
+cap without converging, 3 a selftest check failed.  In a batch, an image
+that fails gets its own error line, the other images still run and print
+their rows, and the exit code is 1.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ import numpy as np
 from . import __version__
 from .degrade import RNG_DESCRIPTION, NoiseSpec, apply_degradation, motion_blur_kernel
 from .errors import ConfigError, VTVError
-from .fileio import quantize, read_image, write_pgm
+from .fileio import quantize, read_image, write_pgm, write_trace_csv
 from .frames import analyze, bspline_bank
 from .image import psnr
 from .selftest import run_selftest
-from .solver import DegradationOp, SolverConfig, solve, write_trace_csv
+from .solver import DegradationOp, SolverConfig, solve
 
 #: Restoration defaults per (task, variant); flags and config files override.
 TASK_DEFAULTS = {
@@ -270,6 +272,15 @@ def _process_one(job: dict) -> dict:
     }
 
 
+def _process_isolated(job: dict) -> dict:
+    """:func:`_process_one`, with an input or I/O failure returned as
+    ``{"input", "error"}`` so that it does not lose the other images' rows."""
+    try:
+        return _process_one(job)
+    except (VTVError, OSError) as exc:
+        return {"input": job["input"], "error": str(exc)}
+
+
 def _run_restoration(task: str, args: argparse.Namespace) -> int:
     settings = _resolve_settings(task, args)
     out_dir = Path(settings["out"])
@@ -283,15 +294,21 @@ def _run_restoration(task: str, args: argparse.Namespace) -> int:
     workers = settings["jobs"]
     if workers > 1 and len(jobs) > 1:
         with Pool(processes=min(workers, len(jobs))) as pool:
-            rows = pool.map(_process_one, jobs)
+            results = pool.map(_process_isolated, jobs)
     else:
-        rows = [_process_one(job) for job in jobs]
+        results = [_process_isolated(job) for job in jobs]
+    rows = [r for r in results if "error" not in r]
+    failures = [r for r in results if "error" in r]
+    for failure in failures:
+        print(f"vtv-restore: error: {failure['input']}: {failure['error']}", file=sys.stderr)
 
     print("image,psnr_noisy,psnr_restored,iters,seconds")
     for row in rows:
         noisy = "inf" if math.isinf(row["psnr_noisy"]) else f"{row['psnr_noisy']:.4f}"
         restored = "inf" if math.isinf(row["psnr_restored"]) else f"{row['psnr_restored']:.4f}"
         print(f"{row['image']},{noisy},{restored},{row['iterations']},{row['seconds']:.3f}")
+    if failures:
+        return 1
     return 0 if all(row["converged"] for row in rows) else 2
 
 

@@ -101,6 +101,8 @@ def shrink_iso(p, threshold, out=None) -> np.ndarray:
     mag = px * px
     mag += py * py
     np.sqrt(mag, out=mag)
-    scale = np.zeros_like(mag)
-    np.divide(np.maximum(mag - threshold, 0.0), mag, out=scale, where=mag > 0)
+    # max(|p| - T, 0) / |p|; where |p| = 0 the vector is zero whatever the scale
+    scale = mag - threshold
+    np.maximum(scale, 0.0, out=scale)
+    np.divide(scale, mag, out=scale, where=mag > 0)
     return np.multiply(q, np.expand_dims(scale, axis=-3), out=out)

@@ -1,4 +1,4 @@
-"""Grayscale image file I/O.
+"""Grayscale image and trace file I/O.
 
 Binary PGM (P5, maxval 255) is supported natively and round-trips
 integer-valued images bit-exactly.  PNG support is optional and needs
@@ -32,6 +32,22 @@ def write_pgm(path, image) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(q.tobytes())
+
+
+def write_trace_csv(path, result) -> None:
+    """Write a :class:`~vtvrestore.solver.SolveResult` trace as CSV:
+    ``iter,rel_err,energy``.
+
+    Floats carry 17 significant digits so the file round-trips exactly.
+    The energy column is left empty when it was not recorded.
+    """
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("iter,rel_err,energy\n")
+        for j, rel in enumerate(result.trace, start=1):
+            if result.energy_trace:
+                fh.write(f"{j},{rel:.17g},{result.energy_trace[j - 1]:.17g}\n")
+            else:
+                fh.write(f"{j},{rel:.17g},\n")
 
 
 def _pgm_header_tokens(data: bytes, count: int):

@@ -92,25 +92,25 @@ def _compose(outer, inner) -> dict:
     return taps
 
 
-def _shift_blocks(shape, dy: int, dx: int) -> list:
-    """``(dst, src)`` index pairs such that ``out[dst] = a[src]`` for every
-    pair gives ``out = np.roll(a, (dy, dx), axis=(0, 1))``."""
-    h, w = shape
-    sy, sx = dy % h, dx % w
-    rows = [(slice(sy, h), slice(0, h - sy))]
-    if sy:
-        rows.append((slice(0, sy), slice(h - sy, h)))
-    cols = [(slice(sx, w), slice(0, w - sx))]
-    if sx:
-        cols.append((slice(0, sx), slice(w - sx, w)))
-    return [((r[0], c[0]), (r[1], c[1])) for r in rows for c in cols]
+#: Pixels per row block of :class:`FrameGradient`: a block's 15 shifted
+#: planes (about 2 MB for the B-spline bank) stay in cache while the caller
+#: finishes the block.
+BLOCK_PIXELS = 1 << 14
 
 
-def _rows(buffer, n: int) -> np.ndarray:
-    """A C-contiguous buffer viewed as ``n`` flat rows (never a copy)."""
-    if not buffer.flags.c_contiguous:
-        raise DimensionMismatchError("work and out buffers must be C-contiguous")
-    return buffer.reshape(n, -1)
+def _fold(acc, top: int, left: int, h: int, w: int) -> np.ndarray:
+    """Add the wrap padding of ``acc`` back onto the ``(h, w)`` image it pads.
+
+    ``acc[top + r, left + c]`` stands for pixel ``(r mod h, c mod w)``, for
+    pads of any width.  Returns the image as a view into ``acc``.
+    """
+    body = acc[top : top + h]
+    for i in (*range(top), *range(top + h, acc.shape[0])):
+        body[(i - top) % h] += acc[i]
+    out = body[:, left : left + w]
+    for j in (*range(left), *range(left + w, acc.shape[1])):
+        out[:, (j - left) % w] += body[:, j]
+    return out
 
 
 class FrameGradient:
@@ -126,9 +126,16 @@ class FrameGradient:
     :func:`~vtvrestore.diffops.grad`.  The adjoint applies the transposed
     matrix and adds the planes back with the opposite shifts.
 
+    Both directions run over row blocks of about :data:`BLOCK_PIXELS`
+    pixels, so only one block's shifted planes exist at a time.  The image is
+    padded once by wrap and every block reads its shifted planes from the
+    padded copy; the adjoint scatter-adds into a wrap-padded accumulator and
+    folds the pad back modulo ``h`` and ``w``, which is exact on any grid,
+    1x1 included.  :meth:`blocks` hands each block of ``apply`` to the caller
+    while it is still in cache.
+
     Built once per bank (see :attr:`FilterBank.frame_gradient`); it holds no
-    per-image state, so callers that iterate pass their own ``work`` and
-    ``out`` buffers.
+    per-image state.
     """
 
     def __init__(self, bank: FilterBank):
@@ -146,38 +153,68 @@ class FrameGradient:
         #: ``(2m, n)`` read-only tap matrix; row ``2 i + c`` is channel ``i``,
         #: gradient component ``c`` (0 for x, 1 for y).
         self.taps = taps
+        # plane (dy, dx) at pixel (r, c) reads u[r - dy, c - dx], so the
+        # padding is max(dy) rows above, -min(dy) below, likewise for columns
+        dys, dxs = zip((0, 0), *offsets)
+        self._pad = ((max(dys), -min(dys)), (max(dxs), -min(dxs)))
 
-    def apply(self, u, out=None, work=None) -> np.ndarray:
-        """``grad(analyze(u, bank))`` as an ``(m, 2, h, w)`` stack.
+    def blocks(self, u, out=None):
+        """Yield ``(rows, g)`` for each row block of ``apply(u)``.
 
-        ``work`` receives the ``(n, h, w)`` shifted copies of ``u`` and
-        ``out`` the result; each is allocated when omitted.
+        ``g`` is ``grad(analyze(u))[:, :, rows]``.  With ``out``, a
+        C-contiguous ``(m, 2, h, w)`` array, ``g`` is a view of its rows and
+        the caller may finish it in place; without it ``g`` is a block buffer
+        that the next block overwrites.
         """
         f = np.asarray(u, dtype=np.float64)
         if f.ndim != 2:
             raise DimensionMismatchError(f"expected a 2-D image, got {f.shape}")
+        h, w = f.shape
+        if out is not None and (
+            out.shape != (self.m, 2, h, w) or not out.flags.c_contiguous
+        ):
+            raise DimensionMismatchError(
+                f"out must be a C-contiguous {(self.m, 2, h, w)} array"
+            )
+        (top, _), (left, _) = self._pad
         # Every row of taps sums to zero (a gradient kills constants), so
         # removing a constant first changes nothing in exact arithmetic; it
         # maps constant images to exactly zero and shrinks the cancellation
         # error.  A pixel value is exact where the mean may round.
-        centred = f - f.flat[0]
-        n = len(self.offsets)
-        if work is None:
-            work = np.empty((n,) + f.shape)
-        for plane, (dy, dx) in zip(work, self.offsets):
-            for dst, src in _shift_blocks(f.shape, dy, dx):
-                plane[dst] = centred[src]
+        padded = np.pad(f, self._pad, mode="wrap")
+        padded -= f.flat[0]
+        rows = min(max(1, BLOCK_PIXELS // w), h)
+        planes = np.empty((len(self.offsets), rows * w))
+        buffer = np.empty((self.m, 2, rows, w)) if out is None else None
+        for r0 in range(0, h, rows):
+            r1 = min(r0 + rows, h)
+            size = (r1 - r0) * w
+            for plane, (dy, dx) in zip(planes, self.offsets):
+                np.copyto(
+                    plane[:size].reshape(r1 - r0, w),
+                    padded[top + r0 - dy : top + r1 - dy, left - dx : left - dx + w],
+                )
+            g = buffer[:, :, : r1 - r0] if out is None else out[:, :, r0:r1]
+            np.matmul(self.taps, planes[:, :size], out=g.reshape(2 * self.m, size))
+            yield slice(r0, r1), g
+
+    def apply(self, u, out=None) -> np.ndarray:
+        """``grad(analyze(u, bank))`` as an ``(m, 2, h, w)`` stack.
+
+        The result goes to ``out`` when given, else to a new array.
+        """
+        f = np.asarray(u, dtype=np.float64)
         if out is None:
             out = np.empty((self.m, 2) + f.shape)
-        np.matmul(self.taps, _rows(work, n), out=_rows(out, 2 * self.m))
+        for _ in self.blocks(f, out):
+            pass
         return out
 
-    def adjoint(self, p, weights=None, work=None) -> np.ndarray:
+    def adjoint(self, p, weights=None) -> np.ndarray:
         """``sum_i weights[i] * conv_adjoint(grad_adjoint(p[i]), K_i)``.
 
         ``p`` is an ``(m, 2, h, w)`` field and ``weights`` default to ones.
-        ``work`` receives the ``(n, h, w)`` per-offset planes.  Returns a new
-        ``(h, w)`` image.
+        Returns a new ``(h, w)`` image.
         """
         q = np.asarray(p, dtype=np.float64)
         if q.ndim != 4 or q.shape[:2] != (self.m, 2):
@@ -185,17 +222,23 @@ class FrameGradient:
                 f"expected an ({self.m}, 2, h, w) field, got shape {q.shape}"
             )
         h, w = q.shape[2:]
-        n = len(self.offsets)
+        (top, bottom), (left, right) = self._pad
         row_weights = np.repeat(np.ones(self.m) if weights is None else weights, 2)
         weighted = np.ascontiguousarray((self.taps * row_weights[:, None]).T)
-        if work is None:
-            work = np.empty((n, h, w))
-        np.matmul(weighted, q.reshape(2 * self.m, h * w), out=_rows(work, n))
-        out = np.zeros((h, w))
-        for plane, (dy, dx) in zip(work, self.offsets):
-            for dst, src in _shift_blocks((h, w), -dy, -dx):
-                out[dst] += plane[src]
-        return out
+        flat = q.reshape(2 * self.m, h * w)
+        rows = min(max(1, BLOCK_PIXELS // w), h)
+        planes = np.empty((len(self.offsets), rows * w))
+        acc = np.zeros((top + h + bottom, left + w + right))
+        for r0 in range(0, h, rows):
+            r1 = min(r0 + rows, h)
+            size = (r1 - r0) * w
+            np.matmul(weighted, flat[:, r0 * w : r1 * w], out=planes[:, :size])
+            # plane (dy, dx) at pixel (r, c) adds onto pixel (r - dy, c - dx)
+            for plane, (dy, dx) in zip(planes, self.offsets):
+                acc[top + r0 - dy : top + r1 - dy, left - dx : left - dx + w] += (
+                    plane[:size].reshape(r1 - r0, w)
+                )
+        return _fold(acc, top, left, h, w)
 
 
 def bspline_bank() -> FilterBank:

@@ -21,19 +21,24 @@ The loop stops when the relative change ``||u_new - u|| / ||u||`` falls to
 ``tol`` or after ``max_iter`` iterations.
 
 Both directions of the operator run through the bank's fused stencil
-(:class:`~vtvrestore.frames.FrameGradient`): ``grad(F_i u)`` for all
-channels is one matrix product over the shifted copies of ``u``, and the
-u-update numerator ``sum_i gamma_i F_i* G* (d_i - b_i)`` is the
-gamma-weighted transposed product followed by shifted adds.  ``full13`` and
-``reduced17`` share that code and differ only in their denominators.  The
-spatial-domain primitives (:func:`~vtvrestore.frames.analyze`,
-:func:`~vtvrestore.diffops.grad`, ...) remain the references that
-:meth:`SplitBregman.kkt_residual` and the tests check against.
+(:class:`~vtvrestore.frames.FrameGradient`), one row block at a time:
+``grad(F_i u)`` for all channels is one matrix product over the block's
+shifted copies of ``u``, and the u-update numerator
+``sum_i gamma_i F_i* G* (d_i - b_i)`` is the gamma-weighted transposed
+product followed by shifted adds.  ``full13`` and ``reduced17`` share that
+code and differ only in their denominators.  The spatial-domain primitives
+(:func:`~vtvrestore.frames.analyze`, :func:`~vtvrestore.diffops.grad`, ...)
+remain the references that :meth:`SplitBregman.kkt_residual` and the tests
+check against.
 
-:class:`SplitBregman` preallocates its ``(m, 2, h, w)`` stacks and updates
-``d`` and ``b`` **in place** on every :meth:`~SplitBregman.advance`: a caller
-that keeps ``sb.d`` or ``sb.b`` across a step must copy them.  The u-update
-returns a fresh array and never touches ``d`` or ``b``.
+:class:`SplitBregman` keeps two ``(m, 2, h, w)`` stacks: the multipliers
+``b`` and ``q = d - b``, which is exactly what the u-update numerator
+consumes.  :meth:`~SplitBregman.advance` finishes each row block of the
+d and b updates while the stencil's output for it is still in cache, and
+overwrites ``q`` and ``b`` **in place**: a caller that keeps ``sb.q`` or
+``sb.b`` across a step must copy them.  ``sb.d`` is derived, a fresh
+``q + b`` on every access.  The u-update returns a fresh array and never
+touches the state.
 """
 
 from __future__ import annotations
@@ -42,15 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffops import (
-    FORWARD_DIFF_X,
-    FORWARD_DIFF_Y,
-    grad,
-    grad_adjoint,
-    shrink,
-    shrink_iso,
-    vtv,
-)
+from .diffops import FORWARD_DIFF_X, FORWARD_DIFF_Y, grad, grad_adjoint, shrink_iso, vtv
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -201,7 +198,10 @@ def energy(u, f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> floa
         raise DimensionMismatchError(f"u {uu.shape} vs f {ff.shape}")
     if len(cfg.lam) != bank.m:
         raise ConfigError(f"config has {len(cfg.lam)} channels, bank has {bank.m}")
-    reg = vtv(bank.frame_gradient.apply(uu), weights=cfg.lam, isotropic=cfg.shrinkage == ISO)
+    reg = sum(
+        vtv(g, weights=cfg.lam, isotropic=cfg.shrinkage == ISO)
+        for _, g in bank.frame_gradient.blocks(uu)
+    )
     fid = 0.5 * float(np.sum((op.apply(uu) - ff) ** 2))
     return reg + fid
 
@@ -210,7 +210,7 @@ class SplitBregman:
     """One restoration problem with explicit per-iteration control.
 
     :func:`solve` drives this class; it is public so tests and callers can
-    step the iteration manually and inspect ``u``, ``d`` and ``b``.
+    step the iteration manually and inspect ``u``, ``d``, ``b`` and ``q``.
     """
 
     def __init__(self, f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig):
@@ -236,8 +236,7 @@ class SplitBregman:
 
         h, w = self.f.shape
         m = bank.m
-        gammas = np.asarray(cfg.gamma)
-        self._thresholds = np.asarray(cfg.lam) / gammas
+        self._thresholds = (np.asarray(cfg.lam) / np.asarray(cfg.gamma)).reshape(-1, 1, 1, 1)
 
         a_sym = op.symbol((h, w))
         self._laplace_sym = (
@@ -255,22 +254,24 @@ class SplitBregman:
         self._atf = op.adjoint(self.f)
         self._stencil = bank.frame_gradient
         self.u = self.f.copy()
-        self.d = np.zeros((m, 2, h, w))
         self.b = np.zeros((m, 2, h, w))
-        # scratch: v = grad(F u) + b (or d - b), and the stencil's planes
-        self._v = np.empty((m, 2, h, w))
-        self._work = np.empty((len(self._stencil.offsets), h, w))
+        #: ``d - b``, the splits minus the multipliers.
+        self.q = np.zeros((m, 2, h, w))
+
+    @property
+    def d(self) -> np.ndarray:
+        """The splits ``d = q + b``, as a new array."""
+        return self.q + self.b
 
     # -- u-updates ---------------------------------------------------------
 
     def u_update(self) -> np.ndarray:
         """Next u from the current d and b, per the configured variant.
 
-        Returns a new array; ``d`` and ``b`` are left untouched.
+        Returns a new array; ``q`` and ``b`` are left untouched.
         """
-        # numerator sum_i gamma_i F_i* G* (d_i - b_i) + A* f
-        np.subtract(self.d, self.b, out=self._v)
-        num = self._stencil.adjoint(self._v, weights=self.cfg.gamma, work=self._work)
+        # numerator sum_i gamma_i F_i* G* q_i + A* f
+        num = self._stencil.adjoint(self.q, weights=self.cfg.gamma)
         num += self._atf
         return solve_diagonal(num, self._denominator, eps=EPS_DENOM)
 
@@ -296,10 +297,10 @@ class SplitBregman:
         scale = float(np.linalg.norm(self._atf))
         if self.cfg.u_update == FULL13:
             resid = self.op.adjoint(self.op.apply(uu) - self.f) + weighted_adjoint(
-                grad(analyze(uu, self.bank)) - self.d + self.b
+                grad(analyze(uu, self.bank)) - self.q
             )
         else:
-            num = self._atf + weighted_adjoint(self.d - self.b)
+            num = self._atf + weighted_adjoint(self.q)
             resid = (
                 self.op.adjoint(self.op.apply(uu))
                 + self.cfg.gamma[0] * grad_adjoint(grad(uu))
@@ -313,15 +314,22 @@ class SplitBregman:
     def advance(self, u_new) -> float:
         """Run the d and b updates for ``u_new``, install it, return rel. err.
 
-        ``d`` and ``b`` are overwritten in place.
+        ``q`` and ``b`` are overwritten in place, one row block at a time.
         """
-        v = self._stencil.apply(u_new, out=self._v, work=self._work)
-        v += self.b
-        if self.cfg.shrinkage == ANISO:
-            shrink(v, self._thresholds.reshape(-1, 1, 1, 1), out=self.d)
-        else:
-            shrink_iso(v, self._thresholds.reshape(-1, 1, 1), out=self.d)
-        np.subtract(v, self.d, out=self.b)
+        # Per block, with v = grad(F u_new) + b and d = shrink(v):
+        # b <- v - d, which is clip(v, -T, T) for the anisotropic shrink, and
+        # q <- d - b = v - 2 b, all in place (a fresh result array costs 2-4x).
+        t = self._thresholds
+        for rows, q in self._stencil.blocks(u_new, out=self.q):
+            b = self.b[:, :, rows]
+            q += b
+            if self.cfg.shrinkage == ANISO:
+                np.clip(q, -t, t, out=b)
+            else:
+                shrink_iso(q, t[..., 0], out=b)
+                np.subtract(q, b, out=b)
+            q -= b
+            q -= b
         rel = float(np.linalg.norm(u_new - self.u)) / max(
             float(np.linalg.norm(self.u)), _NORM_FLOOR
         )
@@ -363,18 +371,3 @@ def solve(f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> SolveRes
         energy_trace=energy_trace,
         converged=converged,
     )
-
-
-def write_trace_csv(path, result: SolveResult) -> None:
-    """Write the per-iteration trace as CSV: ``iter,rel_err,energy``.
-
-    Floats carry 17 significant digits so the file round-trips exactly.
-    The energy column is left empty when it was not recorded.
-    """
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("iter,rel_err,energy\n")
-        for j, rel in enumerate(result.trace, start=1):
-            if result.energy_trace:
-                fh.write(f"{j},{rel:.17g},{result.energy_trace[j - 1]:.17g}\n")
-            else:
-                fh.write(f"{j},{rel:.17g},\n")

@@ -318,6 +318,21 @@ class TestConfigAndErrors:
         code, _ = run_cli("denoise", "--input", str(bad), "--out", str(tmp_path / "o"))
         self.assert_one_line_error(capsys, code)
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_image_in_a_batch_keeps_the_other_rows(self, small_pgm, tmp_path, capsys, jobs):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\nabc 4\n255\n")
+        out = tmp_path / "o"
+        code, stdout = run_cli(
+            "denoise", "--input", small_pgm, str(bad), "--out", str(out), "--jobs", jobs
+        )
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"vtv-restore: error: {bad}: ")
+        assert [row["image"] for row in parse_metrics(stdout)] == ["small"]
+        assert (out / "small_restored.pgm").is_file()
+        assert not (out / "bad_restored.pgm").exists()
+
     def test_non_numeric_config_value_is_an_error(self, small_pgm, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"tol": "x"}))

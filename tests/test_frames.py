@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vtvrestore import (
     ChannelMismatchError,
@@ -17,6 +19,7 @@ from vtvrestore import (
     synthesize_adjoint,
     verify_uep,
 )
+from vtvrestore import frames
 
 from conftest import conv_brute_force
 
@@ -175,9 +178,24 @@ def random_bank():
 
 
 BANKS = {"bspline": bspline_bank, "identity": identity_bank, "random5x5": random_bank}
-# odd, even, 1xN, Nx1 and 2x2 (smaller than the kernels, so offsets wrap
-# onto each other)
-GRIDS = [(7, 9), (8, 6), (1, 11), (10, 1), (2, 2)]
+# odd, even, 1xN, Nx1, 1x1 and 2x2 (smaller than the kernels, so offsets
+# wrap onto each other); a height that is not a multiple of the block rows;
+# a width beyond the block budget, which forces one-row blocks
+GRIDS = [
+    (7, 9), (8, 6), (1, 11), (10, 1), (1, 1), (2, 2),
+    (37, 500), (3, frames.BLOCK_PIXELS + 3),
+]
+
+
+def reference_apply(u, bank):
+    return grad(analyze(u, bank))
+
+
+def reference_adjoint(p, bank, weights):
+    return sum(
+        g * conv_adjoint(grad_adjoint(p[i]), k)
+        for i, (g, k) in enumerate(zip(weights, bank.kernels))
+    )
 
 
 @pytest.mark.parametrize("shape", GRIDS)
@@ -188,19 +206,15 @@ class TestFrameGradient:
         u = np.random.default_rng(22).standard_normal(shape)
         got = bank.frame_gradient.apply(u)
         assert got.shape == (bank.m, 2) + shape
-        assert np.max(np.abs(got - grad(analyze(u, bank)))) <= 1e-12
+        assert np.max(np.abs(got - reference_apply(u, bank))) <= 1e-12
 
     def test_weighted_adjoint_matches_reference(self, bank_name, shape):
         bank = BANKS[bank_name]()
         rng = np.random.default_rng(23)
         p = rng.standard_normal((bank.m, 2) + shape)
         gamma = rng.uniform(0.5, 3.0, bank.m)
-        expected = sum(
-            g * conv_adjoint(grad_adjoint(p[i]), k)
-            for i, (g, k) in enumerate(zip(gamma, bank.kernels))
-        )
         got = bank.frame_gradient.adjoint(p, weights=gamma)
-        assert np.max(np.abs(got - expected)) <= 1e-12
+        assert np.max(np.abs(got - reference_adjoint(p, bank, gamma))) <= 1e-12
 
     def test_dot_product_identity(self, bank_name, shape):
         bank = BANKS[bank_name]()
@@ -218,11 +232,10 @@ class TestFrameGradient:
         u = rng.standard_normal(shape)
         p = rng.standard_normal((bank.m, 2) + shape)
         stencil = bank.frame_gradient
-        work = np.empty((len(stencil.offsets),) + shape)
         out = np.empty((bank.m, 2) + shape)
-        assert stencil.apply(u, out=out, work=work) is out
+        assert stencil.apply(u, out=out) is out
         assert np.array_equal(out, stencil.apply(u))
-        assert np.array_equal(stencil.adjoint(p, work=work), stencil.adjoint(p))
+        assert np.array_equal(stencil.adjoint(p), stencil.adjoint(p))
 
 
 def test_bspline_stencil_has_fifteen_offsets(bank):
@@ -231,3 +244,47 @@ def test_bspline_stencil_has_fifteen_offsets(bank):
     assert bank.frame_gradient is stencil  # built once per bank
     # constants map to exact zeros
     assert not np.any(stencil.apply(np.full((6, 5), 37.3)))
+
+
+@pytest.mark.parametrize("shape", [(20, 17), (33, 7), (9, 1), (1, 9)])
+@pytest.mark.parametrize("block_rows", [1, 2, 5, None])
+def test_every_block_size_gives_the_same_stencil(monkeypatch, bank, shape, block_rows):
+    h, w = shape
+    monkeypatch.setattr(frames, "BLOCK_PIXELS", (block_rows or h) * w)
+    rng = np.random.default_rng(26)
+    u = rng.standard_normal(shape)
+    p = rng.standard_normal((bank.m, 2) + shape)
+    gamma = rng.uniform(0.5, 3.0, bank.m)
+    stencil = bank.frame_gradient
+    expected = reference_apply(u, bank)
+    assert np.max(np.abs(stencil.apply(u) - expected)) <= 1e-12
+    # without out, each block arrives in a buffer the next block reuses
+    pieces = [(rows, g.copy()) for rows, g in stencil.blocks(u)]
+    assert [rows.start for rows, _ in pieces] == list(range(0, h, block_rows or h))
+    assert np.max(np.abs(np.concatenate([g for _, g in pieces], axis=2) - expected)) <= 1e-12
+    got = stencil.adjoint(p, weights=gamma)
+    assert np.max(np.abs(got - reference_adjoint(p, bank, gamma))) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    h=st.integers(1, 40),
+    w=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    bank_name=st.sampled_from(sorted(BANKS)),
+)
+@example(h=1, w=29, seed=0, bank_name="bspline")
+@example(h=31, w=1, seed=0, bank_name="bspline")
+def test_adjointness_and_uep_on_random_sizes(h, w, seed, bank_name):
+    bank = BANKS[bank_name]()
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((h, w))
+    p = rng.standard_normal((bank.m, 2, h, w))
+    stencil = bank.frame_gradient
+    du = stencil.apply(u)
+    lhs = float(np.sum(du * p))
+    rhs = float(np.sum(u * stencil.adjoint(p)))
+    assert abs(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(du) * np.linalg.norm(p))
+    if bank_name != "random5x5":  # the random bank is not a tight frame
+        assert verify_uep(bank, w, h) < 1e-12
+        assert np.max(np.abs(synthesize_adjoint(analyze(u, bank), bank) - u)) < 1e-12

@@ -1,6 +1,8 @@
 """Split Bregman solver: exactness of the updates, the loop contract and
 the classical-TV reduction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,8 +32,10 @@ from vtvrestore import (
     psnr,
     solve,
     tv_aniso,
+    vtv,
     write_trace_csv,
 )
+from vtvrestore import frames
 
 from vtvrestore.diffops import FORWARD_DIFF_X, FORWARD_DIFF_Y
 
@@ -136,6 +140,41 @@ class TestEnergy:
     def test_dimension_mismatch(self, bank):
         with pytest.raises(DimensionMismatchError):
             energy(np.zeros((4, 4)), np.zeros((4, 5)), DegradationOp.identity(), bank, denoise_cfg())
+
+    @pytest.mark.parametrize("shrinkage", [ANISO, ISO])
+    def test_sum_over_row_blocks(self, bank, monkeypatch, shrinkage):
+        rng = np.random.default_rng(3)
+        u = rng.uniform(0, 255, (13, 10))
+        f = rng.uniform(0, 255, (13, 10))
+        cfg = denoise_cfg(shrinkage=shrinkage)
+        expected = 0.5 * np.sum((u - f) ** 2) + vtv(
+            grad(analyze(u, bank)), weights=cfg.lam, isotropic=shrinkage == ISO
+        )
+        monkeypatch.setattr(frames, "BLOCK_PIXELS", 30)  # blocks of 3 rows
+        got = energy(u, f, DegradationOp.identity(), bank, cfg)
+        assert abs(got - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("shrinkage", [ANISO, ISO])
+def test_step_and_energy_allocate_no_feature_stack(bank, shrinkage):
+    # the state is two (m, 2, h, w) stacks; an iteration and an energy
+    # evaluation each stay below the size of one more
+    rng = np.random.default_rng(4)
+    f = rng.uniform(0, 255, (256, 256))
+    cfg = denoise_cfg(shrinkage=shrinkage)
+    sb = SplitBregman(f, DegradationOp.identity(), bank, cfg)
+    sb.step()
+    stack_bytes = sb.q.nbytes
+    tracemalloc.start()
+    try:
+        sb.step()
+        step_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        energy(sb.u, f, DegradationOp.identity(), bank, cfg)
+        energy_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step_peak < stack_bytes and energy_peak < stack_bytes, (step_peak, energy_peak)
 
 
 class TestUUpdate:
