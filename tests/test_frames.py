@@ -178,12 +178,12 @@ def random_bank():
 
 
 BANKS = {"bspline": bspline_bank, "identity": identity_bank, "random5x5": random_bank}
-# odd, even, 1xN, Nx1, 1x1 and 2x2 (smaller than the kernels, so offsets
+# odd, even, 1xN, Nx1, 2x2 and 1x1 (smaller than the kernels, so offsets
 # wrap onto each other); a height that is not a multiple of the block rows;
 # a width beyond the block budget, which forces one-row blocks
 GRIDS = [
-    (7, 9), (8, 6), (1, 11), (10, 1), (1, 1), (2, 2),
-    (37, 500), (3, frames.BLOCK_PIXELS + 3),
+    (7, 9), (8, 6), (1, 11), (10, 1), (2, 2),
+    (1, 1), (37, 500), (3, frames.BLOCK_PIXELS + 3),
 ]
 
 
