@@ -25,7 +25,7 @@ from .fileio import quantize, read_image, write_pgm, write_trace_csv
 from .frames import analyze, bspline_bank
 from .image import psnr
 from .selftest import run_selftest
-from .solver import DegradationOp, SolverConfig, solve
+from .solver import ANISO, FULL13, ISO, REDUCED17, DegradationOp, SolverConfig, solve
 
 #: Restoration defaults per (task, variant); flags and config files override.
 TASK_DEFAULTS = {
@@ -60,6 +60,10 @@ _NUMERIC_KEYS = {
 }
 
 
+#: Settings with a fixed set of values; the flags offer the same choices.
+_CHOICE_KEYS = {"variant": (FULL13, REDUCED17), "shrinkage": (ANISO, ISO)}
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as ConfigError (exit code 1)."""
 
@@ -77,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", nargs="+", help="clean source image path(s) (.pgm/.png)")
         p.add_argument("--ref", help="PSNR reference (defaults to the input image)")
         p.add_argument("--out", help="output directory (created if absent; default ./out)")
-        p.add_argument("--variant", choices=["full13", "reduced17"])
+        p.add_argument("--variant", choices=_CHOICE_KEYS["variant"])
         p.add_argument("--lambda1", type=float, help="TV weight of the lowpass channel")
         p.add_argument("--lambda-rest", type=float, dest="lambda_rest",
                        help="TV weight of the detail channels")
@@ -94,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="record energy and write a per-iteration CSV")
         p.add_argument("--dump-features", action="store_true", default=None,
                        dest="dump_features", help="write per-channel feature images")
-        p.add_argument("--shrinkage", choices=["aniso", "iso"])
+        p.add_argument("--shrinkage", choices=_CHOICE_KEYS["shrinkage"])
         p.add_argument("--config", help="JSON file with the same keys as the flags")
         p.add_argument("--jobs", type=int, help="parallel workers for batch inputs")
 
@@ -108,13 +112,18 @@ def _resolve_settings(task: str, args: argparse.Namespace) -> dict:
     """Merge defaults, an optional config file and explicit flags (flags win)."""
     file_cfg = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                file_cfg = json.load(fh)
+        except UnicodeDecodeError:
+            raise ConfigError(f"config file {args.config} is not UTF-8 text") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError("a config file must hold one JSON object")
         unknown = set(file_cfg) - set(_SETTING_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        file_cfg = {k: v for k, v in file_cfg.items() if v is not None}
+        _check_file_values(file_cfg)
 
     variant = args.variant or file_cfg.get("variant") or "reduced17"
     settings = {
@@ -132,7 +141,7 @@ def _resolve_settings(task: str, args: argparse.Namespace) -> dict:
         "input": None,
     }
     settings.update(TASK_DEFAULTS[(task, variant)])
-    settings.update({k: v for k, v in file_cfg.items() if v is not None})
+    settings.update(file_cfg)
     for key in _SETTING_KEYS:
         value = getattr(args, key, None)
         if value is not None:
@@ -157,6 +166,27 @@ def _resolve_settings(task: str, args: argparse.Namespace) -> dict:
     if settings["ref"] and not Path(settings["ref"]).is_file():
         raise ConfigError(f"reference image not found: {settings['ref']}")
     return settings
+
+
+def _check_file_values(file_cfg: dict) -> None:
+    """Reject config-file values that the matching flag could not produce.
+
+    Numbers are checked after merging, by :func:`_number`.
+    """
+    for key, choices in _CHOICE_KEYS.items():
+        if key in file_cfg and file_cfg[key] not in choices:
+            raise ConfigError(f"{key} must be one of {list(choices)}, got {file_cfg[key]!r}")
+    for key in ("ref", "out"):
+        if key in file_cfg and not isinstance(file_cfg[key], str):
+            raise ConfigError(f"{key} must be a string, got {file_cfg[key]!r}")
+    paths = file_cfg.get("input", [])
+    if not isinstance(paths, str) and not (
+        isinstance(paths, list) and all(isinstance(p, str) for p in paths)
+    ):
+        raise ConfigError(f"input must be a string or a list of strings, got {paths!r}")
+    for key in ("trace", "dump_features"):
+        if key in file_cfg and not isinstance(file_cfg[key], bool):
+            raise ConfigError(f"{key} must be true or false, got {file_cfg[key]!r}")
 
 
 def _number(key: str, value, kind):

@@ -240,6 +240,21 @@ class FrameGradient:
                 )
         return _fold(acc, top, left, h, w)
 
+    def normal_kernel(self, weights) -> np.ndarray:
+        """Kernel of ``sum_i weights[i] F_i* G* G F_i``, ``adjoint(apply(u), weights)``.
+
+        The Gram matrix ``taps.T @ diag(repeat(weights, 2)) @ taps`` laid out
+        by offset difference (7x7 for the B-spline bank).
+        """
+        gram = self.taps.T @ (np.repeat(weights, 2)[:, None] * self.taps)
+        offsets = np.array(self.offsets, dtype=int).reshape(-1, 2)
+        # entry (k, j) reads u[x - o_j] and adds it back at x - o_k
+        diffs = offsets[None] - offsets[:, None]
+        ry, rx = np.abs(diffs).reshape(-1, 2).max(axis=0, initial=0)
+        kernel = np.zeros((2 * ry + 1, 2 * rx + 1))
+        np.add.at(kernel, (ry + diffs[..., 0], rx + diffs[..., 1]), gram)
+        return kernel
+
 
 def bspline_bank() -> FilterBank:
     """The 9-channel piecewise-linear B-spline bank of 3x3 kernels.

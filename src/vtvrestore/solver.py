@@ -8,11 +8,13 @@ where ``F_i`` is circular convolution with bank kernel ``K_i`` and ``A`` is
 the identity or a circular blur.  Splitting ``d_i = grad(F_i u)`` with
 Bregman multipliers ``b_i`` yields three alternating updates per iteration:
 
-* **u-update** - an exactly FFT-diagonalized quadratic solve.  The ``full13``
-  variant inverts the true normal operator ``A*A + sum_i gamma_i F_i* G* G
-  F_i`` (``G`` the gradient); the cheaper ``reduced17`` variant replaces the
-  channel-weighted denominator by ``A*A + gamma_1 G*G``, which is exact for
-  a tight frame whenever all ``gamma_i`` are equal.
+* **u-update** - an exactly FFT-diagonalized quadratic solve of
+  ``(A*A + sum_i w_i F_i* G* G F_i) u = A* f + sum_i gamma_i F_i* G* (d_i - b_i)``
+  (``G`` the gradient).  The variant only picks the denominator weights
+  ``w``: ``full13`` uses ``w = gamma``, the true normal operator;
+  ``reduced17`` uses ``w_i = gamma_1`` for every channel, which for a tight
+  frame (``sum_i F_i* F_i = I``) is ``A*A + gamma_1 G*G`` and coincides with
+  ``full13`` whenever all ``gamma_i`` are equal.
 * **d-update** - closed-form shrinkage of ``grad(F_i u) + b_i`` at threshold
   ``lam_i / gamma_i``.
 * **b-update** - ``b_i += grad(F_i u) - d_i``.
@@ -25,8 +27,9 @@ Both directions of the operator run through the bank's fused stencil
 ``grad(F_i u)`` for all channels is one matrix product over the block's
 shifted copies of ``u``, and the u-update numerator
 ``sum_i gamma_i F_i* G* (d_i - b_i)`` is the gamma-weighted transposed
-product followed by shifted adds.  ``full13`` and ``reduced17`` share that
-code and differ only in their denominators.  The spatial-domain primitives
+product followed by shifted adds.  The denominator is the symbol of the
+stencil's :meth:`~vtvrestore.frames.FrameGradient.normal_kernel`, built
+once per solve.  The spatial-domain primitives
 (:func:`~vtvrestore.frames.analyze`, :func:`~vtvrestore.diffops.grad`, ...)
 remain the references that :meth:`SplitBregman.kkt_residual` and the tests
 check against.
@@ -47,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffops import FORWARD_DIFF_X, FORWARD_DIFF_Y, grad, grad_adjoint, shrink_iso, vtv
+from .diffops import grad, grad_adjoint, shrink_iso, vtv
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -76,13 +79,12 @@ _NORM_FLOOR = 1e-12
 class DegradationOp:
     """The observation operator A: identity or circular blur with a PSF.
 
-    Frequency symbols are cached per image shape; instances are safe to share
-    across solves on images of different sizes.
+    Holds no per-image state: :meth:`symbol` computes the symbol afresh for
+    any grid, and a solve reads it once, to build its denominator.
     """
 
     def __init__(self, psf=None):
         self.psf = None if psf is None else as_kernel(psf)
-        self._symbols: dict = {}
 
     @classmethod
     def identity(cls) -> "DegradationOp":
@@ -109,13 +111,10 @@ class DegradationOp:
         return conv_adjoint(u, self.psf)
 
     def symbol(self, shape) -> np.ndarray:
-        key = (int(shape[0]), int(shape[1]))
-        if key not in self._symbols:
-            if self.psf is None:
-                self._symbols[key] = identity_symbol(key)
-            else:
-                self._symbols[key] = kernel_symbol(self.psf, key)
-        return self._symbols[key]
+        """Frequency symbol of A on a ``shape`` grid, as a new array."""
+        if self.psf is None:
+            return identity_symbol(shape)
+        return kernel_symbol(self.psf, shape)
 
 
 @dataclass
@@ -238,21 +237,14 @@ class SplitBregman:
         m = bank.m
         self._thresholds = (np.asarray(cfg.lam) / np.asarray(cfg.gamma)).reshape(-1, 1, 1, 1)
 
-        a_sym = op.symbol((h, w))
-        self._laplace_sym = (
-            np.abs(kernel_symbol(FORWARD_DIFF_X, (h, w))) ** 2
-            + np.abs(kernel_symbol(FORWARD_DIFF_Y, (h, w))) ** 2
-        )
-        if cfg.u_update == FULL13:
-            weighted = np.zeros((h, w))
-            for g, k in zip(cfg.gamma, bank.kernels):
-                weighted += g * np.abs(kernel_symbol(k, (h, w))) ** 2
-            self._denominator = np.abs(a_sym) ** 2 + self._laplace_sym * weighted
-        else:
-            self._denominator = np.abs(a_sym) ** 2 + cfg.gamma[0] * self._laplace_sym
+        self._stencil = bank.frame_gradient
+        #: ``w`` of the normal operator ``A*A + sum_i w_i F_i* G* G F_i``.
+        self._weights = cfg.gamma if cfg.u_update == FULL13 else (cfg.gamma[0],) * m
+        self._denominator = np.abs(op.symbol((h, w))) ** 2 + kernel_symbol(
+            self._stencil.normal_kernel(self._weights), (h, w)
+        ).real
 
         self._atf = op.adjoint(self.f)
-        self._stencil = bank.frame_gradient
         self.u = self.f.copy()
         self.b = np.zeros((m, 2, h, w))
         #: ``d - b``, the splits minus the multipliers.
@@ -276,38 +268,29 @@ class SplitBregman:
         return solve_diagonal(num, self._denominator, eps=EPS_DENOM)
 
     def kkt_residual(self, u) -> float:
-        """Relative residual of the variant's u-subproblem normal equation.
+        """Relative residual of the normal equation the u-update solves.
 
-        Evaluated entirely in the spatial domain with the roll-based
-        primitives, independently of the fused stencil and the FFT solve.
-        For ``full13`` this is the true stationarity condition
-        ``A*(Au - f) + sum_i gamma_i F_i* G* (G F_i u - d_i + b_i) = 0``;
-        for ``reduced17`` it is the residual of the modified equation the
-        variant actually solves.
+        ``A*A u + sum_i w_i F_i* G* G F_i u - (A* f + sum_i gamma_i F_i* G* q_i)``
+        over the norm of the right-hand side, ``w`` the denominator weights;
+        for ``full13`` it is the subproblem's stationarity condition.  Uses the
+        roll-based primitives, independently of the stencil and the FFT solve.
         """
         uu = np.asarray(u, dtype=np.float64)
 
-        def weighted_adjoint(p):
-            """sum_i gamma_i F_i* G* p_i"""
+        def weighted_adjoint(p, weights):
+            """sum_i weights_i F_i* G* p_i"""
             return sum(
                 g * conv_adjoint(grad_adjoint(p[i]), k)
-                for i, (g, k) in enumerate(zip(self.cfg.gamma, self.bank.kernels))
+                for i, (g, k) in enumerate(zip(weights, self.bank.kernels))
             )
 
-        scale = float(np.linalg.norm(self._atf))
-        if self.cfg.u_update == FULL13:
-            resid = self.op.adjoint(self.op.apply(uu) - self.f) + weighted_adjoint(
-                grad(analyze(uu, self.bank)) - self.q
-            )
-        else:
-            num = self._atf + weighted_adjoint(self.q)
-            resid = (
-                self.op.adjoint(self.op.apply(uu))
-                + self.cfg.gamma[0] * grad_adjoint(grad(uu))
-                - num
-            )
-            scale = float(np.linalg.norm(num))
-        return float(np.linalg.norm(resid)) / max(scale, _NORM_FLOOR)
+        rhs = self._atf + weighted_adjoint(self.q, self.cfg.gamma)
+        resid = (
+            self.op.adjoint(self.op.apply(uu))
+            + weighted_adjoint(grad(analyze(uu, self.bank)), self._weights)
+            - rhs
+        )
+        return float(np.linalg.norm(resid)) / max(float(np.linalg.norm(rhs)), _NORM_FLOOR)
 
     # -- d/b updates and stepping -------------------------------------------
 

@@ -342,6 +342,43 @@ class TestConfigAndErrors:
         )
         self.assert_one_line_error(capsys, code)
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"variant": "fancy"},
+            {"shrinkage": "huber"},
+            {"ref": 7},
+            {"out": 5},
+            {"input": 5},
+            {"input": ["a.pgm", 5]},
+            {"trace": "no"},
+            {"dump_features": 1},
+        ],
+        ids=[
+            "variant", "shrinkage", "ref", "out", "input-number", "input-list",
+            "trace", "dump_features",
+        ],
+    )
+    def test_config_value_of_the_wrong_kind_is_an_error(self, small_pgm, tmp_path, capsys, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        flags = [] if "input" in config else ["--input", small_pgm]
+        code, _ = run_cli("denoise", *flags, "--out", str(out), "--config", str(cfg_path))
+        self.assert_one_line_error(capsys, code)
+        assert not out.exists()
+
+    def test_config_file_that_is_not_utf8_is_an_error(self, small_pgm, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b"\xff\xfe")
+        code, _ = run_cli(
+            "denoise", "--input", small_pgm, "--out", str(tmp_path / "o"),
+            "--config", str(cfg_path),
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"vtv-restore: error: config file {cfg_path} is not UTF-8 text\n"
+
     def test_zero_jobs_is_an_error(self, small_pgm, tmp_path, capsys):
         code, _ = run_cli(
             "denoise", "--input", small_pgm, "--out", str(tmp_path / "o"), "--jobs", "0"

@@ -14,12 +14,14 @@ from vtvrestore import (
     grad,
     grad_adjoint,
     identity_bank,
+    kernel_symbol,
     load_bank,
     save_bank,
     synthesize_adjoint,
     verify_uep,
 )
 from vtvrestore import frames
+from vtvrestore.diffops import FORWARD_DIFF_X, FORWARD_DIFF_Y
 
 from conftest import conv_brute_force
 
@@ -236,6 +238,21 @@ class TestFrameGradient:
         assert stencil.apply(u, out=out) is out
         assert np.array_equal(out, stencil.apply(u))
         assert np.array_equal(stencil.adjoint(p), stencil.adjoint(p))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (3, 5), (20, 17)])
+@pytest.mark.parametrize("bank_name", sorted(BANKS))
+def test_normal_kernel_symbol_is_the_per_channel_product(bank_name, shape):
+    bank = BANKS[bank_name]()
+    weights = np.random.default_rng(27).uniform(0.5, 3.0, bank.m)
+    kernel = bank.frame_gradient.normal_kernel(weights)
+    assert bank_name != "bspline" or kernel.shape == (7, 7)
+    laplace = sum(np.abs(kernel_symbol(d, shape)) ** 2 for d in (FORWARD_DIFF_X, FORWARD_DIFF_Y))
+    frame = sum(g * np.abs(kernel_symbol(k, shape)) ** 2 for g, k in zip(weights, bank.kernels))
+    # relative to the kernel's l1 norm, which bounds its symbol on every
+    # grid (on 1x1 the expected symbol is exactly zero)
+    err = np.max(np.abs(kernel_symbol(kernel, shape) - laplace * frame))
+    assert err <= 1e-12 * np.sum(np.abs(kernel))
 
 
 def test_bspline_stencil_has_fifteen_offsets(bank):
