@@ -31,37 +31,51 @@ from .solver import ANISO, FULL13, ISO, REDUCED17, DegradationOp, SolverConfig, 
 TASK_DEFAULTS = {
     ("denoise", "reduced17"): {
         "lambda1": 2.0, "lambda_rest": 1.5, "gamma1": 12.0, "gamma_rest": 4.5, "tol": 5e-4,
+        "sigma": 25.5,
     },
     ("denoise", "full13"): {
         "lambda1": 0.2, "lambda_rest": 0.2, "gamma1": 8.0, "gamma_rest": 4.0, "tol": 1e-4,
+        "sigma": 25.5,
     },
     ("deblur", "reduced17"): {
         "lambda1": 1.02, "lambda_rest": 0.51, "gamma1": 0.4, "gamma_rest": 0.1, "tol": 5e-4,
+        "sigma": 5.0,
     },
     ("deblur", "full13"): {
         "lambda1": 1.53, "lambda_rest": 1.02, "gamma1": 0.4, "gamma_rest": 0.1, "tol": 5e-4,
+        "sigma": 5.0,
     },
 }
 
-_SIGMA_DEFAULT = {"denoise": 25.5, "deblur": 5.0}
-
-_SETTING_KEYS = (
-    "input", "ref", "out", "variant", "lambda1", "lambda_rest", "gamma1",
-    "gamma_rest", "tol", "max_iter", "sigma", "blur_len", "seed", "trace",
-    "dump_features", "jobs", "shrinkage",
-)
-
-
-#: Numeric settings and their types; config-file values are checked against them.
-_NUMERIC_KEYS = {
-    "lambda1": float, "lambda_rest": float, "gamma1": float, "gamma_rest": float,
-    "tol": float, "sigma": float, "max_iter": int, "blur_len": int, "seed": int,
-    "jobs": int,
+#: Every restoration setting: key -> (kind, default, help).  A kind is a type
+#: or a tuple of choices; ``list`` means one or more paths.  Each key is a
+#: config-file key and the flag ``--<key with dashes>``.  A ``None`` default
+#: is either unset or comes from :data:`TASK_DEFAULTS`.
+SETTINGS = {
+    "input": (list, None, "clean source image path(s) (.pgm/.png)"),
+    "ref": (str, None, "PSNR reference (defaults to the input image)"),
+    "out": (str, "out", "output directory (created if absent; default ./out)"),
+    "variant": ((FULL13, REDUCED17), REDUCED17, "u-update variant (default reduced17)"),
+    "lambda1": (float, None, "TV weight of the lowpass channel"),
+    "lambda_rest": (float, None, "TV weight of the detail channels"),
+    "gamma1": (float, None, "splitting penalty, lowpass channel"),
+    "gamma_rest": (float, None, "splitting penalty, detail channels"),
+    "tol": (float, None, "relative-change stopping tolerance"),
+    "max_iter": (int, 200, "iteration cap (default 200)"),
+    "sigma": (float, None, "noise standard deviation"),
+    "blur_len": (int, 9, "odd motion-blur length in pixels (deblur only; default 9)"),
+    "seed": (int, 0, "noise seed (batch images get seed+index)"),
+    "trace": (bool, False, "record energy and write a per-iteration CSV"),
+    "dump_features": (bool, False, "write per-channel feature images"),
+    "shrinkage": ((ANISO, ISO), ANISO, "shrinkage flavor (default aniso)"),
+    "jobs": (int, 1, "parallel workers for batch inputs"),
 }
 
-
-#: Settings with a fixed set of values; the flags offer the same choices.
-_CHOICE_KEYS = {"variant": (FULL13, REDUCED17), "shrinkage": (ANISO, ISO)}
+#: The JSON values a setting of each scalar kind accepts, and their name.
+_JSON_KINDS = {
+    str: (str, "a string"), bool: (bool, "true or false"),
+    float: ((int, float), "a number"), int: (int, "an integer"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,29 +92,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     for task in ("denoise", "deblur"):
         p = sub.add_parser(task, help=f"synthesize a degraded image and {task} it")
-        p.add_argument("--input", nargs="+", help="clean source image path(s) (.pgm/.png)")
-        p.add_argument("--ref", help="PSNR reference (defaults to the input image)")
-        p.add_argument("--out", help="output directory (created if absent; default ./out)")
-        p.add_argument("--variant", choices=_CHOICE_KEYS["variant"])
-        p.add_argument("--lambda1", type=float, help="TV weight of the lowpass channel")
-        p.add_argument("--lambda-rest", type=float, dest="lambda_rest",
-                       help="TV weight of the detail channels")
-        p.add_argument("--gamma1", type=float, help="splitting penalty, lowpass channel")
-        p.add_argument("--gamma-rest", type=float, dest="gamma_rest",
-                       help="splitting penalty, detail channels")
-        p.add_argument("--tol", type=float, help="relative-change stopping tolerance")
-        p.add_argument("--max-iter", type=int, dest="max_iter")
-        p.add_argument("--sigma", type=float, help="noise standard deviation")
-        p.add_argument("--blur-len", type=int, dest="blur_len",
-                       help="odd motion-blur length in pixels (deblur only; default 9)")
-        p.add_argument("--seed", type=int, help="noise seed (batch images get seed+index)")
-        p.add_argument("--trace", action="store_true", default=None,
-                       help="record energy and write a per-iteration CSV")
-        p.add_argument("--dump-features", action="store_true", default=None,
-                       dest="dump_features", help="write per-channel feature images")
-        p.add_argument("--shrinkage", choices=_CHOICE_KEYS["shrinkage"])
+        for key, (kind, _, help_text) in SETTINGS.items():
+            if kind is bool:
+                spec = {"action": "store_true", "default": None}
+            elif kind is list:
+                spec = {"nargs": "+"}
+            elif isinstance(kind, tuple):
+                spec = {"choices": kind}
+            else:
+                spec = {"type": kind}
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text, **spec)
         p.add_argument("--config", help="JSON file with the same keys as the flags")
-        p.add_argument("--jobs", type=int, help="parallel workers for batch inputs")
 
     p = sub.add_parser("selftest", help="run built-in invariant checks")
     p.add_argument("--perturb-bank", action="store_true", dest="perturb_bank",
@@ -108,53 +110,62 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check(key: str, value):
+    """A config-file ``value`` as setting ``key`` takes it, or a ConfigError.
+
+    The value must be one the setting's flag could produce: argparse builds
+    each flag from the same :data:`SETTINGS` kind.
+    """
+    kind = SETTINGS[key][0]
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{key} must be one of {list(kind)}, got {value!r}")
+        return value
+    if kind is list:
+        paths = [value] if isinstance(value, str) else value
+        if not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
+            raise ConfigError(f"{key} must be a string or a list of strings, got {value!r}")
+        return paths
+    accepted, description = _JSON_KINDS[kind]
+    # JSON true/false are Python ints too, so only a bool setting takes them
+    if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+        raise ConfigError(f"{key} must be {description}, got {value!r}")
+    return kind(value)
+
+
+def _read_config(path: str) -> dict:
+    """The settings a JSON config file sets, each checked by :func:`_check`.
+
+    ``null`` leaves a setting unset.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            values = json.load(fh)
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(values, dict):
+        raise ConfigError("a config file must hold one JSON object")
+    unknown = set(values) - set(SETTINGS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    return {key: _check(key, value) for key, value in values.items() if value is not None}
+
+
 def _resolve_settings(task: str, args: argparse.Namespace) -> dict:
-    """Merge defaults, an optional config file and explicit flags (flags win)."""
-    file_cfg = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except UnicodeDecodeError:
-            raise ConfigError(f"config file {args.config} is not UTF-8 text") from None
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("a config file must hold one JSON object")
-        unknown = set(file_cfg) - set(_SETTING_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        file_cfg = {k: v for k, v in file_cfg.items() if v is not None}
-        _check_file_values(file_cfg)
+    """Merge the table's defaults, :data:`TASK_DEFAULTS`, an optional config
+    file and explicit flags; a later source wins."""
+    chosen = _read_config(args.config) if args.config else {}
+    chosen.update((key, getattr(args, key)) for key in SETTINGS if getattr(args, key) is not None)
+    settings = {key: default for key, (_, default, _) in SETTINGS.items()}
+    settings.update(TASK_DEFAULTS[(task, chosen.get("variant", settings["variant"]))])
+    settings.update(chosen)
 
-    variant = args.variant or file_cfg.get("variant") or "reduced17"
-    settings = {
-        "variant": variant,
-        "out": "out",
-        "max_iter": 200,
-        "seed": 0,
-        "sigma": _SIGMA_DEFAULT[task],
-        "blur_len": 9,
-        "trace": False,
-        "dump_features": False,
-        "jobs": 1,
-        "shrinkage": "aniso",
-        "ref": None,
-        "input": None,
-    }
-    settings.update(TASK_DEFAULTS[(task, variant)])
-    settings.update(file_cfg)
-    for key in _SETTING_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
-
-    for key, kind in _NUMERIC_KEYS.items():
-        settings[key] = _number(key, settings[key], kind)
     if settings["jobs"] < 1:
         raise ConfigError(f"jobs must be >= 1, got {settings['jobs']}")
     if not settings["input"]:
         raise ConfigError("--input is required (flag or config file)")
-    if isinstance(settings["input"], str):
-        settings["input"] = [settings["input"]]
     if settings["ref"] and len(settings["input"]) > 1:
         raise ConfigError("--ref only combines with a single --input")
     stems = [Path(p).stem for p in settings["input"]]
@@ -168,44 +179,14 @@ def _resolve_settings(task: str, args: argparse.Namespace) -> dict:
     return settings
 
 
-def _check_file_values(file_cfg: dict) -> None:
-    """Reject config-file values that the matching flag could not produce.
-
-    Numbers are checked after merging, by :func:`_number`.
-    """
-    for key, choices in _CHOICE_KEYS.items():
-        if key in file_cfg and file_cfg[key] not in choices:
-            raise ConfigError(f"{key} must be one of {list(choices)}, got {file_cfg[key]!r}")
-    for key in ("ref", "out"):
-        if key in file_cfg and not isinstance(file_cfg[key], str):
-            raise ConfigError(f"{key} must be a string, got {file_cfg[key]!r}")
-    paths = file_cfg.get("input", [])
-    if not isinstance(paths, str) and not (
-        isinstance(paths, list) and all(isinstance(p, str) for p in paths)
-    ):
-        raise ConfigError(f"input must be a string or a list of strings, got {paths!r}")
-    for key in ("trace", "dump_features"):
-        if key in file_cfg and not isinstance(file_cfg[key], bool):
-            raise ConfigError(f"{key} must be true or false, got {file_cfg[key]!r}")
-
-
-def _number(key: str, value, kind):
-    """``value`` as ``kind`` (float or int), or a ConfigError naming ``key``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return kind(value)
-
-
 def _json_metric(x: float):
     return x if math.isfinite(x) else "inf"
 
 
-def _dump_features(out_dir: Path, stem: str, u: np.ndarray) -> list:
+def _dump_features(out_dir: Path, stem: str, u: np.ndarray, bank) -> list:
     """Per-channel feature images, affinely rescaled to [0, 255]."""
     paths = []
-    feats = analyze(u, bspline_bank())
+    feats = analyze(u, bank)
     for i, channel in enumerate(feats, start=1):
         lo, hi = float(channel.min()), float(channel.max())
         scaled = (channel - lo) * (255.0 / (hi - lo)) if hi > lo else np.zeros_like(channel)
@@ -216,33 +197,20 @@ def _dump_features(out_dir: Path, stem: str, u: np.ndarray) -> list:
 
 
 def _process_one(job: dict) -> dict:
-    """Degrade, restore and write all artifacts for one input image."""
-    task = job["task"]
-    settings = job["settings"]
+    """Degrade, restore and write all artifacts for one input image.
+
+    ``job`` holds the run's objects (``task``, ``settings``, ``bank``,
+    ``op``, ``cfg``) and the image's ``input`` path and ``noise``.
+    """
+    task, settings, bank, cfg = job["task"], job["settings"], job["bank"], job["cfg"]
+    op, noise = job["op"], job["noise"]
     out_dir = Path(settings["out"])
     stem = Path(job["input"]).stem
 
     clean = read_image(job["input"])
     ref = read_image(settings["ref"]) if settings["ref"] else clean
-    bank = bspline_bank()
-
-    if task == "deblur":
-        op = DegradationOp.blur(motion_blur_kernel(settings["blur_len"]))
-    else:
-        op = DegradationOp.identity()
-    noise = NoiseSpec(sigma=settings["sigma"], seed=job["seed"])
     degraded = apply_degradation(clean, op, noise)
 
-    cfg = SolverConfig.head_rest(
-        bank.m,
-        settings["lambda1"], settings["lambda_rest"],
-        settings["gamma1"], settings["gamma_rest"],
-        tol=settings["tol"],
-        max_iter=settings["max_iter"],
-        u_update=settings["variant"],
-        shrinkage=settings["shrinkage"],
-        record_trace=bool(settings["trace"]),
-    )
     start = time.perf_counter()
     result = solve(degraded, op, bank, cfg)
     seconds = time.perf_counter() - start
@@ -257,7 +225,7 @@ def _process_one(job: dict) -> dict:
         write_trace_csv(trace_path, result)
         outputs["trace"] = str(trace_path)
     if settings["dump_features"]:
-        outputs["features"] = _dump_features(out_dir, stem, result.u)
+        outputs["features"] = _dump_features(out_dir, stem, result.u, bank)
 
     # The degraded metric is taken on the float field, the restored one on
     # the exported (quantized) artifact the tool actually delivers.
@@ -274,9 +242,9 @@ def _process_one(job: dict) -> dict:
         "tol": cfg.tol,
         "max_iter": cfg.max_iter,
         "shrinkage": cfg.shrinkage,
-        "sigma": settings["sigma"],
+        "sigma": noise.sigma,
         "blur_len": settings["blur_len"] if task == "deblur" else None,
-        "seed": job["seed"],
+        "seed": noise.seed,
         "rng": RNG_DESCRIPTION,
         "library_version": __version__,
         "outputs": outputs,
@@ -313,14 +281,30 @@ def _process_isolated(job: dict) -> dict:
 
 def _run_restoration(task: str, args: argparse.Namespace) -> int:
     settings = _resolve_settings(task, args)
-    out_dir = Path(settings["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    # The run's solver objects are built before any output exists, so a
+    # setting they reject is reported once per run, not once per image.
+    bank = bspline_bank()
+    if task == "deblur":
+        op = DegradationOp.blur(motion_blur_kernel(settings["blur_len"]))
+    else:
+        op = DegradationOp.identity()
+    cfg = SolverConfig.head_rest(
+        bank.m,
+        settings["lambda1"], settings["lambda_rest"],
+        settings["gamma1"], settings["gamma_rest"],
+        tol=settings["tol"],
+        max_iter=settings["max_iter"],
+        u_update=settings["variant"],
+        shrinkage=settings["shrinkage"],
+        record_trace=settings["trace"],
+    )
+    run = {"task": task, "settings": settings, "bank": bank, "op": op, "cfg": cfg}
     jobs = [
-        {"task": task, "settings": settings, "input": path,
-         "seed": settings["seed"] + i}
+        dict(run, input=path, noise=NoiseSpec(sigma=settings["sigma"], seed=settings["seed"] + i))
         for i, path in enumerate(settings["input"])
     ]
+    Path(settings["out"]).mkdir(parents=True, exist_ok=True)
+
     workers = settings["jobs"]
     if workers > 1 and len(jobs) > 1:
         with Pool(processes=min(workers, len(jobs))) as pool:
@@ -349,7 +333,7 @@ def main(argv=None) -> int:
         if args.task == "selftest":
             return 0 if run_selftest(perturb_bank=args.perturb_bank) else 3
         return _run_restoration(args.task, args)
-    except (VTVError, OSError, json.JSONDecodeError) as exc:
+    except (VTVError, OSError) as exc:
         print(f"vtv-restore: error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,10 @@ RNG_DESCRIPTION = "numpy-pcg64-standard-normal"
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive Gaussian noise: standard deviation in intensity units."""
+    """Additive Gaussian noise: standard deviation in intensity units.
+
+    ``seed`` seeds ``numpy.random.default_rng``, which takes no negative seed.
+    """
 
     sigma: float
     seed: int = 0
@@ -27,6 +30,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.sigma < 0:
             raise ConfigError(f"sigma must be nonnegative, got {self.sigma}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 def gaussian_noise(u, spec: NoiseSpec) -> np.ndarray:

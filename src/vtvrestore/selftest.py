@@ -28,36 +28,20 @@ def _trial_sizes(rng, count):
         yield int(h), int(w)
 
 
-def _check_adjoint_conv(rng):
+def _check_adjoint(rng, channels, forward, adjoint, draw=tuple):
+    """Dot-product test ``<A u, g> == <u, A* g>`` on random grid sizes.
+
+    ``g`` has shape ``(*channels, h, w)``.  ``draw()`` is called once per
+    trial, after ``u`` and ``g`` are drawn, for extra arguments that both
+    ``forward`` and ``adjoint`` take (a random kernel, say).
+    """
     worst = 0.0
     for h, w in _trial_sizes(rng, 25):
         u = rng.standard_normal((h, w))
-        v = rng.standard_normal((h, w))
-        k = rng.standard_normal((3, 3))
-        lhs = float(np.sum(conv_circular(u, k) * v))
-        rhs = float(np.sum(u * conv_adjoint(v, k)))
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return worst <= 1e-10, f"worst relative error {worst:.3e}"
-
-
-def _check_adjoint_frame(rng, bank: FilterBank):
-    worst = 0.0
-    for h, w in _trial_sizes(rng, 25):
-        u = rng.standard_normal((h, w))
-        g = rng.standard_normal((bank.m, h, w))
-        lhs = float(np.sum(analyze(u, bank) * g))
-        rhs = float(np.sum(u * synthesize_adjoint(g, bank)))
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return worst <= 1e-10, f"worst relative error {worst:.3e}"
-
-
-def _check_adjoint_grad(rng):
-    worst = 0.0
-    for h, w in _trial_sizes(rng, 25):
-        u = rng.standard_normal((h, w))
-        p = rng.standard_normal((2, h, w))
-        lhs = float(np.sum(grad(u) * p))
-        rhs = float(np.sum(u * grad_adjoint(p)))
+        g = rng.standard_normal((*channels, h, w))
+        extra = draw()
+        lhs = float(np.sum(forward(u, *extra) * g))
+        rhs = float(np.sum(u * adjoint(g, *extra)))
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     return worst <= 1e-10, f"worst relative error {worst:.3e}"
 
@@ -125,11 +109,19 @@ def run_selftest(perturb_bank: bool = False, emit=print) -> bool:
 
     checks = [
         ("uep-identity", lambda: _check_uep(bank)),
-        ("adjoint-conv", lambda: _check_adjoint_conv(rng)),
-        ("adjoint-frame", lambda: _check_adjoint_frame(rng, bank)),
-        ("adjoint-grad", lambda: _check_adjoint_grad(rng)),
+        ("adjoint-conv", lambda: _check_adjoint(
+            rng, (), conv_circular, conv_adjoint, draw=lambda: (rng.standard_normal((3, 3)),)
+        )),
+        ("adjoint-frame", lambda: _check_adjoint(
+            rng, (bank.m,), lambda u: analyze(u, bank), lambda g: synthesize_adjoint(g, bank)
+        )),
+        ("adjoint-grad", lambda: _check_adjoint(rng, (2,), grad, grad_adjoint)),
         ("prox-oracle", lambda: _check_prox(rng)),
         ("rof-reduction", lambda: _check_rof_reduction(rng)),
+        # the fused stencil the solver iterates with
+        ("adjoint-stencil", lambda: _check_adjoint(
+            rng, (bank.m, 2), bank.frame_gradient.apply, bank.frame_gradient.adjoint
+        )),
     ]
     all_ok = True
     for name, fn in checks:

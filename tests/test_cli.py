@@ -1,5 +1,6 @@
 """End-to-end CLI runs: exit codes, outputs, metadata, determinism."""
 
+import argparse
 import io
 import json
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from vtvrestore import write_pgm
-from vtvrestore.cli import main
+from vtvrestore.cli import SETTINGS, build_parser, main
 
 from conftest import make_phantom
 
@@ -82,7 +83,7 @@ class TestSelftest:
         code, out = run_cli("selftest")
         assert code == 0
         lines = out.splitlines()
-        assert len(lines) == 6
+        assert len(lines) == 7
         assert all(line.startswith("PASS") for line in lines)
 
     def test_perturbed_bank_negative_control(self):
@@ -311,6 +312,7 @@ class TestConfigAndErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("vtv-restore: error: ") and err.count("\n") == 1
+        return err
 
     def test_non_numeric_pgm_header_is_an_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.pgm"
@@ -353,10 +355,11 @@ class TestConfigAndErrors:
             {"input": ["a.pgm", 5]},
             {"trace": "no"},
             {"dump_features": 1},
+            {"max_iter": 20.0},
         ],
         ids=[
             "variant", "shrinkage", "ref", "out", "input-number", "input-list",
-            "trace", "dump_features",
+            "trace", "dump_features", "max_iter-float",
         ],
     )
     def test_config_value_of_the_wrong_kind_is_an_error(self, small_pgm, tmp_path, capsys, config):
@@ -384,6 +387,54 @@ class TestConfigAndErrors:
             "denoise", "--input", small_pgm, "--out", str(tmp_path / "o"), "--jobs", "0"
         )
         self.assert_one_line_error(capsys, code)
+
+    def test_config_file_that_is_not_json_is_an_error(self, small_pgm, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"tol": ')
+        code, _ = run_cli(
+            "denoise", "--input", small_pgm, "--out", str(tmp_path / "o"),
+            "--config", str(cfg_path),
+        )
+        err = self.assert_one_line_error(capsys, code)
+        assert err.startswith(f"vtv-restore: error: config file {cfg_path} is not valid JSON: ")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_an_error(self, small_pgm, tmp_path, capsys, source):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": -1}))
+        flags = ["--seed", "-1"] if source == "flag" else ["--config", str(cfg_path)]
+        out = tmp_path / "o"
+        code, _ = run_cli("denoise", "--input", small_pgm, "--out", str(out), *flags)
+        assert "seed" in self.assert_one_line_error(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--sigma", "-1"], ["--max-iter", "0"], ["--lambda1", "-1"], ["--gamma1", "0"]],
+        ids=["sigma", "max_iter", "lambda1", "gamma1"],
+    )
+    def test_setting_the_library_rejects_is_reported_once(
+        self, small_pgm, tmp_path, capsys, flags
+    ):
+        other = tmp_path / "other.pgm"
+        other.write_bytes(Path(small_pgm).read_bytes())
+        out = tmp_path / "o"
+        code, stdout = run_cli(
+            "deblur", "--input", small_pgm, str(other), "--out", str(out), *flags
+        )
+        self.assert_one_line_error(capsys, code)
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_every_setting_is_one_flag_with_its_key_as_dest(self):
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        expected = {"--" + key.replace("_", "-"): key for key in SETTINGS}
+        expected.update({"--config": "config", "-h": "help", "--help": "help"})
+        for task in ("denoise", "deblur"):
+            actions = subparsers.choices[task]._actions
+            assert {opt: a.dest for a in actions for opt in a.option_strings} == expected
 
 
 class TestCrossVariantParityLimits:

@@ -45,6 +45,10 @@ class TestGaussianNoise:
         with pytest.raises(ConfigError):
             NoiseSpec(sigma=-1.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            NoiseSpec(sigma=1.0, seed=-1)
+
 
 class TestMotionBlurKernel:
     def test_length_one_is_identity(self):
