@@ -7,6 +7,7 @@ any platform.  :data:`RNG_DESCRIPTION` names the generator for run metadata.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be nonnegative, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ConfigError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 

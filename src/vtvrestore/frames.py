@@ -98,6 +98,11 @@ def _compose(outer, inner) -> dict:
 BLOCK_PIXELS = 1 << 14
 
 
+def _block_rows(h: int, w: int) -> int:
+    """Rows per block of an ``(h, w)`` grid: about :data:`BLOCK_PIXELS` pixels."""
+    return min(max(1, BLOCK_PIXELS // w), h)
+
+
 def _fold(acc, top: int, left: int, h: int, w: int) -> np.ndarray:
     """Add the wrap padding of ``acc`` back onto the ``(h, w)`` image it pads.
 
@@ -129,10 +134,10 @@ class FrameGradient:
     Both directions run over row blocks of about :data:`BLOCK_PIXELS`
     pixels, so only one block's shifted planes exist at a time.  The image is
     padded once by wrap and every block reads its shifted planes from the
-    padded copy; the adjoint scatter-adds into a wrap-padded accumulator and
-    folds the pad back modulo ``h`` and ``w``, which is exact on any grid,
-    1x1 included.  :meth:`blocks` hands each block of ``apply`` to the caller
-    while it is still in cache.
+    padded copy; the adjoint adds one block at a time into an
+    :class:`AdjointSum`.  :meth:`blocks` hands each block of ``apply`` to the
+    caller while it is still in cache, so a caller can finish the block and
+    add it to an :class:`AdjointSum` of its own without storing the field.
 
     Built once per bank (see :attr:`FilterBank.frame_gradient`); it holds no
     per-image state.
@@ -158,24 +163,20 @@ class FrameGradient:
         dys, dxs = zip((0, 0), *offsets)
         self._pad = ((max(dys), -min(dys)), (max(dxs), -min(dxs)))
 
-    def blocks(self, u, out=None):
+    def blocks(self, u, then=None):
         """Yield ``(rows, g)`` for each row block of ``apply(u)``.
 
-        ``g`` is ``grad(analyze(u))[:, :, rows]``.  With ``out``, a
-        C-contiguous ``(m, 2, h, w)`` array, ``g`` is a view of its rows and
-        the caller may finish it in place; without it ``g`` is a block buffer
-        that the next block overwrites.
+        ``g`` is ``grad(analyze(u))[:, :, rows]`` in a block buffer that the
+        next block overwrites; the caller may finish it in place.  With
+        ``then``, an :class:`AdjointSum`, each block as the caller leaves it
+        is added to ``then`` before the next one is computed, so one sweep
+        both applies the stencil and sums the adjoint of what the caller
+        makes of it.
         """
         f = np.asarray(u, dtype=np.float64)
         if f.ndim != 2:
             raise DimensionMismatchError(f"expected a 2-D image, got {f.shape}")
         h, w = f.shape
-        if out is not None and (
-            out.shape != (self.m, 2, h, w) or not out.flags.c_contiguous
-        ):
-            raise DimensionMismatchError(
-                f"out must be a C-contiguous {(self.m, 2, h, w)} array"
-            )
         (top, _), (left, _) = self._pad
         # Every row of taps sums to zero (a gradient kills constants), so
         # removing a constant first changes nothing in exact arithmetic; it
@@ -183,9 +184,9 @@ class FrameGradient:
         # error.  A pixel value is exact where the mean may round.
         padded = np.pad(f, self._pad, mode="wrap")
         padded -= f.flat[0]
-        rows = min(max(1, BLOCK_PIXELS // w), h)
+        rows = _block_rows(h, w)
         planes = np.empty((len(self.offsets), rows * w))
-        buffer = np.empty((self.m, 2, rows, w)) if out is None else None
+        buffer = np.empty((self.m, 2, rows, w))
         for r0 in range(0, h, rows):
             r1 = min(r0 + rows, h)
             size = (r1 - r0) * w
@@ -194,9 +195,12 @@ class FrameGradient:
                     plane[:size].reshape(r1 - r0, w),
                     padded[top + r0 - dy : top + r1 - dy, left - dx : left - dx + w],
                 )
-            g = buffer[:, :, : r1 - r0] if out is None else out[:, :, r0:r1]
+            g = buffer[:, :, : r1 - r0]
             np.matmul(self.taps, planes[:, :size], out=g.reshape(2 * self.m, size))
             yield slice(r0, r1), g
+            if then is not None:
+                # the shifted planes are spent; their buffer is the scratch
+                then.add(slice(r0, r1), g, planes[:, :size])
 
     def apply(self, u, out=None) -> np.ndarray:
         """``grad(analyze(u, bank))`` as an ``(m, 2, h, w)`` stack.
@@ -206,8 +210,10 @@ class FrameGradient:
         f = np.asarray(u, dtype=np.float64)
         if out is None:
             out = np.empty((self.m, 2) + f.shape)
-        for _ in self.blocks(f, out):
-            pass
+        elif out.shape != (self.m, 2) + f.shape:
+            raise DimensionMismatchError(f"out must be an {(self.m, 2) + f.shape} array")
+        for rows, g in self.blocks(f):
+            out[:, :, rows] = g
         return out
 
     def adjoint(self, p, weights=None) -> np.ndarray:
@@ -222,23 +228,13 @@ class FrameGradient:
                 f"expected an ({self.m}, 2, h, w) field, got shape {q.shape}"
             )
         h, w = q.shape[2:]
-        (top, bottom), (left, right) = self._pad
-        row_weights = np.repeat(np.ones(self.m) if weights is None else weights, 2)
-        weighted = np.ascontiguousarray((self.taps * row_weights[:, None]).T)
-        flat = q.reshape(2 * self.m, h * w)
-        rows = min(max(1, BLOCK_PIXELS // w), h)
+        total = AdjointSum(self, (h, w), weights)
+        rows = _block_rows(h, w)
         planes = np.empty((len(self.offsets), rows * w))
-        acc = np.zeros((top + h + bottom, left + w + right))
         for r0 in range(0, h, rows):
-            r1 = min(r0 + rows, h)
-            size = (r1 - r0) * w
-            np.matmul(weighted, flat[:, r0 * w : r1 * w], out=planes[:, :size])
-            # plane (dy, dx) at pixel (r, c) adds onto pixel (r - dy, c - dx)
-            for plane, (dy, dx) in zip(planes, self.offsets):
-                acc[top + r0 - dy : top + r1 - dy, left - dx : left - dx + w] += (
-                    plane[:size].reshape(r1 - r0, w)
-                )
-        return _fold(acc, top, left, h, w)
+            block = slice(r0, min(r0 + rows, h))
+            total.add(block, q[:, :, block], planes[:, : (block.stop - r0) * w])
+        return total.fold()
 
     def normal_kernel(self, weights) -> np.ndarray:
         """Kernel of ``sum_i weights[i] F_i* G* G F_i``, ``adjoint(apply(u), weights)``.
@@ -254,6 +250,55 @@ class FrameGradient:
         kernel = np.zeros((2 * ry + 1, 2 * rx + 1))
         np.add.at(kernel, (ry + diffs[..., 0], rx + diffs[..., 1]), gram)
         return kernel
+
+
+class AdjointSum:
+    """:meth:`FrameGradient.adjoint` summed one row block of the field at a time.
+
+    :meth:`add` applies the weighted transposed tap matrix to one block of an
+    ``(m, 2, h, w)`` field and scatter-adds the planes, with the opposite
+    shifts, into a wrap-padded accumulator; :meth:`fold` adds the pad back
+    modulo ``h`` and ``w``, which is exact on any grid, 1x1 included.  So a
+    caller that produces the field block by block never stores all of it.
+    The accumulator persists across :meth:`reset`, so summing a new field
+    allocates nothing (see :meth:`FrameGradient.blocks`).
+    """
+
+    def __init__(self, stencil: FrameGradient, shape, weights=None):
+        h, w = shape
+        (top, bottom), (left, right) = stencil._pad
+        row_weights = np.repeat(np.ones(stencil.m) if weights is None else weights, 2)
+        self._weighted = np.ascontiguousarray((stencil.taps * row_weights[:, None]).T)
+        self._offsets = stencil.offsets
+        self._frame = (top, left, h, w)
+        self._acc = np.zeros((top + h + bottom, left + w + right))
+
+    def reset(self) -> None:
+        """Start a new sum at zero."""
+        self._acc.fill(0.0)
+
+    def add(self, rows: slice, block, planes) -> None:
+        """Add the weighted adjoint of ``block``, rows ``rows`` of the field.
+
+        ``block`` is ``(m, 2, rows, w)``; it is read, never written.
+        ``planes`` is scratch space, an ``(n, rows * w)`` array for the
+        stencil's ``n`` offsets.
+        """
+        top, left, _, w = self._frame
+        r0, r1 = rows.start, rows.stop
+        np.matmul(self._weighted, block.reshape(self._weighted.shape[1], -1), out=planes)
+        # plane (dy, dx) at pixel (r, c) adds onto pixel (r - dy, c - dx)
+        for plane, (dy, dx) in zip(planes, self._offsets):
+            self._acc[top + r0 - dy : top + r1 - dy, left - dx : left - dx + w] += (
+                plane.reshape(r1 - r0, w)
+            )
+
+    def fold(self) -> np.ndarray:
+        """The sum as an ``(h, w)`` view of the accumulator.
+
+        Folding changes the accumulator, so call it once per sum.
+        """
+        return _fold(self._acc, *self._frame)
 
 
 def bspline_bank() -> FilterBank:

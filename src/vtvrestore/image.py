@@ -108,13 +108,12 @@ def identity_symbol(shape) -> np.ndarray:
     return np.ones((int(shape[0]), int(shape[1])), dtype=np.complex128)
 
 
-def solve_diagonal(numerator, symbol, eps: float = EPS_DENOM) -> np.ndarray:
-    """Solve ``Op u = numerator`` for an operator with the given symbol.
+def half_spectrum(symbol, eps: float = EPS_DENOM) -> np.ndarray:
+    """The half of a real operator's symbol that :func:`solve_diagonal` divides by.
 
-    Computes ``IFFT(FFT(numerator) / symbol)``, the exact inverse of any real
-    circular-convolution operator.  A real operator's symbol is Hermitian,
-    ``symbol[-k] == conj(symbol[k])``, so only the half spectrum the real
-    transforms ``rfft2``/``irfft2`` keep is divided and checked.
+    A real operator's symbol is Hermitian, ``symbol[-k] == conj(symbol[k])``,
+    so the columns ``0 .. w // 2`` that the real transforms
+    ``rfft2``/``irfft2`` keep determine it.  Returns them as a new array.
 
     Raises
     ------
@@ -123,19 +122,33 @@ def solve_diagonal(numerator, symbol, eps: float = EPS_DENOM) -> np.ndarray:
         signals an ill-posed solve (e.g. a blur with zero DC gain and no
         regularization).
     """
-    num = np.asarray(numerator, dtype=np.float64)
     sym = np.asarray(symbol)
-    if num.shape != sym.shape:
-        raise DimensionMismatchError(
-            f"numerator shape {num.shape} != symbol shape {sym.shape}"
-        )
-    half = sym[..., : sym.shape[-1] // 2 + 1]
+    half = sym[..., : sym.shape[-1] // 2 + 1].copy()
     smallest = np.min(np.abs(half))
     if smallest < eps:
         raise SingularSymbolError(
             f"symbol has a bin with modulus {smallest:.3e} < {eps:.3e}"
         )
-    return np.fft.irfft2(np.fft.rfft2(num) / half, s=num.shape)
+    return half
+
+
+def solve_diagonal(numerator, half_symbol) -> np.ndarray:
+    """Solve ``Op u = numerator`` for an operator with the given symbol.
+
+    Computes ``IFFT(FFT(numerator) / symbol)``, the exact inverse of any real
+    circular-convolution operator, over the half spectrum: ``half_symbol`` is
+    the operator's symbol as :func:`half_spectrum` returns it, checked there
+    once.  Returns a new array.
+    """
+    num = np.asarray(numerator, dtype=np.float64)
+    half = np.asarray(half_symbol)
+    if half.shape != num.shape[:-1] + (num.shape[-1] // 2 + 1,):
+        raise DimensionMismatchError(
+            f"half symbol shape {half.shape} does not fit numerator shape {num.shape}"
+        )
+    spectrum = np.fft.rfft2(num)
+    spectrum /= half
+    return np.fft.irfft2(spectrum, s=num.shape)
 
 
 def psnr(ref, test) -> float:

@@ -29,23 +29,27 @@ shifted copies of ``u``, and the u-update numerator
 ``sum_i gamma_i F_i* G* (d_i - b_i)`` is the gamma-weighted transposed
 product followed by shifted adds.  The denominator is the symbol of the
 stencil's :meth:`~vtvrestore.frames.FrameGradient.normal_kernel`, built
-once per solve.  The spatial-domain primitives
+once per solve; only its ``rfft2`` half is kept, and its smallest bin is
+checked once, when the solve is set up.  The spatial-domain primitives
 (:func:`~vtvrestore.frames.analyze`, :func:`~vtvrestore.diffops.grad`, ...)
 remain the references that :meth:`SplitBregman.kkt_residual` and the tests
 check against.
 
-:class:`SplitBregman` keeps two ``(m, 2, h, w)`` stacks: the multipliers
-``b`` and ``q = d - b``, which is exactly what the u-update numerator
-consumes.  :meth:`~SplitBregman.advance` finishes each row block of the
-d and b updates while the stencil's output for it is still in cache, and
-overwrites ``q`` and ``b`` **in place**: a caller that keeps ``sb.q`` or
-``sb.b`` across a step must copy them.  ``sb.d`` is derived, a fresh
-``q + b`` on every access.  The u-update returns a fresh array and never
-touches the state.
+:class:`SplitBregman` keeps one ``(m, 2, h, w)`` stack, the multipliers
+``b``, and one image, the ``numerator`` of the next u-update.  The splits
+``d`` are never stored: :meth:`~SplitBregman.advance` makes one sweep over
+row blocks and, while a block of the stencil's output is still in cache,
+shrinks it, updates ``b`` and adds the block's ``d - b`` to the next
+numerator (a :class:`~vtvrestore.frames.AdjointSum`).  It overwrites ``b``
+and ``numerator`` **in place**: a caller that keeps either across a step
+must copy it.  So the u-update is one FFT solve; it returns a fresh array
+and never touches the state.  With ``record_trace``, the same sweep also
+sums the TV part of the energy, so a traced iteration runs the stencil once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,12 +60,12 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteError,
 )
-from .frames import FilterBank, analyze
+from .frames import AdjointSum, FilterBank, analyze
 from .image import (
-    EPS_DENOM,
     as_kernel,
     conv_adjoint,
     conv_circular,
+    half_spectrum,
     identity_symbol,
     kernel_symbol,
     solve_diagonal,
@@ -141,10 +145,10 @@ class SolverConfig:
             raise ConfigError(
                 f"lam has {len(self.lam)} entries but gamma has {len(self.gamma)}"
             )
-        if any(v < 0 for v in self.lam):
-            raise ConfigError("lam entries must be nonnegative")
-        if any(v <= 0 for v in self.gamma):
-            raise ConfigError("gamma entries must be positive")
+        if not all(math.isfinite(v) and v >= 0 for v in self.lam):
+            raise ConfigError(f"lam entries must be finite and nonnegative, got {self.lam}")
+        if not all(math.isfinite(v) and v > 0 for v in self.gamma):
+            raise ConfigError(f"gamma entries must be finite and positive, got {self.gamma}")
         if not self.tol > 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
@@ -201,15 +205,19 @@ def energy(u, f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> floa
         vtv(g, weights=cfg.lam, isotropic=cfg.shrinkage == ISO)
         for _, g in bank.frame_gradient.blocks(uu)
     )
-    fid = 0.5 * float(np.sum((op.apply(uu) - ff) ** 2))
-    return reg + fid
+    return reg + _fidelity(uu, ff, op)
+
+
+def _fidelity(u, f, op: DegradationOp) -> float:
+    """``1/2 ||A u - f||^2``."""
+    return 0.5 * float(np.sum((op.apply(u) - f) ** 2))
 
 
 class SplitBregman:
     """One restoration problem with explicit per-iteration control.
 
     :func:`solve` drives this class; it is public so tests and callers can
-    step the iteration manually and inspect ``u``, ``d``, ``b`` and ``q``.
+    step the iteration manually and inspect ``u``, ``b`` and ``numerator``.
     """
 
     def __init__(self, f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig):
@@ -240,79 +248,84 @@ class SplitBregman:
         self._stencil = bank.frame_gradient
         #: ``w`` of the normal operator ``A*A + sum_i w_i F_i* G* G F_i``.
         self._weights = cfg.gamma if cfg.u_update == FULL13 else (cfg.gamma[0],) * m
-        self._denominator = np.abs(op.symbol((h, w))) ** 2 + kernel_symbol(
-            self._stencil.normal_kernel(self._weights), (h, w)
-        ).real
+        self._denominator = half_spectrum(
+            np.abs(op.symbol((h, w))) ** 2
+            + kernel_symbol(self._stencil.normal_kernel(self._weights), (h, w)).real
+        )
 
         self._atf = op.adjoint(self.f)
         self.u = self.f.copy()
         self.b = np.zeros((m, 2, h, w))
-        #: ``d - b``, the splits minus the multipliers.
-        self.q = np.zeros((m, 2, h, w))
-
-    @property
-    def d(self) -> np.ndarray:
-        """The splits ``d = q + b``, as a new array."""
-        return self.q + self.b
+        self._adjoint_sum = AdjointSum(self._stencil, (h, w), cfg.gamma)
+        #: ``A* f + sum_i gamma_i F_i* G* (d_i - b_i)``, the right-hand side of
+        #: the next u-update; ``d = b = 0`` at the start.
+        self.numerator = self._adjoint_sum.fold()
+        self.numerator += self._atf
+        #: The weighted vector TV ``vtv(grad(F u), lam)`` of the last iterate
+        #: :meth:`advance` installed, when ``cfg.record_trace`` is set; else None.
+        self.regularization = None
 
     # -- u-updates ---------------------------------------------------------
 
     def u_update(self) -> np.ndarray:
-        """Next u from the current d and b, per the configured variant.
+        """Next u from the current numerator, per the configured variant.
 
-        Returns a new array; ``q`` and ``b`` are left untouched.
+        Returns a new array; ``b`` and the numerator are left untouched.
         """
-        # numerator sum_i gamma_i F_i* G* q_i + A* f
-        num = self._stencil.adjoint(self.q, weights=self.cfg.gamma)
-        num += self._atf
-        return solve_diagonal(num, self._denominator, eps=EPS_DENOM)
+        return solve_diagonal(self.numerator, self._denominator)
 
     def kkt_residual(self, u) -> float:
         """Relative residual of the normal equation the u-update solves.
 
-        ``A*A u + sum_i w_i F_i* G* G F_i u - (A* f + sum_i gamma_i F_i* G* q_i)``
-        over the norm of the right-hand side, ``w`` the denominator weights;
-        for ``full13`` it is the subproblem's stationarity condition.  Uses the
-        roll-based primitives, independently of the stencil and the FFT solve.
+        ``A*A u + sum_i w_i F_i* G* G F_i u - numerator`` over the norm of the
+        numerator, ``w`` the denominator weights; for ``full13`` it is the
+        subproblem's stationarity condition.  The normal operator is applied
+        with the roll-based primitives, independently of the stencil and the
+        FFT solve.
         """
         uu = np.asarray(u, dtype=np.float64)
-
-        def weighted_adjoint(p, weights):
-            """sum_i weights_i F_i* G* p_i"""
-            return sum(
-                g * conv_adjoint(grad_adjoint(p[i]), k)
-                for i, (g, k) in enumerate(zip(weights, self.bank.kernels))
-            )
-
-        rhs = self._atf + weighted_adjoint(self.q, self.cfg.gamma)
-        resid = (
-            self.op.adjoint(self.op.apply(uu))
-            + weighted_adjoint(grad(analyze(uu, self.bank)), self._weights)
-            - rhs
+        features = grad(analyze(uu, self.bank))
+        normal = self.op.adjoint(self.op.apply(uu)) + sum(
+            g * conv_adjoint(grad_adjoint(features[i]), k)
+            for i, (g, k) in enumerate(zip(self._weights, self.bank.kernels))
         )
-        return float(np.linalg.norm(resid)) / max(float(np.linalg.norm(rhs)), _NORM_FLOOR)
+        resid = normal - self.numerator
+        return float(np.linalg.norm(resid)) / max(
+            float(np.linalg.norm(self.numerator)), _NORM_FLOOR
+        )
 
     # -- d/b updates and stepping -------------------------------------------
 
     def advance(self, u_new) -> float:
         """Run the d and b updates for ``u_new``, install it, return rel. err.
 
-        ``q`` and ``b`` are overwritten in place, one row block at a time.
+        One sweep over row blocks overwrites ``b`` and the numerator in
+        place.
         """
         # Per block, with v = grad(F u_new) + b and d = shrink(v):
         # b <- v - d, which is clip(v, -T, T) for the anisotropic shrink, and
-        # q <- d - b = v - 2 b, all in place (a fresh result array costs 2-4x).
+        # the block becomes d - b = v - 2 b, which ``blocks`` then adds into
+        # the next numerator; all in place (a fresh result array costs 2-4x).
         t = self._thresholds
-        for rows, q in self._stencil.blocks(u_new, out=self.q):
+        lam, isotropic = self.cfg.lam, self.cfg.shrinkage == ISO
+        regularization = 0
+        self._adjoint_sum.reset()
+        for rows, v in self._stencil.blocks(u_new, then=self._adjoint_sum):
+            if self.cfg.record_trace:
+                regularization += vtv(v, weights=lam, isotropic=isotropic)
             b = self.b[:, :, rows]
-            q += b
-            if self.cfg.shrinkage == ANISO:
-                np.clip(q, -t, t, out=b)
+            v += b
+            if isotropic:
+                shrink_iso(v, t[..., 0], out=b)
+                np.subtract(v, b, out=b)
             else:
-                shrink_iso(q, t[..., 0], out=b)
-                np.subtract(q, b, out=b)
-            q -= b
-            q -= b
+                np.clip(v, -t, t, out=b)
+            v -= b
+            v -= b
+        self.numerator = self._adjoint_sum.fold()
+        self.numerator += self._atf
+        if self.cfg.record_trace:
+            self.regularization = regularization
         rel = float(np.linalg.norm(u_new - self.u)) / max(
             float(np.linalg.norm(self.u)), _NORM_FLOOR
         )
@@ -343,7 +356,7 @@ def solve(f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> SolveRes
         rel = sb.step()
         trace.append(rel)
         if cfg.record_trace:
-            energy_trace.append(energy(sb.u, sb.f, op, bank, cfg))
+            energy_trace.append(sb.regularization + _fidelity(sb.u, sb.f, op))
         if rel <= cfg.tol:
             converged = True
             break

@@ -10,6 +10,7 @@ workload is a CLI invocation.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vtvrestore import cli, frames, image, solver
@@ -44,7 +45,37 @@ def test_names_patched_without_a_guard_exist():
 def test_every_span_point_but_the_retired_shrink_exists(traced):
     # the anisotropic shrink is an in-place clip inside advance, so the
     # solver no longer imports shrink
-    assert set(traced.missing_points()) <= {"vtvrestore.solver.shrink"}
+    assert traced.missing_points() == ["vtvrestore.solver.shrink"]
+
+
+def counting(monkeypatch, name):
+    """Replace ``solver.<name>`` by a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(solver, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+def test_traced_solver_names_are_called_where_the_spans_expect(monkeypatch):
+    # image.solve_diagonal_ms times the one FFT solve of a step, and
+    # solver.energy_ms is probed from outside: a solve must not call energy
+    solves = counting(monkeypatch, "solve_diagonal")
+    energies = counting(monkeypatch, "energy")
+    f = np.random.default_rng(1).uniform(0, 255, (24, 20))
+    op, bank = solver.DegradationOp.identity(), frames.bspline_bank()
+    cfg = solver.SolverConfig.head_rest(bank.m, 2.0, 1.5, 12.0, 4.5, tol=1e-30, max_iter=3)
+    sb = solver.SplitBregman(f, op, bank, cfg)
+    assert solves == []
+    sb.step()
+    assert len(solves) == 1
+    result = solver.solve(f, op, bank, cfg)
+    assert len(solves) == 1 + result.iterations == 4
+    assert energies == []
 
 
 def test_task_defaults_hold_what_the_setup_probe_reads():

@@ -426,6 +426,27 @@ class TestConfigAndErrors:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--sigma", "nan"], None),
+            (["--lambda1", "inf"], None),
+            (["--gamma-rest", "nan"], None),
+            ([], '{"gamma1": Infinity}'),
+        ],
+        ids=["sigma-nan", "lambda1-inf", "gamma_rest-nan", "config-gamma1-infinity"],
+    )
+    def test_non_finite_setting_is_an_error(self, small_pgm, tmp_path, capsys, flags, config):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(config)
+            flags = ["--config", str(path)]
+        out = tmp_path / "o"
+        code, stdout = run_cli("denoise", "--input", small_pgm, "--out", str(out), *flags)
+        self.assert_one_line_error(capsys, code)
+        assert stdout == ""
+        assert not out.exists()
+
     def test_every_setting_is_one_flag_with_its_key_as_dest(self):
         subparsers = next(
             a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)

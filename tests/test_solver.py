@@ -156,14 +156,14 @@ class TestEnergy:
 
 @pytest.mark.parametrize("shrinkage", [ANISO, ISO])
 def test_step_and_energy_allocate_no_feature_stack(bank, shrinkage):
-    # the state is two (m, 2, h, w) stacks; an iteration and an energy
+    # the state is one (m, 2, h, w) stack; an iteration and an energy
     # evaluation each stay below the size of one more
     rng = np.random.default_rng(4)
     f = rng.uniform(0, 255, (256, 256))
     cfg = denoise_cfg(shrinkage=shrinkage)
     sb = SplitBregman(f, DegradationOp.identity(), bank, cfg)
     sb.step()
-    stack_bytes = sb.q.nbytes
+    stack_bytes = sb.b.nbytes
     tracemalloc.start()
     try:
         sb.step()
@@ -177,7 +177,8 @@ def test_step_and_energy_allocate_no_feature_stack(bank, shrinkage):
 
 
 def test_split_bregman_keeps_only_its_state(bank):
-    # two (m, 2, h, w) stacks plus f, u, A*f and the denominator; no operator
+    # one (m, 2, h, w) stack plus f, u, A*f, the wrap-padded numerator and
+    # the half-spectrum denominator, under five images in all; no operator
     # symbol outlives the construction
     f = np.random.default_rng(5).uniform(0, 255, (256, 256))
     op = DegradationOp.identity()
@@ -188,7 +189,7 @@ def test_split_bregman_keeps_only_its_state(bank):
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert kept <= 2 * sb.q.nbytes + 5 * f.nbytes, kept
+    assert kept <= sb.b.nbytes + 5 * f.nbytes, kept
 
 
 class TestUUpdate:
@@ -288,6 +289,7 @@ class TestUUpdate:
         u_new = sb.u_update()
         v = grad(np.stack([conv_circular(u_new, k) for k in bank.kernels])) + b_prev
         sb.advance(u_new)
+        d = v - sb.b  # b_new = v - d
         for _ in range(8):
             i = int(rng.integers(0, bank.m))
             c = int(rng.integers(0, 2))
@@ -298,7 +300,7 @@ class TestUUpdate:
             lo = -abs(target) - 1.0
             grid = np.arange(lo, abs(target) + 1.0001, 1e-4)
             best = grid[np.argmin(t * np.abs(grid) + 0.5 * (grid - target) ** 2)]
-            assert abs(sb.d[i, c, r, s] - best) <= 2e-4
+            assert abs(d[i, c, r, s] - best) <= 2e-4
 
 
 class TestSolve:
@@ -460,14 +462,15 @@ class TestFusedTrajectory:
         cfg = denoise_cfg(u_update=variant, shrinkage=shrinkage, tol=1e-30)
         sb = SplitBregman(f, op, bank, cfg)
         for expected, expected_rel in reference_split_bregman(f, op, bank, cfg, 15):
-            d_before, b_before = sb.d.copy(), sb.b.copy()
+            num_before, b_before = sb.numerator.copy(), sb.b.copy()
             first = sb.u_update()
             second = sb.u_update()
-            # a fresh array each call; d and b untouched
+            # a fresh array each call; b and the numerator untouched
             assert not np.shares_memory(first, second)
-            assert not any(np.shares_memory(first, a) for a in (sb.u, sb.d, sb.b))
+            assert not any(np.shares_memory(first, a) for a in (sb.u, sb.numerator, sb.b))
             assert np.array_equal(first, second)
-            assert np.array_equal(sb.d, d_before) and np.array_equal(sb.b, b_before)
+            assert np.array_equal(sb.numerator, num_before)
+            assert np.array_equal(sb.b, b_before)
             assert np.max(np.abs(first - expected)) <= 1e-10
             assert abs(sb.advance(first) - expected_rel) <= 1e-10
 
@@ -482,6 +485,23 @@ class TestFusedTrajectory:
         res = solve(f, op, bank, cfg)
         assert res.iterations == len(steps) < cfg.max_iter
         assert np.max(np.abs(res.u - steps[-1][0])) <= 1e-10
+
+    @pytest.mark.parametrize("shrinkage", [ANISO, ISO])
+    @pytest.mark.parametrize("blur", [None, 3], ids=["identity", "blur3"])
+    def test_energy_trace_is_energy_of_every_iterate(self, bank, monkeypatch, blur, shrinkage):
+        # the trace's TV part is summed inside the sweep; it must be the same
+        # float energy() computes from the iterate, block for block
+        monkeypatch.setattr(frames, "BLOCK_PIXELS", 60)  # blocks of 3 rows
+        rng = np.random.default_rng(19)
+        f = rng.uniform(0, 255, (20, 17)) + 25.5 * rng.standard_normal((20, 17))
+        op = DegradationOp.identity() if blur is None else DegradationOp.blur(motion_blur_kernel(blur))
+        cfg = denoise_cfg(shrinkage=shrinkage, tol=1e-30, max_iter=12, record_trace=True)
+        res = solve(f, op, bank, cfg)
+        sb = SplitBregman(f, op, bank, cfg)
+        for expected in res.energy_trace:
+            sb.step()
+            assert energy(sb.u, f, op, bank, cfg) == expected
+        assert len(res.energy_trace) == 12
 
 
 class TestTraceCsv:
