@@ -1,33 +1,28 @@
 """Feature-space vector total variation image restoration via split Bregman."""
 
 from .degrade import NoiseSpec, apply_degradation, gaussian_noise, motion_blur_kernel
-from .diffops import grad, grad_adjoint, shrink, shrink_iso, tv_aniso, tv_iso, vtv
+from .diffops import grad, grad_adjoint, shrink, shrink_iso, vtv
 from .errors import (
     ChannelMismatchError,
     ConfigError,
     DimensionMismatchError,
     NonFiniteError,
     SingularSymbolError,
-    UnsupportedAngleError,
     VTVError,
 )
-from .fileio import quantize, read_image, read_pgm, write_image, write_pgm, write_trace_csv
+from .fileio import quantize, read_image, write_pgm, write_trace_csv
 from .frames import (
     FilterBank,
     analyze,
     bspline_bank,
     identity_bank,
-    load_bank,
-    save_bank,
     synthesize_adjoint,
     verify_uep,
 )
 from .image import (
-    EPS_DENOM,
     conv_adjoint,
     conv_circular,
     half_spectrum,
-    kernel_flip,
     kernel_symbol,
     psnr,
     solve_diagonal,
@@ -53,7 +48,6 @@ __all__ = [
     "ConfigError",
     "DegradationOp",
     "DimensionMismatchError",
-    "EPS_DENOM",
     "FULL13",
     "FilterBank",
     "ISO",
@@ -64,7 +58,6 @@ __all__ = [
     "SolveResult",
     "SolverConfig",
     "SplitBregman",
-    "UnsupportedAngleError",
     "VTVError",
     "analyze",
     "apply_degradation",
@@ -77,25 +70,18 @@ __all__ = [
     "grad_adjoint",
     "half_spectrum",
     "identity_bank",
-    "kernel_flip",
     "kernel_symbol",
-    "load_bank",
     "motion_blur_kernel",
     "psnr",
     "quantize",
     "read_image",
-    "read_pgm",
-    "save_bank",
     "shrink",
     "shrink_iso",
     "solve",
     "solve_diagonal",
     "synthesize_adjoint",
-    "tv_aniso",
-    "tv_iso",
     "verify_uep",
     "vtv",
-    "write_image",
     "write_pgm",
     "write_trace_csv",
 ]

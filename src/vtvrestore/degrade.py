@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedAngleError
+from .errors import ConfigError
 from .solver import DegradationOp
 
 RNG_DESCRIPTION = "numpy-pcg64-standard-normal"
@@ -47,14 +47,12 @@ def gaussian_noise(u, spec: NoiseSpec) -> np.ndarray:
     return clean + spec.sigma * rng.standard_normal(clean.shape)
 
 
-def motion_blur_kernel(length: int, angle: int = 0) -> np.ndarray:
+def motion_blur_kernel(length: int) -> np.ndarray:
     """Horizontal motion-blur PSF: a 1 x length row of uniform taps.
 
-    Only angle 0 is supported; ``length`` must be odd so the kernel has a
-    center tap.  Length 1 gives the identity kernel.
+    ``length`` must be odd so the kernel has a center tap.  Length 1 gives
+    the identity kernel.
     """
-    if angle != 0:
-        raise UnsupportedAngleError(f"only angle 0 is supported, got {angle}")
     if length < 1 or length % 2 == 0:
         raise ConfigError(f"blur length must be odd and >= 1, got {length}")
     return np.full((1, length), 1.0 / length)

@@ -39,25 +39,18 @@ def grad_adjoint(p) -> np.ndarray:
     return (np.roll(px, 1, axis=-1) - px) + (np.roll(py, 1, axis=-2) - py)
 
 
-def tv_aniso(p) -> float:
-    """Anisotropic TV of a field: the plain l1 sum over all components."""
-    return float(np.abs(p).sum())
-
-
-def tv_iso(p) -> float:
-    """Isotropic TV: sum of per-pixel gradient magnitudes."""
-    q = np.asarray(p, dtype=np.float64)
-    return float(np.sqrt((q * q).sum(axis=-3)).sum())
-
-
 def vtv(p, weights=None, isotropic: bool = False) -> float:
     """Weighted vector TV of a channel stack shaped ``(m, 2, h, w)``.
 
-    Sums the per-channel TV with weight ``weights[i]`` (ones if omitted).
+    A channel's TV is the l1 sum over both components (anisotropic) or the
+    sum of per-pixel gradient magnitudes (isotropic).  Sums the per-channel
+    TV with weight ``weights[i]`` (ones if omitted).
     """
     q = np.asarray(p, dtype=np.float64)
-    measure = tv_iso if isotropic else tv_aniso
-    per_channel = np.array([measure(q[i]) for i in range(q.shape[0])])
+    if isotropic:
+        per_channel = np.array([np.sqrt((c * c).sum(axis=0)).sum() for c in q])
+    else:
+        per_channel = np.array([np.abs(c).sum() for c in q])
     if weights is None:
         return float(per_channel.sum())
     w = np.asarray(weights, dtype=np.float64)
@@ -66,21 +59,17 @@ def vtv(p, weights=None, isotropic: bool = False) -> float:
     return float((w * per_channel).sum())
 
 
-def shrink(v, threshold, out=None) -> np.ndarray:
+def shrink(v, threshold) -> np.ndarray:
     """Component-wise soft threshold ``sgn(x) * max(|x| - T, 0)``.
 
     The exact minimizer of ``T*|d| + (d - v)^2 / 2`` per component for
     ``T >= 0``, with ``sgn(0) = 0``.  ``threshold`` broadcasts, so
-    per-channel values can be passed as a ``(m, 1, 1, 1)`` array.  With
-    ``out`` the result is written there (it must not overlap ``v``) and
-    ``out`` is returned.
+    per-channel values can be passed as a ``(m, 1, 1, 1)`` array.  Returns
+    a new array.
     """
     x = np.asarray(v, dtype=np.float64)
     t = np.asarray(threshold, dtype=np.float64)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(x.shape, t.shape))
-    elif np.may_share_memory(x, out):
-        raise ValueError("shrink: out must not overlap the input")
+    out = np.empty(np.broadcast_shapes(x.shape, t.shape))
     # x - clip(x, -T, T) rounds exactly as sgn(x) * (|x| - T) outside the
     # dead zone and is zero inside it: two passes, no full-size temporary.
     np.clip(x, -t, t, out=out)

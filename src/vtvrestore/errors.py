@@ -23,7 +23,3 @@ class NonFiniteError(VTVError):
 
 class ConfigError(VTVError):
     """Invalid solver or run configuration."""
-
-
-class UnsupportedAngleError(VTVError):
-    """Requested blur angle is not implemented."""

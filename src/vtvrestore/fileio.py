@@ -1,8 +1,8 @@
 """Grayscale image and trace file I/O.
 
-Binary PGM (P5, maxval 255) is supported natively and round-trips
-integer-valued images bit-exactly.  PNG support is optional and needs
-Pillow (install the ``png`` extra).
+Binary PGM (P5, maxval 255) is read and written natively and round-trips
+integer-valued images bit-exactly.  PNG input is optional and needs Pillow
+(install the ``png`` extra); images are only written as PGM.
 
 Export clamps intensities to [0, 255] and rounds half away from zero;
 the solver itself never clamps.
@@ -101,12 +101,6 @@ def read_pgm(path) -> np.ndarray:
     return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).astype(np.float64)
 
 
-def write_png(path, image) -> None:
-    """Write an image as 8-bit grayscale PNG (requires Pillow)."""
-    pil = _require_pillow()
-    pil.fromarray(quantize(image), mode="L").save(path)
-
-
 def read_png(path) -> np.ndarray:
     """Read a PNG file into a float64 grayscale image (requires Pillow)."""
     pil = _require_pillow()
@@ -132,14 +126,3 @@ def read_image(path) -> np.ndarray:
     if ext == ".png":
         return read_png(path)
     raise VTVError(f"unsupported image format {ext!r} (use .pgm or .png)")
-
-
-def write_image(path, image) -> None:
-    """Write a grayscale image, dispatching on the file extension."""
-    ext = os.path.splitext(str(path))[1].lower()
-    if ext == ".pgm":
-        write_pgm(path, image)
-    elif ext == ".png":
-        write_png(path, image)
-    else:
-        raise VTVError(f"unsupported image format {ext!r} (use .pgm or .png)")

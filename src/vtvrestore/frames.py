@@ -14,7 +14,6 @@ the :mod:`~vtvrestore.diffops` gradient stay the spatial references.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -24,42 +23,22 @@ from .diffops import FORWARD_DIFF_X, FORWARD_DIFF_Y
 from .errors import ChannelMismatchError, DimensionMismatchError
 from .image import as_kernel, conv_adjoint, conv_circular, kernel_symbol
 
-LOWPASS = "lowpass"
-DETAIL = "detail"
-
 
 @dataclass
 class FilterBank:
-    """An ordered set of convolution kernels with per-channel role tags.
+    """An ordered, non-empty set of convolution kernels, one per channel.
 
-    Treated as immutable once constructed; build instances through
-    :meth:`from_kernels` or :func:`bspline_bank`.
+    ``FilterBank(kernels)`` checks each kernel with
+    :func:`~vtvrestore.image.as_kernel` and stores them as a tuple of
+    float64 arrays.  Treated as immutable once constructed.
     """
 
     kernels: tuple
-    roles: tuple
 
-    @classmethod
-    def from_kernels(cls, kernels, roles=None) -> "FilterBank":
-        """Build a bank from kernel tap arrays.
-
-        Roles default to ``lowpass`` for kernels with nonzero tap sum and
-        ``detail`` otherwise.
-        """
-        ks = tuple(as_kernel(k) for k in kernels)
-        if not ks:
+    def __post_init__(self):
+        self.kernels = tuple(as_kernel(k) for k in self.kernels)
+        if not self.kernels:
             raise ChannelMismatchError("a filter bank needs at least one kernel")
-        if roles is None:
-            roles = tuple(
-                LOWPASS if abs(float(k.sum())) > 1e-12 else DETAIL for k in ks
-            )
-        else:
-            roles = tuple(roles)
-            if len(roles) != len(ks):
-                raise ChannelMismatchError(
-                    f"{len(ks)} kernels but {len(roles)} roles"
-                )
-        return cls(kernels=ks, roles=roles)
 
     @property
     def m(self) -> int:
@@ -202,16 +181,10 @@ class FrameGradient:
                 # the shifted planes are spent; their buffer is the scratch
                 then.add(slice(r0, r1), g, planes[:, :size])
 
-    def apply(self, u, out=None) -> np.ndarray:
-        """``grad(analyze(u, bank))`` as an ``(m, 2, h, w)`` stack.
-
-        The result goes to ``out`` when given, else to a new array.
-        """
+    def apply(self, u) -> np.ndarray:
+        """``grad(analyze(u, bank))`` as a new ``(m, 2, h, w)`` stack."""
         f = np.asarray(u, dtype=np.float64)
-        if out is None:
-            out = np.empty((self.m, 2) + f.shape)
-        elif out.shape != (self.m, 2) + f.shape:
-            raise DimensionMismatchError(f"out must be an {(self.m, 2) + f.shape} array")
+        out = np.empty((self.m, 2) + f.shape)
         for rows, g in self.blocks(f):
             out[:, :, rows] = g
         return out
@@ -316,8 +289,7 @@ def bspline_bank() -> FilterBank:
     h3 = np.array([-1.0, 2.0, -1.0]) / 4.0
     filters = (h1, h2, h3)
     kernels = [np.outer(hi, hj) for hi in filters for hj in filters]
-    roles = (LOWPASS,) + (DETAIL,) * 8
-    return FilterBank.from_kernels(kernels, roles)
+    return FilterBank(kernels)
 
 
 def identity_bank() -> FilterBank:
@@ -325,7 +297,7 @@ def identity_bank() -> FilterBank:
 
     Reduces the feature-space model to plain TV on the image itself.
     """
-    return FilterBank.from_kernels([np.array([[1.0]])], (LOWPASS,))
+    return FilterBank([np.array([[1.0]])])
 
 
 def analyze(u, bank: FilterBank) -> np.ndarray:
@@ -365,32 +337,3 @@ def verify_uep(bank: FilterBank, width: int, height: int) -> float:
         total += np.abs(sym) ** 2
     return float(np.max(np.abs(total - 1.0)))
 
-
-def save_bank(path, bank: FilterBank) -> None:
-    """Write a bank as a JSON document (channel count, radii, row-major taps)."""
-    doc = {
-        "m": bank.m,
-        "kernels": [
-            {
-                "radius": [(k.shape[0] - 1) // 2, (k.shape[1] - 1) // 2],
-                "taps": k.tolist(),
-            }
-            for k in bank.kernels
-        ],
-        "roles": list(bank.roles),
-    }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, indent=1)
-
-
-def load_bank(path) -> FilterBank:
-    """Read a bank written by :func:`save_bank`."""
-    with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
-    kernels = [np.array(entry["taps"], dtype=np.float64) for entry in doc["kernels"]]
-    bank = FilterBank.from_kernels(kernels, tuple(doc["roles"]))
-    if bank.m != doc["m"]:
-        raise ChannelMismatchError(
-            f"document claims m={doc['m']} but lists {bank.m} kernels"
-        )
-    return bank

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DimensionMismatchError, SingularSymbolError
 
 #: Frequency bins with modulus below this floor make a solve singular.
-EPS_DENOM = 1e-12
+_EPS_DENOM = 1e-12
 
 
 def as_kernel(taps) -> np.ndarray:
@@ -38,11 +38,6 @@ def as_kernel(taps) -> np.ndarray:
             f"kernel must be 2-D with odd side lengths, got shape {k.shape}"
         )
     return k
-
-
-def kernel_flip(kernel) -> np.ndarray:
-    """Point reflection ``K(p, q) -> K(-p, -q)``, i.e. the adjoint kernel."""
-    return np.flip(as_kernel(kernel))
 
 
 def conv_circular(image, kernel) -> np.ndarray:
@@ -74,11 +69,12 @@ def conv_circular(image, kernel) -> np.ndarray:
 def conv_adjoint(image, kernel) -> np.ndarray:
     """Adjoint of :func:`conv_circular` with the same kernel.
 
-    Equals circular convolution with the flipped kernel, so that
+    Equals circular convolution with the point-reflected kernel
+    ``K(p, q) -> K(-p, -q)``, so that
     ``<conv_circular(u, K), v> == <u, conv_adjoint(v, K)>`` holds for all
     ``u, v``.
     """
-    return conv_circular(image, kernel_flip(kernel))
+    return conv_circular(image, np.flip(as_kernel(kernel)))
 
 
 def kernel_symbol(kernel, shape) -> np.ndarray:
@@ -108,7 +104,7 @@ def identity_symbol(shape) -> np.ndarray:
     return np.ones((int(shape[0]), int(shape[1])), dtype=np.complex128)
 
 
-def half_spectrum(symbol, eps: float = EPS_DENOM) -> np.ndarray:
+def half_spectrum(symbol) -> np.ndarray:
     """The half of a real operator's symbol that :func:`solve_diagonal` divides by.
 
     A real operator's symbol is Hermitian, ``symbol[-k] == conj(symbol[k])``,
@@ -118,16 +114,16 @@ def half_spectrum(symbol, eps: float = EPS_DENOM) -> np.ndarray:
     Raises
     ------
     SingularSymbolError
-        If any frequency bin of ``symbol`` has modulus below ``eps``, which
+        If any frequency bin of ``symbol`` has modulus below 1e-12, which
         signals an ill-posed solve (e.g. a blur with zero DC gain and no
         regularization).
     """
     sym = np.asarray(symbol)
     half = sym[..., : sym.shape[-1] // 2 + 1].copy()
     smallest = np.min(np.abs(half))
-    if smallest < eps:
+    if smallest < _EPS_DENOM:
         raise SingularSymbolError(
-            f"symbol has a bin with modulus {smallest:.3e} < {eps:.3e}"
+            f"symbol has a bin with modulus {smallest:.3e} < {_EPS_DENOM:.3e}"
         )
     return half
 

@@ -104,7 +104,7 @@ def run_selftest(perturb_bank: bool = False, emit=print) -> bool:
     bank = bspline_bank()
     if perturb_bank:
         kernels = (bank.kernels[0] * 2.0,) + bank.kernels[1:]
-        bank = FilterBank.from_kernels(kernels, bank.roles)
+        bank = FilterBank(kernels)
     rng = np.random.default_rng(20240915)
 
     checks = [

@@ -98,10 +98,6 @@ class DegradationOp:
     def blur(cls, psf) -> "DegradationOp":
         return cls(psf)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.psf is None
-
     def apply(self, u) -> np.ndarray:
         """A u."""
         if self.psf is None:

@@ -4,18 +4,26 @@ The traced run (``perfbench/traced.py``) wraps names in the package: its
 counting pass patches some of them without checking that they exist, and its
 span pass skips a missing one silently, so a renamed or dropped import would
 break ``perfbench/run.py --trace 1`` or empty a per-layer metric without any
-other test noticing.  The set-up probe reads ``cli.TASK_DEFAULTS``, and every
+other test noticing.  The set-up probe (``perfbench/setup_child.py``) reads
+``cli.TASK_DEFAULTS`` and builds a solver through the public API, and every
 workload is a CLI invocation.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vtvrestore import cli, frames, image, solver
+from vtvrestore import cli, frames, image, solver, write_pgm
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import make_phantom
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture
@@ -90,3 +98,23 @@ def test_every_workload_invocation_parses(workloads):
         inputs = [f"in{i}.pgm" for i in range(wl.images)]
         args = cli.build_parser().parse_args(wl.cli_args(inputs, "out", 11, jobs=wl.jobs))
         assert (args.task, args.variant, args.input) == (wl.task, wl.variant, inputs)
+
+
+@pytest.mark.parametrize("task", ["denoise", "deblur"])
+def test_setup_probe_runs_on_a_small_image(task, tmp_path):
+    # the probe imports the package in a fresh interpreter, so a dropped or
+    # renamed public name it uses fails here, not only in the benchmark
+    image_path = tmp_path / "probe.pgm"
+    write_pgm(image_path, make_phantom(32))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "setup_child.py"), "--task", task,
+         "--variant", "reduced17", "--input", str(image_path), "--seed", "0",
+         "--cold-step"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert {"ready", "cold_step_ms"} <= set(report)
+    assert report["cold_step_ms"] > 0

@@ -7,7 +7,6 @@ from vtvrestore import (
     ConfigError,
     DegradationOp,
     NoiseSpec,
-    UnsupportedAngleError,
     apply_degradation,
     gaussian_noise,
     motion_blur_kernel,
@@ -75,10 +74,6 @@ class TestMotionBlurKernel:
             motion_blur_kernel(8)
         with pytest.raises(ConfigError):
             motion_blur_kernel(0)
-
-    def test_nonzero_angle_rejected(self):
-        with pytest.raises(UnsupportedAngleError):
-            motion_blur_kernel(9, angle=45)
 
 
 class TestApplyDegradation:

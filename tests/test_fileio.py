@@ -1,9 +1,10 @@
-"""PGM and PNG round trips, clamping and rounding on export."""
+"""PGM round trips, PNG input, clamping and rounding on export."""
 
 import numpy as np
 import pytest
 
-from vtvrestore import VTVError, quantize, read_image, read_pgm, write_image, write_pgm
+from vtvrestore import VTVError, quantize, read_image, write_pgm
+from vtvrestore.fileio import read_pgm
 
 
 def test_pgm_round_trip_is_bit_exact(tmp_path):
@@ -45,16 +46,14 @@ def test_pgm_rejects_truncated_raster(tmp_path):
 
 
 def test_png_round_trip(tmp_path):
-    pytest.importorskip("PIL")
+    pil_image = pytest.importorskip("PIL.Image")
     rng = np.random.default_rng(1)
     img = rng.integers(0, 256, size=(12, 20)).astype(np.float64)
     path = tmp_path / "img.png"
-    write_image(path, img)
+    pil_image.fromarray(img.astype(np.uint8)).save(path)
     assert np.array_equal(read_image(path), img)
 
 
 def test_unknown_extension(tmp_path):
-    with pytest.raises(VTVError):
-        write_image(tmp_path / "img.tiff", np.zeros((4, 4)))
     with pytest.raises(VTVError):
         read_image(tmp_path / "img.bmp")

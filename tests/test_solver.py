@@ -31,7 +31,6 @@ from vtvrestore import (
     motion_blur_kernel,
     psnr,
     solve,
-    tv_aniso,
     vtv,
     write_trace_csv,
 )
@@ -93,7 +92,6 @@ class TestDegradationOp:
         assert np.array_equal(op.apply(u), u)
         assert np.array_equal(op.adjoint(u), u)
         assert np.array_equal(op.symbol((4, 4)), np.ones((4, 4), complex))
-        assert op.is_identity
 
     def test_blur_symbol_matches_kernel_symbol(self):
         psf = motion_blur_kernel(9)
@@ -132,7 +130,7 @@ class TestEnergy:
         cfg = denoise_cfg()
         expected = 0.5 * np.sum((op.apply(u) - f) ** 2)
         for lam_i, k in zip(cfg.lam, bank.kernels):
-            expected += lam_i * tv_aniso(grad(conv_circular(u, k)))
+            expected += lam_i * np.abs(grad(conv_circular(u, k))).sum()
         got = energy(u, f, op, bank, cfg)
         assert abs(got - expected) <= 1e-10 * (1 + expected)
 
