@@ -34,7 +34,7 @@ TASK_DEFAULTS = {
         "sigma": 25.5,
     },
     ("denoise", "full13"): {
-        "lambda1": 0.2, "lambda_rest": 0.2, "gamma1": 8.0, "gamma_rest": 4.0, "tol": 1e-4,
+        "lambda1": 0.2, "lambda_rest": 0.2, "gamma1": 0.5, "gamma_rest": 0.25, "tol": 1e-4,
         "sigma": 25.5,
     },
     ("deblur", "reduced17"): {
@@ -333,8 +333,8 @@ def main(argv=None) -> int:
         if args.task == "selftest":
             return 0 if run_selftest(perturb_bank=args.perturb_bank) else 3
         return _run_restoration(args.task, args)
-    except (VTVError, OSError) as exc:
-        print(f"vtv-restore: error: {exc}", file=sys.stderr)
+    except (VTVError, OSError, MemoryError) as exc:
+        print(f"vtv-restore: error: {exc or 'out of memory'}", file=sys.stderr)
         return 1
 
 

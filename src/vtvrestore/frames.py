@@ -24,13 +24,15 @@ from .errors import ChannelMismatchError, DimensionMismatchError
 from .image import as_kernel, conv_adjoint, conv_circular, kernel_symbol
 
 
-@dataclass
+@dataclass(eq=False)
 class FilterBank:
     """An ordered, non-empty set of convolution kernels, one per channel.
 
     ``FilterBank(kernels)`` checks each kernel with
     :func:`~vtvrestore.image.as_kernel` and stores them as a tuple of
-    float64 arrays.  Treated as immutable once constructed.
+    float64 arrays.  Treated as immutable once constructed.  Banks compare
+    and hash by identity: an element-wise comparison of the kernel arrays
+    has no single truth value.
     """
 
     kernels: tuple

@@ -145,7 +145,7 @@ class TestDenoise:
         )
         assert code == 0
         row = parse_metrics(stdout)[0]
-        assert row["iters"] <= 200
+        assert row["iters"] <= 20
 
     def test_determinism_bit_identical_outputs(self, small_pgm, tmp_path):
         args = ("denoise", "--input", small_pgm, "--seed", "3", "--trace")
@@ -385,6 +385,14 @@ class TestConfigAndErrors:
             "denoise", "--input", small_pgm, "--out", str(tmp_path / "o"), "--jobs", "0"
         )
         self.assert_one_line_error(capsys, code)
+
+    def test_blur_length_too_large_to_allocate_is_an_error(self, small_pgm, tmp_path, capsys):
+        out = tmp_path / "o"
+        code, _ = run_cli(
+            "deblur", "--input", small_pgm, "--out", str(out), "--blur-len", "10000000000001"
+        )
+        self.assert_one_line_error(capsys, code)
+        assert not out.exists()
 
     def test_config_file_that_is_not_json_is_an_error(self, small_pgm, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

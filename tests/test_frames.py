@@ -157,6 +157,12 @@ class TestFilterBank:
         assert isinstance(bank.kernels, tuple)
         assert bank.kernels[0].dtype == np.float64
 
+    def test_banks_compare_and_hash_by_identity(self):
+        first, second = bspline_bank(), bspline_bank()
+        assert first == first
+        assert first != second
+        assert len({first, second, first}) == 2
+
 
 def random_bank():
     rng = np.random.default_rng(21)

@@ -34,11 +34,11 @@ from vtvrestore import (
     vtv,
     write_trace_csv,
 )
-from vtvrestore import frames
+from vtvrestore import cli, frames
 
 from vtvrestore.diffops import FORWARD_DIFF_X, FORWARD_DIFF_Y
 
-from conftest import rof_split_bregman_steps, smoothed_tv_minimizer
+from conftest import make_phantom, rof_split_bregman_steps, smoothed_tv_minimizer
 
 
 def denoise_cfg(**kw):
@@ -405,6 +405,31 @@ class TestSolve:
         )
         res = solve(blurred, op, bank, cfg)
         assert psnr(clean, res.u) > 55.0
+
+
+def test_full13_denoise_defaults_land_at_the_gamma_free_minimiser(bank):
+    # for full13 the u-update solves the exact normal equations, so gamma
+    # sets only how fast split Bregman converges, not where it converges to
+    defaults = cli.TASK_DEFAULTS[("denoise", FULL13)]
+    f = gaussian_noise(make_phantom(64), NoiseSpec(sigma=defaults["sigma"], seed=2))
+    op = DegradationOp.identity()
+
+    def run(gamma1, gamma_rest, tol):
+        cfg = SolverConfig.head_rest(
+            9, defaults["lambda1"], defaults["lambda_rest"], gamma1, gamma_rest,
+            u_update=FULL13, tol=tol, max_iter=2000,
+        )
+        res = solve(f, op, bank, cfg)
+        assert res.converged
+        return res.u
+
+    def distance(u, v):
+        return np.linalg.norm(u - v) / np.linalg.norm(v)
+
+    minimiser = run(2.0, 1.0, 1e-9)
+    assert distance(run(8.0, 4.0, 1e-9), minimiser) < 1e-6
+    at_defaults = run(defaults["gamma1"], defaults["gamma_rest"], defaults["tol"])
+    assert distance(at_defaults, minimiser) < 1e-3
 
 
 def reference_split_bregman(f, op, bank, cfg, n_iter):
