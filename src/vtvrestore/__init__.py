@@ -22,7 +22,7 @@ from .frames import (
 from .image import (
     conv_adjoint,
     conv_circular,
-    half_spectrum,
+    half_symbol,
     kernel_symbol,
     psnr,
     solve_diagonal,
@@ -68,7 +68,7 @@ __all__ = [
     "gaussian_noise",
     "grad",
     "grad_adjoint",
-    "half_spectrum",
+    "half_symbol",
     "identity_bank",
     "kernel_symbol",
     "motion_blur_kernel",

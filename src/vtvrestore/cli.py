@@ -13,18 +13,16 @@ import json
 import math
 import sys
 import time
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .degrade import RNG_DESCRIPTION, NoiseSpec, apply_degradation, motion_blur_kernel
-from .errors import ConfigError, VTVError
-from .fileio import quantize, read_image, write_pgm, write_trace_csv
+from .errors import ConfigError, DimensionMismatchError, VTVError
+from .fileio import atomic_open, quantize, read_image, write_pgm, write_trace_csv
 from .frames import analyze, bspline_bank
 from .image import psnr
-from .selftest import run_selftest
 from .solver import ANISO, FULL13, ISO, REDUCED17, DegradationOp, SolverConfig, solve
 
 #: Restoration defaults per (task, variant); flags and config files override.
@@ -209,7 +207,16 @@ def _process_one(job: dict) -> dict:
 
     clean = read_image(job["input"])
     ref = read_image(settings["ref"]) if settings["ref"] else clean
+    if ref.shape != clean.shape:
+        raise DimensionMismatchError(
+            f"reference {settings['ref']} is {ref.shape[1]}x{ref.shape[0]}, "
+            f"the input is {clean.shape[1]}x{clean.shape[0]}"
+        )
     degraded = apply_degradation(clean, op, noise)
+    # The readers give 8-bit intensities, so the uint8 raster holds the
+    # reference exactly; the float image is not kept through the solve.
+    ref = ref.astype(np.uint8)
+    del clean
 
     start = time.perf_counter()
     result = solve(degraded, op, bank, cfg)
@@ -257,7 +264,7 @@ def _process_one(job: dict) -> dict:
         },
     }
     meta_path = out_dir / f"{stem}_run.json"
-    with open(meta_path, "w", encoding="utf-8") as fh:
+    with atomic_open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(metadata, fh, indent=1)
 
     return {
@@ -307,6 +314,8 @@ def _run_restoration(task: str, args: argparse.Namespace) -> int:
 
     workers = settings["jobs"]
     if workers > 1 and len(jobs) > 1:
+        from multiprocessing import Pool
+
         with Pool(processes=min(workers, len(jobs))) as pool:
             results = pool.map(_process_isolated, jobs)
     else:
@@ -331,6 +340,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.task == "selftest":
+            from .selftest import run_selftest
+
             return 0 if run_selftest(perturb_bank=args.perturb_bank) else 3
         return _run_restoration(args.task, args)
     except (VTVError, OSError, MemoryError) as exc:

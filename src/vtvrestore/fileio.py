@@ -5,11 +5,13 @@ integer-valued images bit-exactly.  PNG input is optional and needs Pillow
 (install the ``png`` extra); images are only written as PGM.
 
 Export clamps intensities to [0, 255] and rounds half away from zero;
-the solver itself never clamps.
+the solver itself never clamps.  Every file is written whole or not at all
+(see :func:`atomic_open`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -23,13 +25,35 @@ def quantize(image) -> np.ndarray:
     return np.floor(x + 0.5).astype(np.uint8)
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """Open a temporary file next to ``path`` that replaces it when done.
+
+    The temporary file lives in ``path``'s directory, so ``os.replace``
+    renames it over ``path`` in one step once the block has written it.  If
+    the block raises, the temporary file is removed and ``path`` is left as
+    it was: a reader never sees a half-written file.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, mode, **kwargs) as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temporary)
+        raise
+
+
 def write_pgm(path, image) -> None:
     """Write an image as binary PGM (P5, maxval 255)."""
     q = quantize(image)
     if q.ndim != 2:
         raise VTVError(f"expected a 2-D image, got shape {q.shape}")
     h, w = q.shape
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(q.tobytes())
 
@@ -41,7 +65,7 @@ def write_trace_csv(path, result) -> None:
     Floats carry 17 significant digits so the file round-trips exactly.
     The energy column is left empty when it was not recorded.
     """
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("iter,rel_err,energy\n")
         for j, rel in enumerate(result.trace, start=1):
             if result.energy_trace:

@@ -84,6 +84,20 @@ def _block_rows(h: int, w: int) -> int:
     return min(max(1, BLOCK_PIXELS // w), h)
 
 
+def _wrap_rows(src, start: int, out) -> None:
+    """``out[i] = src[(start + i) % len(src)]`` for every row ``i`` of ``out``.
+
+    One slice copy per wrap, so a transposed view wraps columns the same way.
+    """
+    n = src.shape[0]
+    i = 0
+    while i < out.shape[0]:
+        r = (start + i) % n
+        count = min(n - r, out.shape[0] - i)
+        out[i : i + count] = src[r : r + count]
+        i += count
+
+
 def _fold(acc, top: int, left: int, h: int, w: int) -> np.ndarray:
     """Add the wrap padding of ``acc`` back onto the ``(h, w)`` image it pads.
 
@@ -113,12 +127,13 @@ class FrameGradient:
     matrix and adds the planes back with the opposite shifts.
 
     Both directions run over row blocks of about :data:`BLOCK_PIXELS`
-    pixels, so only one block's shifted planes exist at a time.  The image is
-    padded once by wrap and every block reads its shifted planes from the
-    padded copy; the adjoint adds one block at a time into an
-    :class:`AdjointSum`.  :meth:`blocks` hands each block of ``apply`` to the
-    caller while it is still in cache, so a caller can finish the block and
-    add it to an :class:`AdjointSum` of its own without storing the field.
+    pixels, so only one block's shifted planes exist at a time.  Each block
+    reads its shifted planes from a copy of its own rows, padded by wrap with
+    the stencil's reach (a few rows and columns); the adjoint adds one block
+    at a time into an :class:`AdjointSum`.  :meth:`blocks` hands each block
+    of ``apply`` to the caller while it is still in cache, so a caller can
+    finish the block and add it to an :class:`AdjointSum` of its own without
+    storing the field.
 
     Built once per bank (see :attr:`FilterBank.frame_gradient`); it holds no
     per-image state.
@@ -158,23 +173,30 @@ class FrameGradient:
         if f.ndim != 2:
             raise DimensionMismatchError(f"expected a 2-D image, got {f.shape}")
         h, w = f.shape
-        (top, _), (left, _) = self._pad
-        # Every row of taps sums to zero (a gradient kills constants), so
-        # removing a constant first changes nothing in exact arithmetic; it
-        # maps constant images to exactly zero and shrinks the cancellation
-        # error.  A pixel value is exact where the mean may round.
-        padded = np.pad(f, self._pad, mode="wrap")
-        padded -= f.flat[0]
+        (top, bottom), (left, right) = self._pad
         rows = _block_rows(h, w)
+        halo = np.empty((top + rows + bottom, left + w + right))
         planes = np.empty((len(self.offsets), rows * w))
         buffer = np.empty((self.m, 2, rows, w))
         for r0 in range(0, h, rows):
             r1 = min(r0 + rows, h)
             size = (r1 - r0) * w
+            # rows r0 - top .. r1 + bottom of the image padded by wrap
+            padded = halo[: top + r1 - r0 + bottom]
+            body = padded[:, left : left + w]
+            _wrap_rows(f, r0 - top, body)
+            _wrap_rows(body.T, -left, padded[:, :left].T)
+            _wrap_rows(body.T, 0, padded[:, left + w :].T)
+            # Every row of taps sums to zero (a gradient kills constants), so
+            # removing a constant first changes nothing in exact arithmetic;
+            # it maps constant images to exactly zero and shrinks the
+            # cancellation error.  A pixel value is exact where the mean may
+            # round.
+            padded -= f.flat[0]
             for plane, (dy, dx) in zip(planes, self.offsets):
                 np.copyto(
                     plane[:size].reshape(r1 - r0, w),
-                    padded[top + r0 - dy : top + r1 - dy, left - dx : left - dx + w],
+                    padded[top - dy : top - dy + r1 - r0, left - dx : left - dx + w],
                 )
             g = buffer[:, :, : r1 - r0]
             np.matmul(self.taps, planes[:, :size], out=g.reshape(2 * self.m, size))

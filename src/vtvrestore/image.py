@@ -77,6 +77,26 @@ def conv_adjoint(image, kernel) -> np.ndarray:
     return conv_circular(image, np.flip(as_kernel(kernel)))
 
 
+def _wrapped_taps(kernel, shape):
+    """``(rows, taps)``: the kernel embedded circularly in an ``shape`` grid.
+
+    The center tap lands at index (0, 0) and negative offsets wrap;
+    overlapping taps accumulate.  ``taps[i]`` is grid row ``rows[i]``; every
+    other row of the grid is zero.
+    """
+    h, w = int(shape[0]), int(shape[1])
+    if h < 1 or w < 1:
+        raise DimensionMismatchError(f"grid must be at least 1x1, got {(h, w)}")
+    k = as_kernel(kernel)
+    ry, rx = (k.shape[0] - 1) // 2, (k.shape[1] - 1) // 2
+    rows = sorted({p % h for p in range(-ry, ry + 1)})
+    taps = np.zeros((len(rows), w))
+    for p in range(-ry, ry + 1):
+        for q in range(-rx, rx + 1):
+            taps[rows.index(p % h), q % w] += k[p + ry, q + rx]
+    return rows, taps
+
+
 def kernel_symbol(kernel, shape) -> np.ndarray:
     """Frequency-domain transfer function of ``conv_circular`` on a grid.
 
@@ -87,39 +107,40 @@ def kernel_symbol(kernel, shape) -> np.ndarray:
 
     Returns a complex array of shape ``(h, w)``, one value per frequency bin.
     """
-    h, w = int(shape[0]), int(shape[1])
-    if h < 1 or w < 1:
-        raise DimensionMismatchError(f"grid must be at least 1x1, got {(h, w)}")
-    k = as_kernel(kernel)
-    ry, rx = (k.shape[0] - 1) // 2, (k.shape[1] - 1) // 2
-    grid = np.zeros((h, w))
-    for p in range(-ry, ry + 1):
-        for q in range(-rx, rx + 1):
-            grid[p % h, q % w] += k[p + ry, q + rx]
+    rows, taps = _wrapped_taps(kernel, shape)
+    grid = np.zeros((int(shape[0]), int(shape[1])))
+    grid[rows] = taps
     return np.fft.fft2(grid)
 
 
-def identity_symbol(shape) -> np.ndarray:
-    """Symbol of the identity operator: one at every frequency."""
-    return np.ones((int(shape[0]), int(shape[1])), dtype=np.complex128)
+def half_symbol(kernel, shape) -> np.ndarray:
+    """The ``rfft2`` half of :func:`kernel_symbol`, built without the full grid.
+
+    Equals ``kernel_symbol(kernel, shape)[:, : w // 2 + 1]`` bit for bit: it
+    runs the transforms :func:`numpy.fft.fft2` runs (rows first, then
+    columns), but the row transform only on the rows the kernel's taps land
+    on, since a zero row transforms to zeros, and the column transform only
+    on the ``w // 2 + 1`` columns kept.  A real operator's symbol is
+    Hermitian, ``symbol[-k] == conj(symbol[k])``, so these columns determine
+    it; they are what :func:`solve_diagonal` divides by.
+    """
+    rows, taps = _wrapped_taps(kernel, shape)
+    w = taps.shape[1]
+    half = np.zeros((int(shape[0]), w // 2 + 1), dtype=np.complex128)
+    half[rows] = np.fft.fft(taps, axis=-1)[:, : w // 2 + 1]
+    return np.fft.fft(half, axis=0, out=half)
 
 
-def half_spectrum(symbol) -> np.ndarray:
-    """The half of a real operator's symbol that :func:`solve_diagonal` divides by.
-
-    A real operator's symbol is Hermitian, ``symbol[-k] == conj(symbol[k])``,
-    so the columns ``0 .. w // 2`` that the real transforms
-    ``rfft2``/``irfft2`` keep determine it.  Returns them as a new array.
+def nonsingular(half) -> np.ndarray:
+    """Return the half symbol ``half`` once no bin of it is singular.
 
     Raises
     ------
     SingularSymbolError
-        If any frequency bin of ``symbol`` has modulus below 1e-12, which
-        signals an ill-posed solve (e.g. a blur with zero DC gain and no
+        If any frequency bin has modulus below 1e-12, which signals an
+        ill-posed solve (e.g. a blur with zero DC gain and no
         regularization).
     """
-    sym = np.asarray(symbol)
-    half = sym[..., : sym.shape[-1] // 2 + 1].copy()
     smallest = np.min(np.abs(half))
     if smallest < _EPS_DENOM:
         raise SingularSymbolError(
@@ -128,23 +149,31 @@ def half_spectrum(symbol) -> np.ndarray:
     return half
 
 
-def solve_diagonal(numerator, half_symbol) -> np.ndarray:
+def solve_diagonal(numerator, half, spectrum=None) -> np.ndarray:
     """Solve ``Op u = numerator`` for an operator with the given symbol.
 
     Computes ``IFFT(FFT(numerator) / symbol)``, the exact inverse of any real
-    circular-convolution operator, over the half spectrum: ``half_symbol`` is
-    the operator's symbol as :func:`half_spectrum` returns it, checked there
-    once.  Returns a new array.
+    circular-convolution operator, over the half spectrum: ``half`` is the
+    ``rfft2`` half of the operator's symbol (see :func:`half_symbol`),
+    checked once by :func:`nonsingular`.  Runs the transforms of
+    ``irfft2(rfft2(numerator) / half)`` in the complex ``spectrum`` buffer of
+    ``half``'s shape, which it overwrites (a new one when None), so no other
+    complex array is made and the result is bit for bit the same.  Returns a
+    new array.
     """
     num = np.asarray(numerator, dtype=np.float64)
-    half = np.asarray(half_symbol)
-    if half.shape != num.shape[:-1] + (num.shape[-1] // 2 + 1,):
+    half = np.asarray(half)
+    w = num.shape[-1]
+    if half.shape != num.shape[:-1] + (w // 2 + 1,):
         raise DimensionMismatchError(
             f"half symbol shape {half.shape} does not fit numerator shape {num.shape}"
         )
-    spectrum = np.fft.rfft2(num)
+    if spectrum is None:
+        spectrum = np.empty(half.shape, dtype=np.complex128)
+    np.fft.rfft2(num, out=spectrum)
     spectrum /= half
-    return np.fft.irfft2(spectrum, s=num.shape)
+    np.fft.ifft(spectrum, axis=-2, out=spectrum)
+    return np.fft.irfft(spectrum, n=w, axis=-1)
 
 
 def psnr(ref, test) -> float:

@@ -28,23 +28,30 @@ Both directions of the operator run through the bank's fused stencil
 shifted copies of ``u``, and the u-update numerator
 ``sum_i gamma_i F_i* G* (d_i - b_i)`` is the gamma-weighted transposed
 product followed by shifted adds.  The denominator is the symbol of the
-stencil's :meth:`~vtvrestore.frames.FrameGradient.normal_kernel`, built
-once per solve; only its ``rfft2`` half is kept, and its smallest bin is
-checked once, when the solve is set up.  The spatial-domain primitives
+stencil's :meth:`~vtvrestore.frames.FrameGradient.normal_kernel` plus
+that of ``A*A``, built once per solve; only their ``rfft2`` halves are
+built (:func:`~vtvrestore.image.half_symbol`), and the smallest bin of the
+sum is checked once, when the solve is set up.  The spatial-domain primitives
 (:func:`~vtvrestore.frames.analyze`, :func:`~vtvrestore.diffops.grad`, ...)
 remain the references that :meth:`SplitBregman.kkt_residual` and the tests
 check against.
 
-:class:`SplitBregman` keeps one ``(m, 2, h, w)`` stack, the multipliers
-``b``, and one image, the ``numerator`` of the next u-update.  The splits
-``d`` are never stored: :meth:`~SplitBregman.advance` makes one sweep over
-row blocks and, while a block of the stencil's output is still in cache,
-shrinks it, updates ``b`` and adds the block's ``d - b`` to the next
-numerator (a :class:`~vtvrestore.frames.AdjointSum`).  It overwrites ``b``
-and ``numerator`` **in place**: a caller that keeps either across a step
-must copy it.  So the u-update is one FFT solve; it returns a fresh array
-and never touches the state.  With ``record_trace``, the same sweep also
-sums the TV part of the energy, so a traced iteration runs the stencil once.
+:class:`SplitBregman`'s state is one ``(m, 2, h, w)`` stack, the
+multipliers ``b``; one image, the ``numerator`` of the next u-update; and
+one complex buffer the size of the half spectrum, in which the FFT solve
+runs and which :meth:`~SplitBregman.advance` then reuses for ``u_new - u``.
+The observation ``f`` is read, never written, and not copied: ``u`` starts
+as ``f`` itself, and ``A* f`` is ``f`` itself for the identity, so a caller
+must not change ``f`` during the solve.  The splits ``d`` are never stored:
+:meth:`~SplitBregman.advance` makes one sweep over row blocks and, while a
+block of the stencil's output is still in cache, shrinks it, updates ``b``
+and adds the block's ``d - b`` to the next numerator (a
+:class:`~vtvrestore.frames.AdjointSum`).  It overwrites ``b`` and
+``numerator`` **in place**: a caller that keeps either across a step must
+copy it.  So the u-update is one FFT solve; it returns a fresh array and
+never touches ``b`` or the numerator.  With ``record_trace``, the same sweep
+also sums the TV part of the energy, so a traced iteration runs the stencil
+once.
 """
 
 from __future__ import annotations
@@ -65,9 +72,8 @@ from .image import (
     as_kernel,
     conv_adjoint,
     conv_circular,
-    half_spectrum,
-    identity_symbol,
-    kernel_symbol,
+    half_symbol,
+    nonsingular,
     solve_diagonal,
 )
 
@@ -83,8 +89,10 @@ _NORM_FLOOR = 1e-12
 class DegradationOp:
     """The observation operator A: identity or circular blur with a PSF.
 
-    Holds no per-image state: :meth:`symbol` computes the symbol afresh for
-    any grid, and a solve reads it once, to build its denominator.
+    Holds no per-image state: :meth:`gram_symbol` computes the symbol of
+    ``A*A`` afresh for any grid, and a solve reads it once, to build its
+    denominator.  The identity's :meth:`apply` and :meth:`adjoint` return
+    their argument itself (as float64), not a copy.
     """
 
     def __init__(self, psf=None):
@@ -101,20 +109,24 @@ class DegradationOp:
     def apply(self, u) -> np.ndarray:
         """A u."""
         if self.psf is None:
-            return np.array(u, dtype=np.float64, copy=True)
+            return np.asarray(u, dtype=np.float64)
         return conv_circular(u, self.psf)
 
     def adjoint(self, u) -> np.ndarray:
         """A* u."""
         if self.psf is None:
-            return np.array(u, dtype=np.float64, copy=True)
+            return np.asarray(u, dtype=np.float64)
         return conv_adjoint(u, self.psf)
 
-    def symbol(self, shape) -> np.ndarray:
-        """Frequency symbol of A on a ``shape`` grid, as a new array."""
+    def gram_symbol(self, shape):
+        """The ``rfft2`` half of the symbol of ``A*A`` on a ``shape`` grid.
+
+        ``|symbol of A|^2`` as a new real array, or the exact scalar ``1.0``
+        for the identity.
+        """
         if self.psf is None:
-            return identity_symbol(shape)
-        return kernel_symbol(self.psf, shape)
+            return 1.0
+        return np.abs(half_symbol(self.psf, shape)) ** 2
 
 
 @dataclass
@@ -217,7 +229,7 @@ class SplitBregman:
     """
 
     def __init__(self, f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig):
-        self.f = np.array(f, dtype=np.float64, copy=True)
+        self.f = np.asarray(f, dtype=np.float64)
         if self.f.ndim != 2:
             raise DimensionMismatchError(f"expected a 2-D image, got {self.f.shape}")
         if not np.isfinite(self.f).all():
@@ -244,13 +256,17 @@ class SplitBregman:
         self._stencil = bank.frame_gradient
         #: ``w`` of the normal operator ``A*A + sum_i w_i F_i* G* G F_i``.
         self._weights = cfg.gamma if cfg.u_update == FULL13 else (cfg.gamma[0],) * m
-        self._denominator = half_spectrum(
-            np.abs(op.symbol((h, w))) ** 2
-            + kernel_symbol(self._stencil.normal_kernel(self._weights), (h, w)).real
+        denominator = np.ascontiguousarray(
+            half_symbol(self._stencil.normal_kernel(self._weights), (h, w)).real
         )
+        denominator += op.gram_symbol((h, w))
+        self._denominator = nonsingular(denominator)
+        #: Complex scratch of the denominator's shape: the FFT solve runs in
+        #: it, and :meth:`advance` reuses it once the solve is spent.
+        self._spectrum = np.empty(denominator.shape, dtype=np.complex128)
 
         self._atf = op.adjoint(self.f)
-        self.u = self.f.copy()
+        self.u = self.f
         self.b = np.zeros((m, 2, h, w))
         self._adjoint_sum = AdjointSum(self._stencil, (h, w), cfg.gamma)
         #: ``A* f + sum_i gamma_i F_i* G* (d_i - b_i)``, the right-hand side of
@@ -268,7 +284,7 @@ class SplitBregman:
 
         Returns a new array; ``b`` and the numerator are left untouched.
         """
-        return solve_diagonal(self.numerator, self._denominator)
+        return solve_diagonal(self.numerator, self._denominator, self._spectrum)
 
     def kkt_residual(self, u) -> float:
         """Relative residual of the normal equation the u-update solves.
@@ -322,7 +338,10 @@ class SplitBregman:
         self.numerator += self._atf
         if self.cfg.record_trace:
             self.regularization = regularization
-        rel = float(np.linalg.norm(u_new - self.u)) / max(
+        # u_new - u in a contiguous (h, w) view of the spent spectrum buffer
+        change = self._spectrum.view(np.float64).ravel()[: self.u.size].reshape(self.u.shape)
+        np.subtract(u_new, self.u, out=change)
+        rel = float(np.linalg.norm(change)) / max(
             float(np.linalg.norm(self.u)), _NORM_FLOOR
         )
         self.u = u_new

@@ -312,6 +312,15 @@ class TestConfigAndErrors:
         assert err.startswith("vtv-restore: error: ") and err.count("\n") == 1
         return err
 
+    def test_ref_of_another_shape_fails_before_the_solve(self, small_pgm, tmp_path, capsys):
+        ref = tmp_path / "r32.pgm"
+        write_pgm(ref, make_phantom(32))
+        out = tmp_path / "o"
+        code, _ = run_cli("denoise", "--input", small_pgm, "--ref", str(ref), "--out", str(out))
+        err = self.assert_one_line_error(capsys, code)
+        assert "r32.pgm is 32x32, the input is 64x64" in err
+        assert list(out.iterdir()) == []
+
     def test_non_numeric_pgm_header_is_an_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P5\nabc 4\n255\n" + bytes(16))

@@ -65,9 +65,9 @@ class TestMotionBlurKernel:
         np.testing.assert_allclose(out, 77.0, atol=1e-12)
 
     def test_unit_dc_gain(self):
-        sym = DegradationOp.blur(motion_blur_kernel(9)).symbol((16, 16))
-        assert abs(sym[0, 0] - 1.0) < 1e-14
-        assert np.max(np.abs(sym)) <= 1.0 + 1e-12
+        gram = DegradationOp.blur(motion_blur_kernel(9)).gram_symbol((16, 16))
+        assert abs(gram[0, 0] - 1.0) < 1e-14
+        assert np.max(gram) <= 1.0 + 1e-12
 
     def test_even_length_rejected(self):
         with pytest.raises(ConfigError):

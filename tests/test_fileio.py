@@ -1,10 +1,21 @@
 """PGM round trips, PNG input, clamping and rounding on export."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from vtvrestore import VTVError, quantize, read_image, write_pgm
-from vtvrestore.fileio import read_pgm
+from vtvrestore import (
+    SolveResult,
+    VTVError,
+    fileio,
+    quantize,
+    read_image,
+    write_pgm,
+    write_trace_csv,
+)
+from vtvrestore.fileio import atomic_open, read_pgm
 
 
 def test_pgm_round_trip_is_bit_exact(tmp_path):
@@ -57,3 +68,51 @@ def test_png_round_trip(tmp_path):
 def test_unknown_extension(tmp_path):
     with pytest.raises(VTVError):
         read_image(tmp_path / "img.bmp")
+
+
+class _RasterThatFails(np.ndarray):
+    def tobytes(self, order="C"):
+        raise OSError("disk full")
+
+
+def _write_json_that_fails(path):
+    # json.dump writes the first keys before it meets the value it cannot encode
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        json.dump({"iterations": 3, "seconds": object()}, fh)
+
+
+@pytest.mark.parametrize("artifact", ["pgm", "trace", "json"])
+def test_a_write_that_fails_midway_leaves_no_partial_file(tmp_path, monkeypatch, artifact):
+    path = tmp_path / f"out.{artifact}"
+    if artifact == "pgm":
+        # the header is written, then the raster fails
+        raster = np.zeros((2, 3), np.uint8).view(_RasterThatFails)
+        monkeypatch.setattr(fileio, "quantize", lambda image: raster)
+        with pytest.raises(OSError, match="disk full"):
+            write_pgm(path, np.zeros((2, 3)))
+    elif artifact == "trace":
+        # the header and the first row are written, then the second row fails
+        with pytest.raises(TypeError):
+            write_trace_csv(path, SolveResult(u=None, iterations=2, trace=[0.5, None]))
+    else:
+        with pytest.raises(TypeError):
+            _write_json_that_fails(path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_write_keeps_the_earlier_artifact(tmp_path):
+    path = tmp_path / "out_run.json"
+    path.write_text("earlier run")
+    with pytest.raises(TypeError):
+        _write_json_that_fails(path)
+    assert path.read_text() == "earlier run"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_atomic_open_writes_through_a_temporary_file(tmp_path):
+    path = tmp_path / "img.pgm"
+    with atomic_open(path, "wb") as fh:
+        fh.write(b"P5")
+        assert not path.exists() and Path(fh.name).parent == tmp_path
+    assert path.read_bytes() == b"P5"
+    assert [p.name for p in tmp_path.iterdir()] == ["img.pgm"]

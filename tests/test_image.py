@@ -10,12 +10,13 @@ from vtvrestore import (
     SingularSymbolError,
     conv_adjoint,
     conv_circular,
-    half_spectrum,
+    half_symbol,
     kernel_symbol,
+    motion_blur_kernel,
     psnr,
     solve_diagonal,
 )
-from vtvrestore.image import identity_symbol
+from vtvrestore.image import nonsingular
 
 from conftest import conv_brute_force
 
@@ -111,7 +112,7 @@ class TestKernelSymbol:
     def test_identity_kernel_all_ones(self):
         sym = kernel_symbol(np.array([[1.0]]), (6, 5))
         assert np.array_equal(sym, np.ones((6, 5), dtype=complex))
-        assert np.array_equal(identity_symbol((6, 5)), np.ones((6, 5), complex))
+        assert np.array_equal(half_symbol(np.array([[1.0]]), (6, 5)), np.ones((6, 3), complex))
 
     def test_dc_bin_is_tap_sum(self, bank):
         for k in bank.kernels:
@@ -139,7 +140,7 @@ class TestSolveDiagonal:
     def test_identity_symbol_returns_numerator(self):
         rng = np.random.default_rng(10)
         f = rng.standard_normal((9, 9))
-        out = solve_diagonal(f, half_spectrum(np.ones((9, 9))))
+        out = solve_diagonal(f, np.ones((9, 5)))
         assert np.max(np.abs(out - f)) < 1e-12
 
     def test_round_trip_through_lowpass(self, bank):
@@ -148,8 +149,7 @@ class TestSolveDiagonal:
         rng = np.random.default_rng(11)
         u = rng.uniform(0, 255, (9, 7))
         k = bank.kernels[0]
-        sym = kernel_symbol(k, u.shape)
-        u_rec = solve_diagonal(conv_circular(u, k), half_spectrum(sym))
+        u_rec = solve_diagonal(conv_circular(u, k), nonsingular(half_symbol(k, u.shape)))
         assert np.max(np.abs(u_rec - u)) < 1e-8 * 255
         # residual check through the spatial operator
         resid = conv_circular(u_rec, k) - conv_circular(u, k)
@@ -159,18 +159,53 @@ class TestSolveDiagonal:
     def test_dc_algebra_for_constants(self):
         sym = np.full((4, 4), 1.0 + 0j)
         sym[0, 0] = 2.5
-        out = solve_diagonal(np.full((4, 4), 5.0), half_spectrum(sym))
+        out = solve_diagonal(np.full((4, 4), 5.0), sym[:, :3])
         np.testing.assert_allclose(out, 2.0, atol=1e-12)
 
     def test_singular_symbol_raises(self, bank):
         # On even grids K_1's symbol vanishes at Nyquist.
-        sym = kernel_symbol(bank.kernels[0], (8, 8))
         with pytest.raises(SingularSymbolError):
-            solve_diagonal(np.ones((8, 8)), half_spectrum(sym))
+            nonsingular(half_symbol(bank.kernels[0], (8, 8)))
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
             solve_diagonal(np.ones((4, 4)), np.ones((4, 5)))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (37, 500), (16, 12), (15, 13)])
+    def test_in_place_solve_is_irfft2_bit_for_bit(self, shape):
+        # the same transforms as irfft2(rfft2(num) / half), run in one buffer
+        rng = np.random.default_rng(14)
+        num = rng.standard_normal(shape)
+        half = rng.uniform(0.5, 2.0, (shape[0], shape[1] // 2 + 1))
+        spectrum = np.empty(half.shape, dtype=complex)
+        got = solve_diagonal(num, half, spectrum)
+        want = np.fft.irfft2(np.fft.rfft2(num) / half, s=shape)
+        assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+        assert np.array_equal(solve_diagonal(num, half), got)
+
+
+class TestHalfSymbol:
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 9), (9, 1), (37, 500), (12, 10), (12, 11), (5, 3), (2, 2)]
+    )
+    def test_is_the_kernel_symbol_half_bit_for_bit(self, bank, shape):
+        rng = np.random.default_rng(15)
+        kernels = [
+            np.array([[1.0]]),
+            rng.standard_normal((5, 3)),
+            bank.frame_gradient.normal_kernel(np.arange(1.0, 10.0)),
+            motion_blur_kernel(9),  # longer than the 1-, 2-, 3- and 5-wide grids
+            motion_blur_kernel(9).T,
+        ]
+        for k in kernels:
+            got = half_symbol(k, shape)
+            want = kernel_symbol(k, shape)[:, : shape[1] // 2 + 1]
+            assert got.shape == want.shape
+            assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes(), k.shape
+
+    def test_rejects_an_empty_grid(self):
+        with pytest.raises(DimensionMismatchError):
+            half_symbol(np.array([[1.0]]), (0, 4))
 
 
 class TestAdjointProperty:
