@@ -149,7 +149,7 @@ def nonsingular(half) -> np.ndarray:
     return half
 
 
-def solve_diagonal(numerator, half, spectrum=None) -> np.ndarray:
+def solve_diagonal(numerator, half, spectrum) -> np.ndarray:
     """Solve ``Op u = numerator`` for an operator with the given symbol.
 
     Computes ``IFFT(FFT(numerator) / symbol)``, the exact inverse of any real
@@ -157,9 +157,8 @@ def solve_diagonal(numerator, half, spectrum=None) -> np.ndarray:
     ``rfft2`` half of the operator's symbol (see :func:`half_symbol`),
     checked once by :func:`nonsingular`.  Runs the transforms of
     ``irfft2(rfft2(numerator) / half)`` in the complex ``spectrum`` buffer of
-    ``half``'s shape, which it overwrites (a new one when None), so no other
-    complex array is made and the result is bit for bit the same.  Returns a
-    new array.
+    ``half``'s shape, which it overwrites, so no other complex array is made
+    and the result is bit for bit the same.  Returns a new array.
     """
     num = np.asarray(numerator, dtype=np.float64)
     half = np.asarray(half)
@@ -168,8 +167,6 @@ def solve_diagonal(numerator, half, spectrum=None) -> np.ndarray:
         raise DimensionMismatchError(
             f"half symbol shape {half.shape} does not fit numerator shape {num.shape}"
         )
-    if spectrum is None:
-        spectrum = np.empty(half.shape, dtype=np.complex128)
     np.fft.rfft2(num, out=spectrum)
     spectrum /= half
     np.fft.ifft(spectrum, axis=-2, out=spectrum)

@@ -338,7 +338,8 @@ class SplitBregman:
         self.numerator += self._atf
         if self.cfg.record_trace:
             self.regularization = regularization
-        # u_new - u in a contiguous (h, w) view of the spent spectrum buffer
+        # u_new - u in a contiguous (h, w) view of the spent spectrum buffer;
+        # a fresh difference image would raise the solve's peak by one image
         change = self._spectrum.view(np.float64).ravel()[: self.u.size].reshape(self.u.shape)
         np.subtract(u_new, self.u, out=change)
         rel = float(np.linalg.norm(change)) / max(

@@ -9,6 +9,7 @@ from vtvrestore import (
     NoiseSpec,
     apply_degradation,
     gaussian_noise,
+    half_symbol,
     motion_blur_kernel,
     psnr,
 )
@@ -65,6 +66,9 @@ class TestMotionBlurKernel:
         np.testing.assert_allclose(out, 77.0, atol=1e-12)
 
     def test_unit_dc_gain(self):
+        sym = half_symbol(motion_blur_kernel(9), (16, 16))
+        assert abs(sym[0, 0] - 1.0) < 1e-14
+        assert np.max(np.abs(sym)) <= 1.0 + 1e-12
         gram = DegradationOp.blur(motion_blur_kernel(9)).gram_symbol((16, 16))
         assert abs(gram[0, 0] - 1.0) < 1e-14
         assert np.max(gram) <= 1.0 + 1e-12

@@ -140,7 +140,7 @@ class TestSolveDiagonal:
     def test_identity_symbol_returns_numerator(self):
         rng = np.random.default_rng(10)
         f = rng.standard_normal((9, 9))
-        out = solve_diagonal(f, np.ones((9, 5)))
+        out = solve_diagonal(f, np.ones((9, 5)), np.empty((9, 5), dtype=complex))
         assert np.max(np.abs(out - f)) < 1e-12
 
     def test_round_trip_through_lowpass(self, bank):
@@ -149,7 +149,8 @@ class TestSolveDiagonal:
         rng = np.random.default_rng(11)
         u = rng.uniform(0, 255, (9, 7))
         k = bank.kernels[0]
-        u_rec = solve_diagonal(conv_circular(u, k), nonsingular(half_symbol(k, u.shape)))
+        half = nonsingular(half_symbol(k, u.shape))
+        u_rec = solve_diagonal(conv_circular(u, k), half, np.empty(half.shape, dtype=complex))
         assert np.max(np.abs(u_rec - u)) < 1e-8 * 255
         # residual check through the spatial operator
         resid = conv_circular(u_rec, k) - conv_circular(u, k)
@@ -159,7 +160,7 @@ class TestSolveDiagonal:
     def test_dc_algebra_for_constants(self):
         sym = np.full((4, 4), 1.0 + 0j)
         sym[0, 0] = 2.5
-        out = solve_diagonal(np.full((4, 4), 5.0), sym[:, :3])
+        out = solve_diagonal(np.full((4, 4), 5.0), sym[:, :3], np.empty((4, 3), dtype=complex))
         np.testing.assert_allclose(out, 2.0, atol=1e-12)
 
     def test_singular_symbol_raises(self, bank):
@@ -169,7 +170,7 @@ class TestSolveDiagonal:
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
-            solve_diagonal(np.ones((4, 4)), np.ones((4, 5)))
+            solve_diagonal(np.ones((4, 4)), np.ones((4, 5)), np.empty((4, 5), dtype=complex))
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (37, 500), (16, 12), (15, 13)])
     def test_in_place_solve_is_irfft2_bit_for_bit(self, shape):
@@ -181,7 +182,6 @@ class TestSolveDiagonal:
         got = solve_diagonal(num, half, spectrum)
         want = np.fft.irfft2(np.fft.rfft2(num) / half, s=shape)
         assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
-        assert np.array_equal(solve_diagonal(num, half), got)
 
 
 class TestHalfSymbol:
