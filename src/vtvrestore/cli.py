@@ -76,6 +76,17 @@ _JSON_KINDS = {
 }
 
 
+#: The failures reported as one error line with exit code 1, for the whole
+#: run and for each image of a batch; anything else is a bug.
+_REPORTED = (VTVError, OSError, MemoryError)
+
+
+def _error_text(exc: BaseException) -> str:
+    """The message of a :data:`_REPORTED` failure; a bare ``MemoryError()``
+    has none."""
+    return str(exc) or "out of memory"
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as ConfigError (exit code 1)."""
 
@@ -128,7 +139,10 @@ def _check(key: str, value):
     # JSON true/false are Python ints too, so only a bool setting takes them
     if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
         raise ConfigError(f"{key} must be {description}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ConfigError(f"{key} is out of range, got a {len(str(value))}-digit integer") from None
 
 
 def _read_config(path: str) -> dict:
@@ -143,6 +157,9 @@ def _read_config(path: str) -> dict:
         raise ConfigError(f"config file {path} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # an integer past Python's digit limit, or nesting past the recursion limit
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from None
     if not isinstance(values, dict):
         raise ConfigError("a config file must hold one JSON object")
     unknown = set(values) - set(SETTINGS)
@@ -177,8 +194,8 @@ def _resolve_settings(task: str, args: argparse.Namespace) -> dict:
     return settings
 
 
-def _json_metric(x: float):
-    return x if math.isfinite(x) else "inf"
+def _json_metric(x):
+    return x if math.isfinite(x) else str(x)
 
 
 def _dump_features(out_dir: Path, stem: str, u: np.ndarray, bank) -> list:
@@ -236,9 +253,13 @@ def _process_one(job: dict) -> dict:
 
     # The degraded metric is taken on the float field, the restored one on
     # the exported (quantized) artifact the tool actually delivers.
-    psnr_noisy = psnr(ref, degraded)
-    psnr_restored = psnr(ref, quantize(result.u).astype(np.float64))
-
+    metrics = {
+        "psnr_noisy": psnr(ref, degraded),
+        "psnr_restored": psnr(ref, quantize(result.u).astype(np.float64)),
+        "iterations": result.iterations,
+        "seconds": seconds,
+        "converged": result.converged,
+    }
     metadata = {
         "task": task,
         "input": job["input"],
@@ -255,35 +276,23 @@ def _process_one(job: dict) -> dict:
         "rng": RNG_DESCRIPTION,
         "library_version": __version__,
         "outputs": outputs,
-        "metrics": {
-            "psnr_noisy": _json_metric(psnr_noisy),
-            "psnr_restored": _json_metric(psnr_restored),
-            "iterations": result.iterations,
-            "seconds": seconds,
-            "converged": result.converged,
-        },
+        "metrics": {key: _json_metric(value) for key, value in metrics.items()},
     }
     meta_path = out_dir / f"{stem}_run.json"
     with atomic_open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(metadata, fh, indent=1)
 
-    return {
-        "image": stem,
-        "psnr_noisy": psnr_noisy,
-        "psnr_restored": psnr_restored,
-        "iterations": result.iterations,
-        "seconds": seconds,
-        "converged": result.converged,
-    }
+    return {"image": stem, **metrics}
 
 
 def _process_isolated(job: dict) -> dict:
-    """:func:`_process_one`, with an input or I/O failure returned as
-    ``{"input", "error"}`` so that it does not lose the other images' rows."""
+    """:func:`_process_one`, with a reported failure (:data:`_REPORTED`)
+    returned as ``{"input", "error"}`` so that it does not lose the other
+    images' rows."""
     try:
         return _process_one(job)
-    except (VTVError, OSError) as exc:
-        return {"input": job["input"], "error": str(exc)}
+    except _REPORTED as exc:
+        return {"input": job["input"], "error": _error_text(exc)}
 
 
 def _run_restoration(task: str, args: argparse.Namespace) -> int:
@@ -327,9 +336,10 @@ def _run_restoration(task: str, args: argparse.Namespace) -> int:
 
     print("image,psnr_noisy,psnr_restored,iters,seconds")
     for row in rows:
-        noisy = "inf" if math.isinf(row["psnr_noisy"]) else f"{row['psnr_noisy']:.4f}"
-        restored = "inf" if math.isinf(row["psnr_restored"]) else f"{row['psnr_restored']:.4f}"
-        print(f"{row['image']},{noisy},{restored},{row['iterations']},{row['seconds']:.3f}")
+        print(
+            f"{row['image']},{row['psnr_noisy']:.4f},{row['psnr_restored']:.4f},"
+            f"{row['iterations']},{row['seconds']:.3f}"
+        )
     if failures:
         return 1
     return 0 if all(row["converged"] for row in rows) else 2
@@ -344,8 +354,8 @@ def main(argv=None) -> int:
 
             return 0 if run_selftest(perturb_bank=args.perturb_bank) else 3
         return _run_restoration(args.task, args)
-    except (VTVError, OSError, MemoryError) as exc:
-        print(f"vtv-restore: error: {exc or 'out of memory'}", file=sys.stderr)
+    except _REPORTED as exc:
+        print(f"vtv-restore: error: {_error_text(exc)}", file=sys.stderr)
         return 1
 
 

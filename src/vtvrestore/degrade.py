@@ -51,11 +51,14 @@ def motion_blur_kernel(length: int) -> np.ndarray:
     """Horizontal motion-blur PSF: a 1 x length row of uniform taps.
 
     ``length`` must be odd so the kernel has a center tap.  Length 1 gives
-    the identity kernel.
+    the identity kernel.  A length numpy cannot allocate is a ConfigError.
     """
     if length < 1 or length % 2 == 0:
         raise ConfigError(f"blur length must be odd and >= 1, got {length}")
-    return np.full((1, length), 1.0 / length)
+    try:
+        return np.full((1, length), 1.0 / length)
+    except (ValueError, OverflowError, MemoryError):
+        raise ConfigError(f"blur length {length} is too large to allocate") from None
 
 
 def apply_degradation(u, op: DegradationOp, noise: NoiseSpec) -> np.ndarray:

@@ -60,18 +60,18 @@ def write_pgm(path, image) -> None:
 
 def write_trace_csv(path, result) -> None:
     """Write a :class:`~vtvrestore.solver.SolveResult` trace as CSV:
-    ``iter,rel_err,energy``.
+    ``iter,rel_err,energy``, one row per iteration.
 
-    Floats carry 17 significant digits so the file round-trips exactly.
-    The energy column is left empty when it was not recorded.
+    The result must come from a solve with ``record_trace`` set: a trace
+    without one energy per iteration raises ``ValueError`` and leaves no
+    file.  Floats carry 17 significant digits so the file round-trips
+    exactly.
     """
+    rows = zip(result.trace, result.energy_trace, strict=True)
     with atomic_open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("iter,rel_err,energy\n")
-        for j, rel in enumerate(result.trace, start=1):
-            if result.energy_trace:
-                fh.write(f"{j},{rel:.17g},{result.energy_trace[j - 1]:.17g}\n")
-            else:
-                fh.write(f"{j},{rel:.17g},\n")
+        for j, (rel, energy) in enumerate(rows, start=1):
+            fh.write(f"{j},{rel:.17g},{energy:.17g}\n")
 
 
 def _pgm_header_tokens(data: bytes, count: int):
@@ -114,7 +114,11 @@ def read_pgm(path) -> np.ndarray:
         raise VTVError(
             f"malformed PGM header: width, height and maxval must be integers, got {fields!r}"
         )
-    w, h, maxval = (int(t) for t in tokens[1:])
+    try:
+        w, h, maxval = (int(t) for t in tokens[1:])
+    except ValueError:  # more digits than Python converts
+        digits = max(len(t) for t in tokens[1:])
+        raise VTVError(f"malformed PGM header: a field has {digits} digits") from None
     if w < 1 or h < 1:
         raise VTVError(f"PGM image must be at least 1x1, got {w}x{h}")
     if maxval != 255:

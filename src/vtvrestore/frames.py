@@ -133,9 +133,9 @@ class FrameGradient:
     reads its shifted planes from a copy of its own rows, padded by wrap with
     the stencil's reach (a few rows and columns); the adjoint adds one block
     at a time into an :class:`AdjointSum`.  :meth:`blocks` hands each block
-    of ``apply`` to the caller while it is still in cache, so a caller can
-    finish the block and add it to an :class:`AdjointSum` of its own without
-    storing the field.
+    of ``apply`` to the caller while it is still in cache, together with the
+    spent plane buffer, so a caller can finish the block and add it to an
+    :class:`AdjointSum` of its own without storing the field.
 
     Built once per bank (see :attr:`FilterBank.frame_gradient`); it holds no
     per-image state.
@@ -161,15 +161,14 @@ class FrameGradient:
         dys, dxs = zip((0, 0), *offsets)
         self._pad = ((max(dys), -min(dys)), (max(dxs), -min(dxs)))
 
-    def blocks(self, u, then=None):
-        """Yield ``(rows, g)`` for each row block of ``apply(u)``.
+    def blocks(self, u):
+        """Yield ``(rows, g, spent)`` for each row block of ``apply(u)``.
 
-        ``g`` is ``grad(analyze(u))[:, :, rows]`` in a block buffer that the
-        next block overwrites; the caller may finish it in place.  With
-        ``then``, an :class:`AdjointSum`, each block as the caller leaves it
-        is added to ``then`` before the next one is computed, so one sweep
-        both applies the stencil and sums the adjoint of what the caller
-        makes of it.
+        ``g`` is ``grad(analyze(u))[:, :, rows]`` and ``spent`` the block's
+        shifted-plane buffer, free once ``g`` is computed: the scratch
+        :meth:`AdjointSum.add` takes.  The next block overwrites both; the
+        caller may finish ``g`` in place, so one sweep can both apply the
+        stencil and sum the adjoint of what the caller makes of each block.
         """
         f = np.asarray(u, dtype=np.float64)
         if f.ndim != 2:
@@ -202,16 +201,13 @@ class FrameGradient:
                 )
             g = buffer[:, :, : r1 - r0]
             np.matmul(self.taps, planes[:, :size], out=g.reshape(2 * self.m, size))
-            yield slice(r0, r1), g
-            if then is not None:
-                # the shifted planes are spent; their buffer is the scratch
-                then.add(slice(r0, r1), g, planes[:, :size])
+            yield slice(r0, r1), g, planes[:, :size]
 
     def apply(self, u) -> np.ndarray:
         """``grad(analyze(u, bank))`` as a new ``(m, 2, h, w)`` stack."""
         f = np.asarray(u, dtype=np.float64)
         out = np.empty((self.m, 2) + f.shape)
-        for rows, g in self.blocks(f):
+        for rows, g, _ in self.blocks(f):
             out[:, :, rows] = g
         return out
 

@@ -177,7 +177,8 @@ def psnr(ref, test) -> float:
     """Peak signal-to-noise ratio in decibels against a 255 peak.
 
     ``10 * log10(255^2 * N / ||ref - test||^2)`` with ``N`` the pixel count.
-    Returns ``math.inf`` when the images are identical.
+    Returns ``math.inf`` when the images are identical and ``-math.inf``
+    when the squared error overflows float64.
     """
     a = np.asarray(ref, dtype=np.float64)
     b = np.asarray(test, dtype=np.float64)
@@ -186,4 +187,6 @@ def psnr(ref, test) -> float:
     err = float(np.sum((a - b) ** 2))
     if err == 0.0:
         return math.inf
+    if err == math.inf:
+        return -math.inf
     return 10.0 * math.log10(255.0 * 255.0 * a.size / err)

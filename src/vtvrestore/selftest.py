@@ -95,7 +95,7 @@ def _check_rof_reduction(rng):
     return worst <= 1e-10, f"worst per-iterate deviation {worst:.3e}"
 
 
-def run_selftest(perturb_bank: bool = False, emit=print) -> bool:
+def run_selftest(perturb_bank: bool = False) -> bool:
     """Run all checks, print one PASS/FAIL line each, return overall success.
 
     ``perturb_bank`` doubles the first kernel, a negative control that must
@@ -127,5 +127,5 @@ def run_selftest(perturb_bank: bool = False, emit=print) -> bool:
     for name, fn in checks:
         ok, detail = fn()
         all_ok &= ok
-        emit(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")
+        print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")
     return all_ok

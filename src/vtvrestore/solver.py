@@ -46,7 +46,8 @@ must not change ``f`` during the solve.  The splits ``d`` are never stored:
 :meth:`~SplitBregman.advance` makes one sweep over row blocks and, while a
 block of the stencil's output is still in cache, shrinks it, updates ``b``
 and adds the block's ``d - b`` to the next numerator (a
-:class:`~vtvrestore.frames.AdjointSum`).  It overwrites ``b`` and
+:class:`~vtvrestore.frames.AdjointSum`, with the block's spent
+shifted-plane buffer as scratch), all in one loop.  It overwrites ``b`` and
 ``numerator`` **in place**: a caller that keeps either across a step must
 copy it.  So the u-update is one FFT solve; it returns a fresh array and
 never touches ``b`` or the numerator.  With ``record_trace``, the same sweep
@@ -157,8 +158,8 @@ class SolverConfig:
             raise ConfigError(f"lam entries must be finite and nonnegative, got {self.lam}")
         if not all(math.isfinite(v) and v > 0 for v in self.gamma):
             raise ConfigError(f"gamma entries must be finite and positive, got {self.gamma}")
-        if not self.tol > 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.u_update not in (FULL13, REDUCED17):
@@ -211,7 +212,7 @@ def energy(u, f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> floa
         raise ConfigError(f"config has {len(cfg.lam)} channels, bank has {bank.m}")
     reg = sum(
         vtv(g, weights=cfg.lam, isotropic=cfg.shrinkage == ISO)
-        for _, g in bank.frame_gradient.blocks(uu)
+        for _, g, _ in bank.frame_gradient.blocks(uu)
     )
     return reg + _fidelity(uu, ff, op)
 
@@ -316,13 +317,13 @@ class SplitBregman:
         """
         # Per block, with v = grad(F u_new) + b and d = shrink(v):
         # b <- v - d, which is clip(v, -T, T) for the anisotropic shrink, and
-        # the block becomes d - b = v - 2 b, which ``blocks`` then adds into
-        # the next numerator; all in place (a fresh result array costs 2-4x).
+        # the block becomes d - b = v - 2 b, which is added into the next
+        # numerator; all in place (a fresh result array costs 2-4x).
         t = self._thresholds
         lam, isotropic = self.cfg.lam, self.cfg.shrinkage == ISO
         regularization = 0
         self._adjoint_sum.reset()
-        for rows, v in self._stencil.blocks(u_new, then=self._adjoint_sum):
+        for rows, v, spent in self._stencil.blocks(u_new):
             if self.cfg.record_trace:
                 regularization += vtv(v, weights=lam, isotropic=isotropic)
             b = self.b[:, :, rows]
@@ -334,6 +335,7 @@ class SplitBregman:
                 np.clip(v, -t, t, out=b)
             v -= b
             v -= b
+            self._adjoint_sum.add(rows, v, spent)
         self.numerator = self._adjoint_sum.fold()
         self.numerator += self._atf
         if self.cfg.record_trace:

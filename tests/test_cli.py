@@ -4,13 +4,15 @@ import argparse
 import io
 import json
 import math
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vtvrestore import quantize, write_pgm
+from vtvrestore import cli, quantize, write_pgm
 from vtvrestore.cli import SETTINGS, build_parser, main
 
 from conftest import make_phantom
@@ -138,6 +140,16 @@ class TestDenoise:
         meta = json.loads((tmp_path / "o" / "const_run.json").read_text())
         assert meta["metrics"]["psnr_restored"] == "inf"
 
+    def test_noise_past_the_float_range_gives_minus_inf_marker(self, small_pgm, tmp_path):
+        code, stdout = run_cli(
+            "denoise", "--input", small_pgm, "--out", str(tmp_path), "--sigma", "1e300",
+            "--max-iter", "2",
+        )
+        assert code == 2
+        assert stdout.splitlines()[1].split(",")[1] == "-inf"
+        meta = json.loads((tmp_path / "small_run.json").read_text())
+        assert meta["metrics"]["psnr_noisy"] == "-inf"
+
     def test_full13_variant_converges(self, phantom_pgm, tmp_path):
         code, stdout = run_cli(
             "denoise", "--input", phantom_pgm, "--out", str(tmp_path),
@@ -261,6 +273,36 @@ class TestInputVariants:
         assert meta["shrinkage"] == "iso"
 
 
+@pytest.fixture(scope="module")
+def fuzz_dirs(tmp_path_factory):
+    """A 16x16 input image and an output directory, shared by the examples."""
+    image = tmp_path_factory.mktemp("images") / "tiny.pgm"
+    write_pgm(image, make_phantom(16))
+    return str(image), tmp_path_factory.mktemp("fuzz")
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=4,
+)
+
+
+def _setting_values(kind):
+    """JSON values a setting of ``kind`` could take, edge cases included."""
+    if kind is float:
+        return st.floats() | st.integers() | st.floats(0, 50)
+    if kind is int:
+        return st.integers() | st.integers(-2, 20)
+    if kind is bool:
+        return st.booleans()
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind)
+    return st.text(max_size=4)
+
+
 class TestConfigAndErrors:
     def test_config_file_supplies_values_and_flags_win(self, small_pgm, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -327,10 +369,20 @@ class TestConfigAndErrors:
         code, _ = run_cli("denoise", "--input", str(bad), "--out", str(tmp_path / "o"))
         self.assert_one_line_error(capsys, code)
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_bad_image_in_a_batch_keeps_the_other_rows(self, small_pgm, tmp_path, capsys, jobs):
+    @pytest.mark.parametrize(
+        "jobs, header",
+        [
+            (jobs, header)
+            for header in (b"P5\nabc 4\n255\n", b"P5\n" + b"1" * 5000 + b" 4\n255\n")
+            for jobs in ("1", "2")
+        ],
+        ids=["1", "2", "1-5000-digit-width", "2-5000-digit-width"],
+    )
+    def test_bad_image_in_a_batch_keeps_the_other_rows(
+        self, small_pgm, tmp_path, capsys, jobs, header
+    ):
         bad = tmp_path / "bad.pgm"
-        bad.write_bytes(b"P5\nabc 4\n255\n")
+        bad.write_bytes(header)
         out = tmp_path / "o"
         code, stdout = run_cli(
             "denoise", "--input", small_pgm, str(bad), "--out", str(out), "--jobs", jobs
@@ -341,6 +393,33 @@ class TestConfigAndErrors:
         assert [row["image"] for row in parse_metrics(stdout)] == ["small"]
         assert (out / "small_restored.pgm").is_file()
         assert not (out / "bad_restored.pgm").exists()
+
+    def test_image_that_runs_out_of_memory_keeps_the_other_rows(
+        self, small_pgm, tmp_path, capsys, monkeypatch
+    ):
+        other = tmp_path / "other.pgm"
+        other.write_bytes(Path(small_pgm).read_bytes())
+        solve = cli.solve
+        calls = []
+
+        def solve_or_run_out(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise MemoryError()
+            return solve(*args)
+
+        monkeypatch.setattr(cli, "solve", solve_or_run_out)
+        out = tmp_path / "o"
+        code, stdout = run_cli(
+            "denoise", "--input", small_pgm, str(other), "--out", str(out), "--max-iter", "3",
+            "--jobs", "1",
+        )
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == [f"vtv-restore: error: {other}: out of memory"]
+        assert [row["image"] for row in parse_metrics(stdout)] == ["small"]
+        assert (out / "small_restored.pgm").is_file() and (out / "small_degraded.pgm").is_file()
+        assert not (out / "other_restored.pgm").exists()
 
     def test_non_numeric_config_value_is_an_error(self, small_pgm, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -363,10 +442,11 @@ class TestConfigAndErrors:
             {"trace": "no"},
             {"dump_features": 1},
             {"max_iter": 20.0},
+            {"sigma": 10**400},
         ],
         ids=[
             "variant", "shrinkage", "ref", "out", "input-number", "input-list",
-            "trace", "dump_features", "max_iter-float",
+            "trace", "dump_features", "max_iter-float", "sigma-beyond-float",
         ],
     )
     def test_config_value_of_the_wrong_kind_is_an_error(self, small_pgm, tmp_path, capsys, config):
@@ -397,21 +477,30 @@ class TestConfigAndErrors:
 
     def test_blur_length_too_large_to_allocate_is_an_error(self, small_pgm, tmp_path, capsys):
         out = tmp_path / "o"
-        code, _ = run_cli(
-            "deblur", "--input", small_pgm, "--out", str(out), "--blur-len", "10000000000001"
-        )
-        self.assert_one_line_error(capsys, code)
-        assert not out.exists()
+        # too large for memory, then past numpy's dimension limit
+        for length in ("10000000000001", "10000000000000000000001"):
+            code, _ = run_cli(
+                "deblur", "--input", small_pgm, "--out", str(out), "--blur-len", length
+            )
+            self.assert_one_line_error(capsys, code)
+            assert not out.exists()
 
     def test_config_file_that_is_not_json_is_an_error(self, small_pgm, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text('{"tol": ')
-        code, _ = run_cli(
-            "denoise", "--input", small_pgm, "--out", str(tmp_path / "o"),
-            "--config", str(cfg_path),
-        )
-        err = self.assert_one_line_error(capsys, code)
-        assert err.startswith(f"vtv-restore: error: config file {cfg_path} is not valid JSON: ")
+        out = tmp_path / "o"
+        for body, problem in [
+            ('{"tol": ', "is not valid JSON"),
+            # past the parser's recursion limit, past Python's integer digit limit
+            ("[" * 100000, "cannot be read"),
+            ('{"tol": ' + "1" * 5000 + "}", "cannot be read"),
+        ]:
+            cfg_path.write_text(body)
+            code, _ = run_cli(
+                "denoise", "--input", small_pgm, "--out", str(out), "--config", str(cfg_path),
+            )
+            err = self.assert_one_line_error(capsys, code)
+            assert err.startswith(f"vtv-restore: error: config file {cfg_path} {problem}: ")
+            assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_seed_is_an_error(self, small_pgm, tmp_path, capsys, source):
@@ -448,8 +537,13 @@ class TestConfigAndErrors:
             (["--lambda1", "inf"], None),
             (["--gamma-rest", "nan"], None),
             ([], '{"gamma1": Infinity}'),
+            (["--tol", "inf"], None),
+            ([], '{"tol": 1e999}'),
         ],
-        ids=["sigma-nan", "lambda1-inf", "gamma_rest-nan", "config-gamma1-infinity"],
+        ids=[
+            "sigma-nan", "lambda1-inf", "gamma_rest-nan", "config-gamma1-infinity",
+            "tol-inf", "config-tol-1e999",
+        ],
     )
     def test_non_finite_setting_is_an_error(self, small_pgm, tmp_path, capsys, flags, config):
         if config is not None:
@@ -461,6 +555,26 @@ class TestConfigAndErrors:
         self.assert_one_line_error(capsys, code)
         assert stdout == ""
         assert not out.exists()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(config=st.fixed_dictionaries({}, optional={
+        key: _json_values | _setting_values(kind) for key, (kind, _, _) in SETTINGS.items()
+    }))
+    @example(config={"sigma": 10**400})  # past the float range
+    @example(config={"sigma": 1e300})  # noise whose squared error overflows
+    def test_fuzzed_config_gives_a_result_or_error_lines(self, fuzz_dirs, config):
+        # the path flags win over the config, so no fuzzed path is read or written
+        image, out = fuzz_dirs
+        cfg_path = out / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, _ = run_cli(
+                "denoise", "--input", image, "--ref", image, "--out", str(out),
+                "--max-iter", "2", "--config", str(cfg_path),
+            )
+        assert code in (0, 1, 2)
+        assert all(line.startswith("vtv-restore: error: ") for line in err.getvalue().splitlines())
 
     def test_every_setting_is_one_flag_with_its_key_as_dest(self):
         subparsers = next(

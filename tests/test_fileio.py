@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from vtvrestore import (
     SolveResult,
@@ -26,6 +28,53 @@ def test_pgm_round_trip_is_bit_exact(tmp_path):
     back = read_pgm(path)
     assert back.dtype == np.float64
     assert np.array_equal(back, img)
+
+
+# Each example overwrites the same file, so one tmp_path serves them all.
+_FILE_PROPERTY = settings(
+    max_examples=100, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@_FILE_PROPERTY
+@given(h=st.integers(1, 40), w=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+@example(h=1, w=37, seed=0)
+@example(h=37, w=1, seed=0)
+def test_pgm_round_trip_on_random_images(tmp_path, h, w, seed):
+    img = np.random.default_rng(seed).integers(0, 256, size=(h, w)).astype(np.float64)
+    path = tmp_path / "img.pgm"
+    write_pgm(path, img)
+    assert np.array_equal(read_pgm(path), img)
+
+
+_HEADER_TOKENS = st.one_of(
+    st.sampled_from([b"P5", b"P2", b"255", b"256", b"0", b"1", b"2", b"3", b"-1", b"+2", b"0x3"]),
+    st.integers(1, 6000).map(lambda n: b"1" * n),
+    st.binary(min_size=1, max_size=3),
+)
+_SEPARATORS = st.sampled_from([b" ", b"\n", b"\r\n", b"\t", b"# note\n", b"#", b""])
+
+
+@_FILE_PROPERTY
+@given(
+    header=st.lists(st.tuples(_HEADER_TOKENS, _SEPARATORS), max_size=6),
+    raster=st.binary(max_size=40),
+    keep=st.integers(0, 100),
+)
+@example(header=[(b"P5", b"\n"), (b"1" * 5000, b" "), (b"4", b"\n"), (b"255", b"\n")],
+         raster=bytes(16), keep=100)
+@example(header=[(b"P5", b"\n"), (b"2", b" "), (b"2", b"\n"), (b"255", b"\n")],
+         raster=bytes(4), keep=100)
+def test_fuzzed_pgm_gives_an_image_or_a_library_error(tmp_path, header, raster, keep):
+    data = b"".join(token + sep for token, sep in header) + raster
+    path = tmp_path / "fuzz.pgm"
+    path.write_bytes(data[: len(data) * keep // 100])
+    try:
+        img = read_pgm(path)
+    except VTVError:
+        return
+    assert img.ndim == 2 and img.size >= 1 and img.dtype == np.float64
 
 
 def test_quantize_rounds_half_away_from_zero():
@@ -93,7 +142,10 @@ def test_a_write_that_fails_midway_leaves_no_partial_file(tmp_path, monkeypatch,
     elif artifact == "trace":
         # the header and the first row are written, then the second row fails
         with pytest.raises(TypeError):
-            write_trace_csv(path, SolveResult(u=None, iterations=2, trace=[0.5, None]))
+            write_trace_csv(
+                path,
+                SolveResult(u=None, iterations=2, trace=[0.5, None], energy_trace=[1.0, 2.0]),
+            )
     else:
         with pytest.raises(TypeError):
             _write_json_that_fails(path)

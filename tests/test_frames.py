@@ -266,7 +266,7 @@ def test_every_block_size_gives_the_same_stencil(monkeypatch, bank, shape, block
     expected = reference_apply(u, bank)
     assert np.max(np.abs(stencil.apply(u) - expected)) <= 1e-12
     # without out, each block arrives in a buffer the next block reuses
-    pieces = [(rows, g.copy()) for rows, g in stencil.blocks(u)]
+    pieces = [(rows, g.copy()) for rows, g, _ in stencil.blocks(u)]
     assert [rows.start for rows, _ in pieces] == list(range(0, h, block_rows or h))
     assert np.max(np.abs(np.concatenate([g for _, g in pieces], axis=2) - expected)) <= 1e-12
     got = stencil.adjoint(p, weights=gamma)

@@ -233,6 +233,9 @@ class TestPsnr:
         u = np.full((8, 8), 42.0)
         assert psnr(u, u.copy()) == math.inf
 
+    def test_squared_error_past_the_float_range_gives_minus_inf(self):
+        assert psnr(np.zeros((4, 4)), np.full((4, 4), 1e300)) == -math.inf
+
     def test_uniform_error_of_one_tenth_peak(self):
         ref = np.full((16, 16), 100.0)
         assert abs(psnr(ref, ref + 25.5) - 20.0) < 1e-12

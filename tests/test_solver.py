@@ -345,6 +345,17 @@ class TestSolve:
         with pytest.raises(NonFiniteError):
             solve(f, DegradationOp.identity(), bank, denoise_cfg())
 
+    def test_divergent_iterate_raises_and_keeps_the_state(self, bank):
+        rng = np.random.default_rng(9)
+        f = rng.uniform(0, 255, (12, 12))
+        sb = SplitBregman(f, DegradationOp.identity(), bank, denoise_cfg())
+        sb.step()
+        sb.numerator[4, 5] = np.nan
+        b, u = sb.b.copy(), sb.u.copy()
+        with pytest.raises(NonFiniteError, match="iterate contains NaN or Inf"):
+            sb.step()
+        assert np.array_equal(sb.b, b) and np.array_equal(sb.u, u)
+
     def test_trace_contract(self, bank):
         rng = np.random.default_rng(8)
         f = rng.uniform(0, 255, (16, 16))
@@ -563,10 +574,9 @@ class TestTraceCsv:
         assert float(first[1]) == res.trace[0]  # 17 significant digits round-trip
         assert float(first[2]) == res.energy_trace[0]
 
-    def test_energy_column_empty_without_recording(self, bank, tmp_path):
+    def test_trace_without_energies_is_refused(self, bank, tmp_path):
         f = np.full((8, 8), 1.0)
         res = solve(f, DegradationOp.identity(), bank, denoise_cfg())
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, res)
-        row = path.read_text().splitlines()[1]
-        assert row.endswith(",")
+        with pytest.raises(ValueError):
+            write_trace_csv(tmp_path / "trace.csv", res)
+        assert list(tmp_path.iterdir()) == []
