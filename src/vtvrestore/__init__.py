@@ -29,9 +29,11 @@ from .image import (
 )
 from .solver import (
     ANISO,
+    DOUBLE,
     FULL13,
     ISO,
     REDUCED17,
+    SINGLE,
     DegradationOp,
     SolveResult,
     SolverConfig,
@@ -46,6 +48,7 @@ __all__ = [
     "ANISO",
     "ChannelMismatchError",
     "ConfigError",
+    "DOUBLE",
     "DegradationOp",
     "DimensionMismatchError",
     "FULL13",
@@ -54,6 +57,7 @@ __all__ = [
     "NoiseSpec",
     "NonFiniteError",
     "REDUCED17",
+    "SINGLE",
     "SingularSymbolError",
     "SolveResult",
     "SolverConfig",

@@ -23,7 +23,7 @@ from .errors import ConfigError, DimensionMismatchError, VTVError
 from .fileio import atomic_open, quantize, read_image, write_pgm, write_trace_csv
 from .frames import analyze, bspline_bank
 from .image import psnr
-from .solver import ANISO, FULL13, ISO, REDUCED17, DegradationOp, SolverConfig, solve
+from .solver import ANISO, FULL13, ISO, REDUCED17, SINGLE, DegradationOp, SolverConfig, solve
 
 #: Restoration defaults per (task, variant); flags and config files override.
 TASK_DEFAULTS = {
@@ -270,6 +270,7 @@ def _process_one(job: dict) -> dict:
         "tol": cfg.tol,
         "max_iter": cfg.max_iter,
         "shrinkage": cfg.shrinkage,
+        "precision": result.precision,
         "sigma": noise.sigma,
         "blur_len": settings["blur_len"] if task == "deblur" else None,
         "seed": noise.seed,
@@ -313,6 +314,9 @@ def _run_restoration(task: str, args: argparse.Namespace) -> int:
         u_update=settings["variant"],
         shrinkage=settings["shrinkage"],
         record_trace=settings["trace"],
+        # float32 splitting state: iteration counts and PSNRs as at double
+        # (README, "Precision"); a solve past the float32 bound runs at double
+        precision=SINGLE,
     )
     run = {"task": task, "settings": settings, "bank": bank, "op": op, "cfg": cfg}
     jobs = [

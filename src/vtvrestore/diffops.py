@@ -39,24 +39,36 @@ def grad_adjoint(p) -> np.ndarray:
     return (np.roll(px, 1, axis=-1) - px) + (np.roll(py, 1, axis=-2) - py)
 
 
+def _floating(p) -> np.ndarray:
+    """``p`` as an array, float64 unless it is float32 already."""
+    q = np.asarray(p)
+    return q if q.dtype == np.float32 else np.asarray(q, dtype=np.float64)
+
+
 def vtv(p, weights=None, isotropic: bool = False) -> float:
     """Weighted vector TV of a channel stack shaped ``(m, 2, h, w)``.
 
     A channel's TV is the l1 sum over both components (anisotropic) or the
     sum of per-pixel gradient magnitudes (isotropic).  Sums the per-channel
-    TV with weight ``weights[i]`` (ones if omitted).
+    TV with weight ``weights[i]`` (ones if omitted).  A float32 stack is read
+    as it is, with the sums accumulated in float64.  A TV past the float
+    range is ``inf``.
     """
-    q = np.asarray(p, dtype=np.float64)
-    if isotropic:
-        per_channel = np.array([np.sqrt((c * c).sum(axis=0)).sum() for c in q])
-    else:
-        per_channel = np.array([np.abs(c).sum() for c in q])
-    if weights is None:
-        return float(per_channel.sum())
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (q.shape[0],):
-        raise ValueError(f"need {q.shape[0]} weights, got shape {w.shape}")
-    return float((w * per_channel).sum())
+    q = _floating(p)
+    if weights is not None:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (q.shape[0],):
+            raise ValueError(f"need {q.shape[0]} weights, got shape {w.shape}")
+    with np.errstate(over="ignore"):
+        if isotropic:
+            per_channel = np.array(
+                [np.sqrt((c * c).sum(axis=0)).sum(dtype=np.float64) for c in q]
+            )
+        else:
+            per_channel = np.array([np.abs(c).sum(dtype=np.float64) for c in q])
+        if weights is None:
+            return float(per_channel.sum())
+        return float((w * per_channel).sum())
 
 
 def shrink(v, threshold) -> np.ndarray:
@@ -82,9 +94,9 @@ def shrink_iso(p, threshold, out=None) -> np.ndarray:
     Shrinks the length of each ``(gx, gy)`` vector by ``threshold``, keeping
     its direction.  ``threshold`` broadcasts against the ``(..., h, w)``
     magnitude array.  With ``out`` the result is written there and ``out``
-    is returned.
+    is returned.  A float32 field is shrunk in float32.
     """
-    q = np.asarray(p, dtype=np.float64)
+    q = _floating(p)
     px = q[..., 0, :, :]
     py = q[..., 1, :, :]
     mag = px * px

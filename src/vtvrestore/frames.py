@@ -135,7 +135,10 @@ class FrameGradient:
     at a time into an :class:`AdjointSum`.  :meth:`blocks` hands each block
     of ``apply`` to the caller while it is still in cache, together with the
     spent plane buffer, so a caller can finish the block and add it to an
-    :class:`AdjointSum` of its own without storing the field.
+    :class:`AdjointSum` of its own without storing the field.  The block
+    buffers (:meth:`block_buffers`) may be float32: the padded copy, the
+    planes, the matrix product and the block are then single precision, with
+    :attr:`taps` cast once.
 
     Built once per bank (see :attr:`FilterBank.frame_gradient`); it holds no
     per-image state.
@@ -156,12 +159,30 @@ class FrameGradient:
         #: ``(2m, n)`` read-only tap matrix; row ``2 i + c`` is channel ``i``,
         #: gradient component ``c`` (0 for x, 1 for y).
         self.taps = taps
+        #: :attr:`taps` by the dtypes :meth:`block_buffers` takes.
+        self._taps_as = {t.dtype: t for t in (taps, taps.astype(np.float32))}
         # plane (dy, dx) at pixel (r, c) reads u[r - dy, c - dx], so the
         # padding is max(dy) rows above, -min(dy) below, likewise for columns
         dys, dxs = zip((0, 0), *offsets)
         self._pad = ((max(dys), -min(dys)), (max(dxs), -min(dxs)))
 
-    def blocks(self, u):
+    def block_buffers(self, shape, dtype=np.float64) -> tuple:
+        """New scratch for :meth:`blocks` on an ``(h, w)`` grid.
+
+        ``(halo, planes, block)``: the padded rows of one block, its shifted
+        planes and its ``(m, 2, rows, w)`` output, all of ``dtype``, float64
+        or float32.  Their size is set by :data:`BLOCK_PIXELS`, not by ``h``.
+        """
+        h, w = shape
+        (top, bottom), (left, right) = self._pad
+        rows = _block_rows(h, w)
+        return (
+            np.empty((top + rows + bottom, left + w + right), dtype),
+            np.empty((len(self.offsets), rows * w), dtype),
+            np.empty((self.m, 2, rows, w), dtype),
+        )
+
+    def blocks(self, u, buffers=None):
         """Yield ``(rows, g, spent)`` for each row block of ``apply(u)``.
 
         ``g`` is ``grad(analyze(u))[:, :, rows]`` and ``spent`` the block's
@@ -169,16 +190,18 @@ class FrameGradient:
         :meth:`AdjointSum.add` takes.  The next block overwrites both; the
         caller may finish ``g`` in place, so one sweep can both apply the
         stencil and sum the adjoint of what the caller makes of each block.
+        ``buffers`` is the scratch of :meth:`block_buffers`, which a caller
+        that sweeps the same grid again keeps; they are made afresh, at
+        float64, when omitted.  ``g`` and ``spent`` have their dtype.
         """
         f = np.asarray(u, dtype=np.float64)
         if f.ndim != 2:
             raise DimensionMismatchError(f"expected a 2-D image, got {f.shape}")
         h, w = f.shape
         (top, bottom), (left, right) = self._pad
-        rows = _block_rows(h, w)
-        halo = np.empty((top + rows + bottom, left + w + right))
-        planes = np.empty((len(self.offsets), rows * w))
-        buffer = np.empty((self.m, 2, rows, w))
+        halo, planes, buffer = buffers or self.block_buffers(f.shape)
+        taps = self._taps_as[halo.dtype]
+        rows = buffer.shape[2]
         for r0 in range(0, h, rows):
             r1 = min(r0 + rows, h)
             size = (r1 - r0) * w
@@ -193,14 +216,14 @@ class FrameGradient:
             # it maps constant images to exactly zero and shrinks the
             # cancellation error.  A pixel value is exact where the mean may
             # round.
-            padded -= f.flat[0]
+            padded -= halo.dtype.type(f.flat[0])
             for plane, (dy, dx) in zip(planes, self.offsets):
                 np.copyto(
                     plane[:size].reshape(r1 - r0, w),
                     padded[top - dy : top - dy + r1 - r0, left - dx : left - dx + w],
                 )
             g = buffer[:, :, : r1 - r0]
-            np.matmul(self.taps, planes[:, :size], out=g.reshape(2 * self.m, size))
+            np.matmul(taps, planes[:, :size], out=g.reshape(2 * self.m, size))
             yield slice(r0, r1), g, planes[:, :size]
 
     def apply(self, u) -> np.ndarray:
@@ -256,14 +279,16 @@ class AdjointSum:
     modulo ``h`` and ``w``, which is exact on any grid, 1x1 included.  So a
     caller that produces the field block by block never stores all of it.
     The accumulator persists across :meth:`reset`, so summing a new field
-    allocates nothing (see :meth:`FrameGradient.blocks`).
+    allocates nothing (see :meth:`FrameGradient.blocks`).  It is float64
+    whatever ``dtype`` is; ``dtype`` is that of the weighted transposed taps,
+    and so of the blocks and plane scratch :meth:`add` takes.
     """
 
-    def __init__(self, stencil: FrameGradient, shape, weights=None):
+    def __init__(self, stencil: FrameGradient, shape, weights=None, dtype=np.float64):
         h, w = shape
         (top, bottom), (left, right) = stencil._pad
         row_weights = np.repeat(np.ones(stencil.m) if weights is None else weights, 2)
-        self._weighted = np.ascontiguousarray((stencil.taps * row_weights[:, None]).T)
+        self._weighted = np.ascontiguousarray((stencil.taps * row_weights[:, None]).T, dtype)
         self._offsets = stencil.offsets
         self._frame = (top, left, h, w)
         self._acc = np.zeros((top + h + bottom, left + w + right))

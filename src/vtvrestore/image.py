@@ -149,7 +149,7 @@ def nonsingular(half) -> np.ndarray:
     return half
 
 
-def solve_diagonal(numerator, half, spectrum) -> np.ndarray:
+def solve_diagonal(numerator, half, spectrum, out=None) -> np.ndarray:
     """Solve ``Op u = numerator`` for an operator with the given symbol.
 
     Computes ``IFFT(FFT(numerator) / symbol)``, the exact inverse of any real
@@ -158,7 +158,9 @@ def solve_diagonal(numerator, half, spectrum) -> np.ndarray:
     checked once by :func:`nonsingular`.  Runs the transforms of
     ``irfft2(rfft2(numerator) / half)`` in the complex ``spectrum`` buffer of
     ``half``'s shape, which it overwrites, so no other complex array is made
-    and the result is bit for bit the same.  Returns a new array.
+    and the result is bit for bit the same.  Returns a new array, or writes
+    the result into the float64 array ``out`` of ``numerator``'s shape and
+    returns ``out``.
     """
     num = np.asarray(numerator, dtype=np.float64)
     half = np.asarray(half)
@@ -170,7 +172,7 @@ def solve_diagonal(numerator, half, spectrum) -> np.ndarray:
     np.fft.rfft2(num, out=spectrum)
     spectrum /= half
     np.fft.ifft(spectrum, axis=-2, out=spectrum)
-    return np.fft.irfft(spectrum, n=w, axis=-1)
+    return np.fft.irfft(spectrum, n=w, axis=-1, out=out)
 
 
 def psnr(ref, test) -> float:
@@ -184,7 +186,8 @@ def psnr(ref, test) -> float:
     b = np.asarray(test, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
-    err = float(np.sum((a - b) ** 2))
+    with np.errstate(over="ignore"):
+        err = float(np.sum((a - b) ** 2))
     if err == 0.0:
         return math.inf
     if err == math.inf:

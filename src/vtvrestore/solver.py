@@ -40,6 +40,7 @@ check against.
 multipliers ``b``; one image, the ``numerator`` of the next u-update; and
 one complex buffer the size of the half spectrum, in which the FFT solve
 runs and which :meth:`~SplitBregman.advance` then reuses for ``u_new - u``.
+Its first step adds the block buffers of the sweep and a spare iterate.
 The observation ``f`` is read, never written, and not copied: ``u`` starts
 as ``f`` itself, and ``A* f`` is ``f`` itself for the identity, so a caller
 must not change ``f`` during the solve.  The splits ``d`` are never stored:
@@ -52,7 +53,21 @@ shifted-plane buffer as scratch), all in one loop.  It overwrites ``b`` and
 copy it.  So the u-update is one FFT solve; it returns a fresh array and
 never touches ``b`` or the numerator.  With ``record_trace``, the same sweep
 also sums the TV part of the energy, so a traced iteration runs the stencil
-once.
+once.  :meth:`~SplitBregman.step` writes the next iterate into the array of
+the iterate before last, so from the second step on a step allocates no
+image.
+
+``SolverConfig.precision`` sets the dtype of the splitting state.  At
+``"single"``, ``b``, the thresholds, the stencil's block buffers and taps and
+the gamma-weighted taps of the numerator's adjoint are float32: the sweep
+reads and writes half the bytes and its matrix products run in single
+precision.  The iterate ``u``, the numerator it is summed into, the
+denominator, the FFT solve and ``rel_err`` stay float64, as do the
+references :func:`energy`, ``FrameGradient.apply``/``adjoint`` and
+:meth:`~SplitBregman.kkt_residual`.  A single solve whose observation,
+gamma-weighted taps or thresholds exceed :data:`SINGLE_BOUND` runs at
+double; :attr:`SplitBregman.precision` and :attr:`SolveResult.precision`
+say which ran.
 """
 
 from __future__ import annotations
@@ -82,9 +97,18 @@ FULL13 = "full13"
 REDUCED17 = "reduced17"
 ANISO = "aniso"
 ISO = "iso"
+DOUBLE = "double"
+SINGLE = "single"
 
 #: Guard for the relative-error denominator ||u^j||.
 _NORM_FLOOR = 1e-12
+
+#: Largest magnitude a single-precision solve casts to float32: of the
+#: observation, a gamma-weighted tap and a threshold.  A product of two such
+#: values, summed over a stencil's taps, stays some eight decades below
+#: float32's largest value (3.4e38), which leaves room for the iterate to
+#: grow past the observation.  Past it a single solve runs at double.
+SINGLE_BOUND = 1e15
 
 
 class DegradationOp:
@@ -136,7 +160,8 @@ class SolverConfig:
 
     ``lam`` weights the per-channel TV terms; ``gamma`` are the splitting
     penalties (also the u-update damping).  Lengths must equal the bank's
-    channel count.
+    channel count.  ``precision`` is the dtype of the splitting state:
+    ``"double"`` (float64) or ``"single"`` (float32; see the module notes).
     """
 
     lam: tuple
@@ -146,6 +171,7 @@ class SolverConfig:
     u_update: str = REDUCED17
     shrinkage: str = ANISO
     record_trace: bool = False
+    precision: str = DOUBLE
 
     def __post_init__(self):
         self.lam = tuple(float(v) for v in np.atleast_1d(self.lam))
@@ -166,6 +192,8 @@ class SolverConfig:
             raise ConfigError(f"unknown u_update variant {self.u_update!r}")
         if self.shrinkage not in (ANISO, ISO):
             raise ConfigError(f"unknown shrinkage flavor {self.shrinkage!r}")
+        if self.precision not in (DOUBLE, SINGLE):
+            raise ConfigError(f"unknown precision {self.precision!r}")
 
     @classmethod
     def head_rest(
@@ -192,7 +220,8 @@ class SolveResult:
     ``trace[j]`` is the relative change after u-update ``j+1``; it always has
     one entry per iteration.  ``energy_trace`` is filled only when
     ``record_trace`` is set.  ``converged`` is true iff the last trace entry
-    reached ``tol``.
+    reached ``tol``.  ``precision`` is the one the solve ran at (see
+    :attr:`SplitBregman.precision`).
     """
 
     u: np.ndarray
@@ -200,6 +229,7 @@ class SolveResult:
     trace: list = field(default_factory=list)
     energy_trace: list = field(default_factory=list)
     converged: bool = False
+    precision: str = DOUBLE
 
 
 def energy(u, f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> float:
@@ -218,8 +248,20 @@ def energy(u, f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> floa
 
 
 def _fidelity(u, f, op: DegradationOp) -> float:
-    """``1/2 ||A u - f||^2``."""
-    return 0.5 * float(np.sum((op.apply(u) - f) ** 2))
+    """``1/2 ||A u - f||^2``; ``inf`` past the float range."""
+    with np.errstate(over="ignore"):
+        return 0.5 * float(np.sum((op.apply(u) - f) ** 2))
+
+
+def _norm(x) -> float:
+    """``||x||``, rescaled by the largest entry where the squares overflow."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+        if norm == math.inf:
+            peak = float(np.max(np.abs(x)))
+            if peak < math.inf:
+                norm = peak * float(np.linalg.norm(x / peak))
+    return norm
 
 
 class SplitBregman:
@@ -227,6 +269,9 @@ class SplitBregman:
 
     :func:`solve` drives this class; it is public so tests and callers can
     step the iteration manually and inspect ``u``, ``b`` and ``numerator``.
+    :attr:`precision` is the precision the solve runs at: the configured one,
+    or ``"double"`` where a single solve would cast a value past
+    :data:`SINGLE_BOUND` to float32.
     """
 
     def __init__(self, f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig):
@@ -252,9 +297,20 @@ class SplitBregman:
 
         h, w = self.f.shape
         m = bank.m
-        self._thresholds = (np.asarray(cfg.lam) / np.asarray(cfg.gamma)).reshape(-1, 1, 1, 1)
-
+        with np.errstate(over="ignore"):  # an inf threshold zeroes every d
+            thresholds = np.asarray(cfg.lam) / np.asarray(cfg.gamma)
         self._stencil = bank.frame_gradient
+        self.precision = cfg.precision
+        if self.precision == SINGLE and max(
+            float(self.f.max()),
+            -float(self.f.min()),
+            max(cfg.gamma) * float(np.abs(self._stencil.taps).max()),
+            float(thresholds.max()),
+        ) > SINGLE_BOUND:
+            self.precision = DOUBLE
+        dtype = np.float32 if self.precision == SINGLE else np.float64
+        self._thresholds = thresholds.astype(dtype).reshape(-1, 1, 1, 1)
+
         #: ``w`` of the normal operator ``A*A + sum_i w_i F_i* G* G F_i``.
         self._weights = cfg.gamma if cfg.u_update == FULL13 else (cfg.gamma[0],) * m
         denominator = np.ascontiguousarray(
@@ -268,8 +324,13 @@ class SplitBregman:
 
         self._atf = op.adjoint(self.f)
         self.u = self.f
-        self.b = np.zeros((m, 2, h, w))
-        self._adjoint_sum = AdjointSum(self._stencil, (h, w), cfg.gamma)
+        #: The iterate :meth:`step` installed last, and the array the next
+        #: step writes ``u_new`` into; see :meth:`step`.
+        self._stepped = self._spare = None
+        self.b = np.zeros((m, 2, h, w), dtype)
+        #: The stencil's block buffers, made by the first sweep.
+        self._buffers = None
+        self._adjoint_sum = AdjointSum(self._stencil, (h, w), cfg.gamma, dtype)
         #: ``A* f + sum_i gamma_i F_i* G* (d_i - b_i)``, the right-hand side of
         #: the next u-update; ``d = b = 0`` at the start.
         self.numerator = self._adjoint_sum.fold()
@@ -280,12 +341,13 @@ class SplitBregman:
 
     # -- u-updates ---------------------------------------------------------
 
-    def u_update(self) -> np.ndarray:
+    def u_update(self, out=None) -> np.ndarray:
         """Next u from the current numerator, per the configured variant.
 
-        Returns a new array; ``b`` and the numerator are left untouched.
+        Returns a new array, or fills the float64 image ``out`` and returns
+        it; ``b`` and the numerator are left untouched.
         """
-        return solve_diagonal(self.numerator, self._denominator, self._spectrum)
+        return solve_diagonal(self.numerator, self._denominator, self._spectrum, out)
 
     def kkt_residual(self, u) -> float:
         """Relative residual of the normal equation the u-update solves.
@@ -323,7 +385,9 @@ class SplitBregman:
         lam, isotropic = self.cfg.lam, self.cfg.shrinkage == ISO
         regularization = 0
         self._adjoint_sum.reset()
-        for rows, v, spent in self._stencil.blocks(u_new):
+        if self._buffers is None:
+            self._buffers = self._stencil.block_buffers(self.f.shape, self.b.dtype)
+        for rows, v, spent in self._stencil.blocks(u_new, self._buffers):
             if self.cfg.record_trace:
                 regularization += vtv(v, weights=lam, isotropic=isotropic)
             b = self.b[:, :, rows]
@@ -343,21 +407,30 @@ class SplitBregman:
         # u_new - u in a contiguous (h, w) view of the spent spectrum buffer;
         # a fresh difference image would raise the solve's peak by one image
         change = self._spectrum.view(np.float64).ravel()[: self.u.size].reshape(self.u.shape)
-        np.subtract(u_new, self.u, out=change)
-        rel = float(np.linalg.norm(change)) / max(
-            float(np.linalg.norm(self.u)), _NORM_FLOOR
-        )
+        with np.errstate(over="ignore"):
+            np.subtract(u_new, self.u, out=change)
+        rel = _norm(change) / max(_norm(self.u), _NORM_FLOOR)
         self.u = u_new
         return rel
 
     def step(self) -> float:
-        """One full iteration; returns the relative change of u."""
-        u_new = self.u_update()
+        """One full iteration; returns the relative change of u.
+
+        The next iterate is written into the array of the iterate before
+        last, so a caller that keeps ``u`` across two steps must copy it.
+        """
+        u_new = self.u_update(out=self._spare)
         if not np.isfinite(u_new).all():
             raise NonFiniteError(
                 "iterate contains NaN or Inf; parameters look divergent"
             )
-        return self.advance(u_new)
+        previous = self.u
+        rel = self.advance(u_new)
+        # The old iterate is the next output buffer unless it is f or an
+        # array a caller passed to advance(); then a new one is made, once.
+        self._spare = previous if previous is self._stepped else np.empty_like(u_new)
+        self._stepped = u_new
+        return rel
 
 
 def solve(f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> SolveResult:
@@ -384,4 +457,5 @@ def solve(f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> SolveRes
         trace=trace,
         energy_trace=energy_trace,
         converged=converged,
+        precision=sb.precision,
     )

@@ -116,6 +116,7 @@ class TestDenoise:
         assert meta["library_version"]
         assert meta["metrics"]["converged"] is True
         assert meta["metrics"]["iterations"] == row["iters"]
+        assert meta["precision"] == "single"
 
     def test_trace_csv_well_formed(self, denoise_run):
         _, row, out = denoise_run
@@ -140,7 +141,7 @@ class TestDenoise:
         meta = json.loads((tmp_path / "o" / "const_run.json").read_text())
         assert meta["metrics"]["psnr_restored"] == "inf"
 
-    def test_noise_past_the_float_range_gives_minus_inf_marker(self, small_pgm, tmp_path):
+    def test_noise_past_the_float_range_gives_minus_inf_marker(self, small_pgm, tmp_path, capsys):
         code, stdout = run_cli(
             "denoise", "--input", small_pgm, "--out", str(tmp_path), "--sigma", "1e300",
             "--max-iter", "2",
@@ -149,6 +150,29 @@ class TestDenoise:
         assert stdout.splitlines()[1].split(",")[1] == "-inf"
         meta = json.loads((tmp_path / "small_run.json").read_text())
         assert meta["metrics"]["psnr_noisy"] == "-inf"
+        assert meta["precision"] == "double"  # past the float32 bound
+        assert capsys.readouterr().err == ""
+
+    def test_threshold_past_the_float_range_runs_at_double(self, small_pgm, tmp_path, capsys):
+        # lambda / gamma overflows to an inf threshold, which zeroes every split
+        code, _ = run_cli(
+            "denoise", "--input", small_pgm, "--out", str(tmp_path),
+            "--lambda1", "1e300", "--gamma1", "1e-300", "--max-iter", "3",
+        )
+        assert code == 0
+        assert json.loads((tmp_path / "small_run.json").read_text())["precision"] == "double"
+        assert capsys.readouterr().err == ""
+
+    def test_traced_noise_past_the_float_range_gives_finite_changes(self, small_pgm, tmp_path):
+        # the squares of u overflow; rel_err is rescaled, the energy is inf
+        code, _ = run_cli(
+            "denoise", "--input", small_pgm, "--out", str(tmp_path), "--sigma", "1e300",
+            "--max-iter", "2", "--trace",
+        )
+        assert code == 2
+        rows = [line.split(",") for line in (tmp_path / "small_trace.csv").read_text().splitlines()[1:]]
+        assert [math.isfinite(float(rel)) for _, rel, _ in rows] == [True, True]
+        assert [energy for _, _, energy in rows] == ["inf", "inf"]
 
     def test_full13_variant_converges(self, phantom_pgm, tmp_path):
         code, stdout = run_cli(

@@ -1,5 +1,7 @@
 """Gradient/adjoint pair, TV seminorms and the shrinkage prox."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,25 @@ class TestSeminorms:
         with pytest.raises(ValueError):
             vtv(p, weights=[1.0, 2.0])
 
+    def test_float32_stack_is_summed_in_float64_without_a_copy(self):
+        rng = np.random.default_rng(7)
+        p = rng.standard_normal((9, 2, 128, 128)).astype(np.float32)
+        w = rng.uniform(0.5, 2.0, 9)
+        wide = p.astype(np.float64)
+        # |x| is exact in float32, so the anisotropic sums are those of float64
+        assert vtv(p, weights=w) == vtv(wide, weights=w)
+        iso = vtv(p, weights=w, isotropic=True)
+        assert abs(iso - vtv(wide, weights=w, isotropic=True)) <= 1e-6 * iso
+        tracemalloc.start()
+        try:
+            vtv(p, weights=w, isotropic=True)
+            vtv(p, weights=w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one channel's temporaries; a float64 copy would be 2 * p.nbytes
+        assert peak < p.nbytes // 2, peak
+
     def test_tv_of_grad_vanishes_only_for_constants(self):
         assert vtv(grad(np.full((6, 6), 2.0))[None]) == 0.0
         rng = np.random.default_rng(6)
@@ -174,6 +195,14 @@ class TestShrinkIso:
 
     def test_zero_vector_stays_zero(self):
         assert np.array_equal(shrink_iso(np.zeros((2, 3, 3)), 0.5), np.zeros((2, 3, 3)))
+
+    def test_float32_field_is_shrunk_in_float32(self):
+        rng = np.random.default_rng(13)
+        v = rng.standard_normal((3, 2, 5, 4))
+        t = np.array([0.1, 0.5, 1.0]).reshape(3, 1, 1)
+        narrow = shrink_iso(v.astype(np.float32), t.astype(np.float32))
+        assert narrow.dtype == np.float32
+        assert np.max(np.abs(narrow - shrink_iso(v, t))) <= 1e-6
 
     def test_below_threshold_clipped(self):
         p = np.full((2, 2, 2), 0.1)

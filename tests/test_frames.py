@@ -273,6 +273,32 @@ def test_every_block_size_gives_the_same_stencil(monkeypatch, bank, shape, block
     assert np.max(np.abs(got - reference_adjoint(p, bank, gamma))) <= 1e-12
 
 
+@pytest.mark.parametrize("shape", [(40, 33), (9, 1)])
+def test_float32_block_buffers_give_the_stencil_in_single_precision(bank, shape):
+    rng = np.random.default_rng(27)
+    u = 255 * rng.random(shape)
+    stencil = bank.frame_gradient
+    expected = reference_apply(u, bank)
+    buffers = stencil.block_buffers(shape, np.float32)
+    for _ in range(2):  # the same buffers serve every sweep
+        pieces = [g.copy() for _, g, _ in stencil.blocks(u, buffers)]
+        assert all(g.dtype == np.float32 for g in pieces)
+        got = np.concatenate(pieces, axis=2)
+        assert np.max(np.abs(got - expected)) <= 1e-5 * 255
+    # the float32 adjoint sums into a float64 image
+    gamma = rng.uniform(0.5, 3.0, bank.m)
+    p = rng.standard_normal((bank.m, 2) + shape)
+    total = frames.AdjointSum(stencil, shape, gamma, np.float32)
+    planes = buffers[1]
+    for r0 in range(0, shape[0], buffers[2].shape[2]):
+        rows = slice(r0, min(r0 + buffers[2].shape[2], shape[0]))
+        block = p[:, :, rows].astype(np.float32)
+        total.add(rows, block, planes[:, : block[0, 0].size])
+    got = total.fold()
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - reference_adjoint(p, bank, gamma))) <= 1e-5
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     h=st.integers(1, 40),

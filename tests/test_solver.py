@@ -1,6 +1,7 @@
 """Split Bregman solver: exactness of the updates, the loop contract and
 the classical-TV reduction."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 
 from vtvrestore import (
     ANISO,
+    DOUBLE,
     FULL13,
     ISO,
     REDUCED17,
+    SINGLE,
     ConfigError,
     DegradationOp,
     DimensionMismatchError,
@@ -35,6 +38,7 @@ from vtvrestore import (
     write_trace_csv,
 )
 from vtvrestore import cli, frames
+from vtvrestore.solver import SINGLE_BOUND
 
 from vtvrestore.diffops import FORWARD_DIFF_X, FORWARD_DIFF_Y
 
@@ -208,6 +212,48 @@ def test_warm_step_allocates_one_image_and_block_scratch(bank):
     finally:
         tracemalloc.stop()
     assert peak <= f.nbytes + scratch, (peak, f.nbytes + scratch)
+
+
+@pytest.mark.parametrize("precision", [DOUBLE, SINGLE])
+def test_warm_step_allocates_less_than_one_image(bank, precision):
+    # From the second step on, u_new is written into the iterate before last
+    # and the block buffers made by the first sweep are reused, so a step
+    # allocates only small temporaries, e.g. the isfinite mask of u_new.
+    f = np.random.default_rng(6).uniform(0, 255, (512, 512))
+    observed = f.copy()
+    sb = SplitBregman(f, DegradationOp.identity(), bank, denoise_cfg(precision=precision))
+    sb.step()
+    assert np.array_equal(f, observed)  # the first step does not write into f
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            sb.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < f.nbytes, (peak, f.nbytes)
+    assert np.array_equal(f, observed)
+
+
+def test_recycled_iterate_gives_the_same_iterates_as_fresh_ones(bank):
+    # step() writes u_new into the iterate before last; stepping by hand with
+    # a fresh array each time must give the same iterates bit for bit, and an
+    # array a caller passed to advance() is never written into
+    rng = np.random.default_rng(20)
+    f = rng.uniform(0, 255, (24, 20))
+    stepped = SplitBregman(f, DegradationOp.identity(), bank, denoise_cfg(tol=1e-30))
+    by_hand = SplitBregman(f, DegradationOp.identity(), bank, denoise_cfg(tol=1e-30))
+    for _ in range(6):
+        rel = stepped.step()
+        u_new = by_hand.u_update()
+        assert by_hand.advance(u_new) == rel
+        assert np.array_equal(stepped.u, u_new)
+    passed = stepped.u_update()
+    kept = passed.copy()
+    stepped.advance(passed)
+    for _ in range(3):
+        stepped.step()
+    assert np.array_equal(passed, kept)
 
 
 class TestUUpdate:
@@ -580,3 +626,79 @@ class TestTraceCsv:
         with pytest.raises(ValueError):
             write_trace_csv(tmp_path / "trace.csv", res)
         assert list(tmp_path.iterdir()) == []
+
+
+def cli_default_problem(variant, blur, size=64, seed=4, **kw):
+    """``(f, op, cfg)``: the CLI's defaults for denoise (no blur) or deblur."""
+    task = "denoise" if blur is None else "deblur"
+    defaults = cli.TASK_DEFAULTS[(task, variant)]
+    op = DegradationOp.identity() if blur is None else DegradationOp.blur(motion_blur_kernel(blur))
+    f = gaussian_noise(op.apply(make_phantom(size)), NoiseSpec(sigma=defaults["sigma"], seed=seed))
+    cfg = SolverConfig.head_rest(
+        9, defaults["lambda1"], defaults["lambda_rest"], defaults["gamma1"],
+        defaults["gamma_rest"], tol=defaults["tol"], u_update=variant, **kw,
+    )
+    return f, op, cfg
+
+
+class TestSinglePrecision:
+    """A float32 splitting state next to the float64 one.
+
+    Stated tolerances, each a few times the largest value measured over 20
+    seeds of these 64x64 problems (all eight combinations): ``max |du|`` is
+    below 1e-4 grey levels (measured 2.4e-5), the trace energies agree to a
+    relative 1e-6 (6.0e-8) and ``rel_err`` to a relative 1e-3 (5.0e-5).
+    """
+
+    @pytest.mark.parametrize("blur", [None, 9], ids=["identity", "blur9"])
+    @pytest.mark.parametrize("shrinkage", [ANISO, ISO])
+    @pytest.mark.parametrize("variant", [FULL13, REDUCED17])
+    def test_cli_defaults_take_the_same_iterations_as_double(self, bank, variant, shrinkage, blur):
+        f, op, cfg = cli_default_problem(variant, blur, shrinkage=shrinkage, record_trace=True)
+        double = solve(f, op, bank, cfg)
+        cfg.precision = SINGLE
+        single = solve(f, op, bank, cfg)
+        assert (double.precision, single.precision) == (DOUBLE, SINGLE)
+        assert single.converged and single.iterations == double.iterations
+        assert single.u.dtype == np.float64
+        assert np.max(np.abs(single.u - double.u)) < 1e-4
+        assert np.allclose(single.energy_trace, double.energy_trace, rtol=1e-6, atol=0)
+        assert np.allclose(single.trace, double.trace, rtol=1e-3, atol=0)
+
+    def test_state_is_float32_with_half_the_bytes(self, bank):
+        f, op, cfg = cli_default_problem(REDUCED17, 9)
+        double = SplitBregman(f, op, bank, cfg)
+        single = SplitBregman(f, op, bank, dataclasses.replace(cfg, precision=SINGLE))
+        assert single.precision == SINGLE and double.precision == DOUBLE
+        assert single.b.dtype == np.float32 and double.b.dtype == np.float64
+        assert 2 * single.b.nbytes == double.b.nbytes
+        single.step()
+        assert single.b.dtype == np.float32
+        assert single.u.dtype == single.numerator.dtype == np.float64
+
+    def test_unknown_precision_is_a_config_error(self):
+        with pytest.raises(ConfigError):
+            SolverConfig(lam=(1.0,), gamma=(1.0,), precision="half")
+
+    def test_observation_past_the_bound_runs_at_double(self, bank):
+        f, op, cfg = cli_default_problem(REDUCED17, None, precision=SINGLE)
+        res = solve(f * 1e298, op, bank, dataclasses.replace(cfg, max_iter=2))
+        assert res.precision == DOUBLE
+        assert np.isfinite(res.u).all()
+
+    def test_gamma_past_the_bound_runs_at_double(self, bank):
+        f, op, cfg = cli_default_problem(FULL13, None, precision=SINGLE)
+        gamma = 2 * SINGLE_BOUND / np.abs(bank.frame_gradient.taps).max()
+        cfg = SolverConfig.head_rest(9, 0.2, 0.2, gamma, gamma, u_update=FULL13, precision=SINGLE)
+        sb = SplitBregman(f, op, bank, cfg)
+        assert sb.precision == DOUBLE and sb.b.dtype == np.float64
+        sb.step()
+
+    def test_observation_just_inside_the_bound_stays_single_and_finite(self, bank):
+        f, op, cfg = cli_default_problem(REDUCED17, 9, precision=SINGLE)
+        scaled = f * (0.5 * SINGLE_BOUND / np.abs(f).max())
+        sb = SplitBregman(scaled, op, bank, cfg)
+        assert sb.precision == SINGLE
+        for _ in range(5):
+            assert np.isfinite(sb.step())
+        assert np.isfinite(sb.b).all()
