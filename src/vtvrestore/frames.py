@@ -7,8 +7,9 @@ reconstruction identity: analysis followed by adjoint synthesis is the
 identity, which :func:`verify_uep` checks in the frequency domain.
 
 :class:`FrameGradient` fuses the bank with the forward-difference gradient
-into one stencil, the form the solver iterates with; :func:`analyze` and
-the :mod:`~vtvrestore.diffops` gradient stay the spatial references.
+into one stencil, the form the solver iterates with, and a :class:`Sweep`
+runs it over the row blocks of one grid; :func:`analyze` and the
+:mod:`~vtvrestore.diffops` gradient stay the spatial references.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ def _compose(outer, inner) -> dict:
     return taps
 
 
-#: Pixels per row block of :class:`FrameGradient`: a block's 15 shifted
-#: planes (about 2 MB for the B-spline bank) stay in cache while the caller
+#: Pixels per row block of a :class:`Sweep`: a block's 15 shifted planes
+#: (about 2 MB for the B-spline bank) stay in cache while the caller
 #: finishes the block.
 BLOCK_PIXELS = 1 << 14
 
@@ -129,16 +130,9 @@ class FrameGradient:
     matrix and adds the planes back with the opposite shifts.
 
     Both directions run over row blocks of about :data:`BLOCK_PIXELS`
-    pixels, so only one block's shifted planes exist at a time.  Each block
-    reads its shifted planes from a copy of its own rows, padded by wrap with
-    the stencil's reach (a few rows and columns); the adjoint adds one block
-    at a time into an :class:`AdjointSum`.  :meth:`blocks` hands each block
-    of ``apply`` to the caller while it is still in cache, together with the
-    spent plane buffer, so a caller can finish the block and add it to an
-    :class:`AdjointSum` of its own without storing the field.  The block
-    buffers (:meth:`block_buffers`) may be float32: the padded copy, the
-    planes, the matrix product and the block are then single precision, with
-    :attr:`taps` cast once.
+    pixels, so only one block's shifted planes exist at a time: a
+    :class:`Sweep` holds one grid's scratch and runs the blocks, and
+    :meth:`apply` and :meth:`adjoint` are its shortest users.
 
     Built once per bank (see :attr:`FilterBank.frame_gradient`); it holds no
     per-image state.
@@ -159,78 +153,16 @@ class FrameGradient:
         #: ``(2m, n)`` read-only tap matrix; row ``2 i + c`` is channel ``i``,
         #: gradient component ``c`` (0 for x, 1 for y).
         self.taps = taps
-        #: :attr:`taps` by the dtypes :meth:`block_buffers` takes.
-        self._taps_as = {t.dtype: t for t in (taps, taps.astype(np.float32))}
         # plane (dy, dx) at pixel (r, c) reads u[r - dy, c - dx], so the
         # padding is max(dy) rows above, -min(dy) below, likewise for columns
         dys, dxs = zip((0, 0), *offsets)
         self._pad = ((max(dys), -min(dys)), (max(dxs), -min(dxs)))
 
-    def block_buffers(self, shape, dtype=np.float64) -> tuple:
-        """New scratch for :meth:`blocks` on an ``(h, w)`` grid.
-
-        ``(halo, planes, block)``: the padded rows of one block, its shifted
-        planes and its ``(m, 2, rows, w)`` output, all of ``dtype``, float64
-        or float32.  Their size is set by :data:`BLOCK_PIXELS`, not by ``h``.
-        """
-        h, w = shape
-        (top, bottom), (left, right) = self._pad
-        rows = _block_rows(h, w)
-        return (
-            np.empty((top + rows + bottom, left + w + right), dtype),
-            np.empty((len(self.offsets), rows * w), dtype),
-            np.empty((self.m, 2, rows, w), dtype),
-        )
-
-    def blocks(self, u, buffers=None):
-        """Yield ``(rows, g, spent)`` for each row block of ``apply(u)``.
-
-        ``g`` is ``grad(analyze(u))[:, :, rows]`` and ``spent`` the block's
-        shifted-plane buffer, free once ``g`` is computed: the scratch
-        :meth:`AdjointSum.add` takes.  The next block overwrites both; the
-        caller may finish ``g`` in place, so one sweep can both apply the
-        stencil and sum the adjoint of what the caller makes of each block.
-        ``buffers`` is the scratch of :meth:`block_buffers`, which a caller
-        that sweeps the same grid again keeps; they are made afresh, at
-        float64, when omitted.  ``g`` and ``spent`` have their dtype.
-        """
-        f = np.asarray(u, dtype=np.float64)
-        if f.ndim != 2:
-            raise DimensionMismatchError(f"expected a 2-D image, got {f.shape}")
-        h, w = f.shape
-        (top, bottom), (left, right) = self._pad
-        halo, planes, buffer = buffers or self.block_buffers(f.shape)
-        taps = self._taps_as[halo.dtype]
-        rows = buffer.shape[2]
-        for r0 in range(0, h, rows):
-            r1 = min(r0 + rows, h)
-            size = (r1 - r0) * w
-            # rows r0 - top .. r1 + bottom of the image padded by wrap
-            padded = halo[: top + r1 - r0 + bottom]
-            body = padded[:, left : left + w]
-            _wrap_rows(f, r0 - top, body)
-            _wrap_rows(body.T, -left, padded[:, :left].T)
-            _wrap_rows(body.T, 0, padded[:, left + w :].T)
-            # Every row of taps sums to zero (a gradient kills constants), so
-            # removing a constant first changes nothing in exact arithmetic;
-            # it maps constant images to exactly zero and shrinks the
-            # cancellation error.  A pixel value is exact where the mean may
-            # round.
-            padded -= halo.dtype.type(f.flat[0])
-            for plane, (dy, dx) in zip(planes, self.offsets):
-                np.copyto(
-                    plane[:size].reshape(r1 - r0, w),
-                    padded[top - dy : top - dy + r1 - r0, left - dx : left - dx + w],
-                )
-            g = buffer[:, :, : r1 - r0]
-            np.matmul(taps, planes[:, :size], out=g.reshape(2 * self.m, size))
-            yield slice(r0, r1), g, planes[:, :size]
-
     def apply(self, u) -> np.ndarray:
         """``grad(analyze(u, bank))`` as a new ``(m, 2, h, w)`` stack."""
         f = np.asarray(u, dtype=np.float64)
         out = np.empty((self.m, 2) + f.shape)
-        for rows, g, _ in self.blocks(f):
+        for rows, g in Sweep(self, f.shape).blocks(f):
             out[:, :, rows] = g
         return out
 
@@ -245,14 +177,10 @@ class FrameGradient:
             raise ChannelMismatchError(
                 f"expected an ({self.m}, 2, h, w) field, got shape {q.shape}"
             )
-        h, w = q.shape[2:]
-        total = AdjointSum(self, (h, w), weights)
-        rows = _block_rows(h, w)
-        planes = np.empty((len(self.offsets), rows * w))
-        for r0 in range(0, h, rows):
-            block = slice(r0, min(r0 + rows, h))
-            total.add(block, q[:, :, block], planes[:, : (block.stop - r0) * w])
-        return total.fold()
+        sweep = Sweep(self, q.shape[2:], weights)
+        for rows in sweep.rows():
+            sweep.add(rows, q[:, :, rows])
+        return sweep.fold()
 
     def normal_kernel(self, weights) -> np.ndarray:
         """Kernel of ``sum_i weights[i] F_i* G* G F_i``, ``adjoint(apply(u), weights)``.
@@ -270,42 +198,97 @@ class FrameGradient:
         return kernel
 
 
-class AdjointSum:
-    """:meth:`FrameGradient.adjoint` summed one row block of the field at a time.
+class Sweep:
+    """Passes of a :class:`FrameGradient` over the row blocks of one grid.
 
-    :meth:`add` applies the weighted transposed tap matrix to one block of an
-    ``(m, 2, h, w)`` field and scatter-adds the planes, with the opposite
-    shifts, into a wrap-padded accumulator; :meth:`fold` adds the pad back
-    modulo ``h`` and ``w``, which is exact on any grid, 1x1 included.  So a
-    caller that produces the field block by block never stores all of it.
-    The accumulator persists across :meth:`reset`, so summing a new field
-    allocates nothing (see :meth:`FrameGradient.blocks`).  It is float64
-    whatever ``dtype`` is; ``dtype`` is that of the weighted transposed taps,
-    and so of the blocks and plane scratch :meth:`add` takes.
+    Holds all the stencil's scratch on an ``(h, w)`` grid, made once: the
+    padded rows of one block, its shifted planes, its ``(m, 2, rows, w)``
+    output, the taps and the ``weights``-weighted transposed taps of the
+    adjoint (default weights one), all of ``dtype``, float64 or float32;
+    and a float64 wrap-padded accumulator.  But for the accumulator, their
+    size is set by :data:`BLOCK_PIXELS`, not by ``h``.
+
+    :meth:`blocks` yields the stencil's output one block at a time, while it
+    is still in cache; :meth:`add` applies the weighted transposed taps to
+    one block of a field and scatter-adds the planes, with the opposite
+    shifts, into the accumulator; :meth:`fold` adds its pad back modulo ``h``
+    and ``w``, which is exact on any grid, 1x1 included.  So a caller can
+    apply the stencil, finish each block in place and sum the adjoint of
+    what it makes of it in one loop, never storing the field; sweeping the
+    grid again, after :meth:`reset`, allocates nothing.
     """
 
     def __init__(self, stencil: FrameGradient, shape, weights=None, dtype=np.float64):
-        h, w = shape
-        (top, bottom), (left, right) = stencil._pad
+        if len(shape) != 2:
+            raise DimensionMismatchError(f"expected a 2-D image, got {tuple(shape)}")
+        h, w = self._shape = tuple(shape)
+        (top, bottom), (left, right) = self._pad = stencil._pad
+        rows = _block_rows(h, w)
+        self._offsets = stencil.offsets
+        self._halo = np.empty((top + rows + bottom, left + w + right), dtype)
+        self._planes = np.empty((len(stencil.offsets), rows * w), dtype)
+        self._block = np.empty((stencil.m, 2, rows, w), dtype)
+        self._taps = stencil.taps.astype(dtype, copy=False)
         row_weights = np.repeat(np.ones(stencil.m) if weights is None else weights, 2)
         self._weighted = np.ascontiguousarray((stencil.taps * row_weights[:, None]).T, dtype)
-        self._offsets = stencil.offsets
-        self._frame = (top, left, h, w)
         self._acc = np.zeros((top + h + bottom, left + w + right))
+
+    def rows(self) -> list:
+        """The slices of the row blocks, top to bottom."""
+        h, step = self._shape[0], self._block.shape[2]
+        return [slice(r0, min(r0 + step, h)) for r0 in range(0, h, step)]
+
+    def blocks(self, u):
+        """Yield ``(rows, g)`` for each row block of the stencil applied to ``u``.
+
+        ``g`` is ``grad(analyze(u))[:, :, rows]`` at the sweep's dtype, in a
+        buffer the next block overwrites; the caller may finish it in place
+        and :meth:`add` it before asking for the next block.
+        """
+        f = np.asarray(u, dtype=np.float64)
+        if f.shape != self._shape:
+            raise DimensionMismatchError(f"expected a {self._shape} image, got {f.shape}")
+        (top, bottom), (left, _) = self._pad
+        w = self._shape[1]
+        for rows in self.rows():
+            n = rows.stop - rows.start
+            # rows start - top .. stop + bottom of the image padded by wrap
+            padded = self._halo[: top + n + bottom]
+            body = padded[:, left : left + w]
+            _wrap_rows(f, rows.start - top, body)
+            _wrap_rows(body.T, -left, padded[:, :left].T)
+            _wrap_rows(body.T, 0, padded[:, left + w :].T)
+            # Every row of taps sums to zero (a gradient kills constants), so
+            # removing a constant first changes nothing in exact arithmetic;
+            # it maps constant images to exactly zero and shrinks the
+            # cancellation error.  A pixel value is exact where the mean may
+            # round.
+            padded -= padded.dtype.type(f.flat[0])
+            planes = self._planes[:, : n * w]
+            for plane, (dy, dx) in zip(planes, self._offsets):
+                np.copyto(
+                    plane.reshape(n, w),
+                    padded[top - dy : top - dy + n, left - dx : left - dx + w],
+                )
+            g = self._block[:, :, :n]
+            np.matmul(self._taps, planes, out=g.reshape(len(self._taps), -1))
+            yield rows, g
 
     def reset(self) -> None:
         """Start a new sum at zero."""
         self._acc.fill(0.0)
 
-    def add(self, rows: slice, block, planes) -> None:
+    def add(self, rows: slice, block) -> None:
         """Add the weighted adjoint of ``block``, rows ``rows`` of the field.
 
-        ``block`` is ``(m, 2, rows, w)``; it is read, never written.
-        ``planes`` is scratch space, an ``(n, rows * w)`` array for the
-        stencil's ``n`` offsets.
+        ``block`` is ``(m, 2, rows, w)``; it is read, never written.  Its
+        shifted planes go through the sweep's plane buffer, so a block that
+        :meth:`blocks` yielded must be added before the next one is asked for.
         """
-        top, left, _, w = self._frame
+        (top, _), (left, _) = self._pad
+        w = self._shape[1]
         r0, r1 = rows.start, rows.stop
+        planes = self._planes[:, : (r1 - r0) * w]
         np.matmul(self._weighted, block.reshape(self._weighted.shape[1], -1), out=planes)
         # plane (dy, dx) at pixel (r, c) adds onto pixel (r - dy, c - dx)
         for plane, (dy, dx) in zip(planes, self._offsets):
@@ -318,7 +301,8 @@ class AdjointSum:
 
         Folding changes the accumulator, so call it once per sum.
         """
-        return _fold(self._acc, *self._frame)
+        (top, _), (left, _) = self._pad
+        return _fold(self._acc, top, left, *self._shape)
 
 
 def bspline_bank() -> FilterBank:

@@ -1,8 +1,8 @@
 """Built-in invariant checks behind ``vtv-restore selftest``.
 
 Each check recomputes its expectation through an independent path (dot
-products, grid search, an inline classical TV split Bregman loop) rather
-than trusting the code under test.
+products, grid search, the classical TV split Bregman loop of
+:func:`rof_iterates`) rather than trusting the code under test.
 """
 
 from __future__ import annotations
@@ -57,21 +57,21 @@ def _check_prox(rng):
     return worst <= 2e-4, f"worst deviation from grid search {worst:.3e}"
 
 
-def _check_rof_reduction(rng):
-    """Solver with a single identity kernel vs an inline classical TV loop."""
-    f = np.clip(100.0 + 40.0 * rng.standard_normal((16, 16)), 0, 255)
-    lam, gamma, n_iter = 15.0, 5.0, 12
+def rof_iterates(f, lam, gamma, n_iter) -> list:
+    """Classical single-channel TV split Bregman: its first ``n_iter`` iterates.
 
+    Coded independently, with analytic difference symbols and inline updates.
+    """
+    f = np.asarray(f, dtype=np.float64)
     h, w = f.shape
-    wy = (2 - 2 * np.cos(2 * np.pi * np.arange(h) / h))[:, None]
-    wx = (2 - 2 * np.cos(2 * np.pi * np.arange(w) / w))[None, :]
+    wy = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(h) / h))[:, None]
+    wx = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(w) / w))[None, :]
     denom = 1.0 + gamma * (wy + wx)
-    u = f.copy()
     dx = np.zeros_like(f)
     dy = np.zeros_like(f)
     bx = np.zeros_like(f)
     by = np.zeros_like(f)
-    oracle = []
+    steps = []
     for _ in range(n_iter):
         tx, ty = dx - bx, dy - by
         rhs = f + gamma * (
@@ -81,11 +81,18 @@ def _check_rof_reduction(rng):
         gx = np.roll(u, -1, axis=1) - u
         gy = np.roll(u, -1, axis=0) - u
         vx, vy = gx + bx, gy + by
-        dx = np.sign(vx) * np.maximum(np.abs(vx) - lam / gamma, 0)
-        dy = np.sign(vy) * np.maximum(np.abs(vy) - lam / gamma, 0)
+        dx = np.sign(vx) * np.maximum(np.abs(vx) - lam / gamma, 0.0)
+        dy = np.sign(vy) * np.maximum(np.abs(vy) - lam / gamma, 0.0)
         bx, by = vx - dx, vy - dy
-        oracle.append(u.copy())
+        steps.append(u.copy())
+    return steps
 
+
+def _check_rof_reduction(rng):
+    """Solver with a single identity kernel vs :func:`rof_iterates`."""
+    f = np.clip(100.0 + 40.0 * rng.standard_normal((16, 16)), 0, 255)
+    lam, gamma, n_iter = 15.0, 5.0, 12
+    oracle = rof_iterates(f, lam, gamma, n_iter)
     cfg = SolverConfig(lam=(lam,), gamma=(gamma,), u_update=FULL13, tol=1e-30)
     sb = SplitBregman(f, DegradationOp.identity(), identity_bank(), cfg)
     worst = 0.0

@@ -40,26 +40,27 @@ check against.
 multipliers ``b``; one image, the ``numerator`` of the next u-update; and
 one complex buffer the size of the half spectrum, in which the FFT solve
 runs and which :meth:`~SplitBregman.advance` then reuses for ``u_new - u``.
-Its first step adds the block buffers of the sweep and a spare iterate.
-The observation ``f`` is read, never written, and not copied: ``u`` starts
-as ``f`` itself, and ``A* f`` is ``f`` itself for the identity, so a caller
-must not change ``f`` during the solve.  The splits ``d`` are never stored:
-:meth:`~SplitBregman.advance` makes one sweep over row blocks and, while a
-block of the stencil's output is still in cache, shrinks it, updates ``b``
-and adds the block's ``d - b`` to the next numerator (a
-:class:`~vtvrestore.frames.AdjointSum`, with the block's spent
-shifted-plane buffer as scratch), all in one loop.  It overwrites ``b`` and
+Its first step adds a pair of iterates and a
+:class:`~vtvrestore.frames.Sweep`, which holds the block buffers and the
+numerator's accumulator.  The observation ``f`` is read, never
+written, and not copied: ``u`` starts as ``f`` itself, and ``A* f`` is
+``f`` itself for the identity, so a caller must not change ``f`` during
+the solve.  The splits ``d`` are never stored:
+:meth:`~SplitBregman.advance` checks that ``||u_new - u||`` is finite,
+then makes one sweep over row blocks and, while a block of the stencil's
+output is still in cache, shrinks it, updates ``b`` and adds the block's
+``d - b`` to the next numerator, all in one loop.  It overwrites ``b`` and
 ``numerator`` **in place**: a caller that keeps either across a step must
-copy it.  So the u-update is one FFT solve; it returns a fresh array and
+copy it.  The u-update is one FFT solve; it returns a fresh array and
 never touches ``b`` or the numerator.  With ``record_trace``, the same sweep
 also sums the TV part of the energy, so a traced iteration runs the stencil
-once.  :meth:`~SplitBregman.step` writes the next iterate into the array of
-the iterate before last, so from the second step on a step allocates no
-image.
+once.  :meth:`~SplitBregman.step` is one FFT solve into whichever iterate
+array is not ``u``, and one sweep, so from the second step on a step
+allocates no image.
 
 ``SolverConfig.precision`` sets the dtype of the splitting state.  At
-``"single"``, ``b``, the thresholds, the stencil's block buffers and taps and
-the gamma-weighted taps of the numerator's adjoint are float32: the sweep
+``"single"``, ``b``, the thresholds and the sweep's block buffers, taps and
+gamma-weighted transposed taps are float32: the sweep
 reads and writes half the bytes and its matrix products run in single
 precision.  The iterate ``u``, the numerator it is summed into, the
 denominator, the FFT solve and ``rel_err`` stay float64, as do the
@@ -83,7 +84,7 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteError,
 )
-from .frames import AdjointSum, FilterBank, analyze
+from .frames import FilterBank, Sweep, analyze
 from .image import (
     as_kernel,
     conv_adjoint,
@@ -242,7 +243,7 @@ def energy(u, f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> floa
         raise ConfigError(f"config has {len(cfg.lam)} channels, bank has {bank.m}")
     reg = sum(
         vtv(g, weights=cfg.lam, isotropic=cfg.shrinkage == ISO)
-        for _, g, _ in bank.frame_gradient.blocks(uu)
+        for _, g in Sweep(bank.frame_gradient, uu.shape).blocks(uu)
     )
     return reg + _fidelity(uu, ff, op)
 
@@ -299,12 +300,12 @@ class SplitBregman:
         m = bank.m
         with np.errstate(over="ignore"):  # an inf threshold zeroes every d
             thresholds = np.asarray(cfg.lam) / np.asarray(cfg.gamma)
-        self._stencil = bank.frame_gradient
+        stencil = bank.frame_gradient
         self.precision = cfg.precision
         if self.precision == SINGLE and max(
             float(self.f.max()),
             -float(self.f.min()),
-            max(cfg.gamma) * float(np.abs(self._stencil.taps).max()),
+            max(cfg.gamma) * float(np.abs(stencil.taps).max()),
             float(thresholds.max()),
         ) > SINGLE_BOUND:
             self.precision = DOUBLE
@@ -314,7 +315,7 @@ class SplitBregman:
         #: ``w`` of the normal operator ``A*A + sum_i w_i F_i* G* G F_i``.
         self._weights = cfg.gamma if cfg.u_update == FULL13 else (cfg.gamma[0],) * m
         denominator = np.ascontiguousarray(
-            half_symbol(self._stencil.normal_kernel(self._weights), (h, w)).real
+            half_symbol(stencil.normal_kernel(self._weights), (h, w)).real
         )
         denominator += op.gram_symbol((h, w))
         self._denominator = nonsingular(denominator)
@@ -324,17 +325,16 @@ class SplitBregman:
 
         self._atf = op.adjoint(self.f)
         self.u = self.f
-        #: The iterate :meth:`step` installed last, and the array the next
-        #: step writes ``u_new`` into; see :meth:`step`.
-        self._stepped = self._spare = None
         self.b = np.zeros((m, 2, h, w), dtype)
-        #: The stencil's block buffers, made by the first sweep.
-        self._buffers = None
-        self._adjoint_sum = AdjointSum(self._stencil, (h, w), cfg.gamma, dtype)
         #: ``A* f + sum_i gamma_i F_i* G* (d_i - b_i)``, the right-hand side of
-        #: the next u-update; ``d = b = 0`` at the start.
-        self.numerator = self._adjoint_sum.fold()
-        self.numerator += self._atf
+        #: the next u-update: ``A* f`` itself while ``d = b = 0``.  Overwritten
+        #: in place by :meth:`advance`; never write into it.
+        self.numerator = self._atf
+        #: The stencil's :class:`~vtvrestore.frames.Sweep` over this grid,
+        #: made by the first :meth:`advance`.
+        self._sweep = None
+        #: The two arrays :meth:`step` writes iterates into; made by the first step.
+        self._iterates = ()
         #: The weighted vector TV ``vtv(grad(F u), lam)`` of the last iterate
         #: :meth:`advance` installed, when ``cfg.record_trace`` is set; else None.
         self.regularization = None
@@ -375,8 +375,19 @@ class SplitBregman:
         """Run the d and b updates for ``u_new``, install it, return rel. err.
 
         One sweep over row blocks overwrites ``b`` and the numerator in
-        place.
+        place.  Raises :class:`~vtvrestore.errors.NonFiniteError`, changing
+        nothing, when ``||u_new - u||`` is not finite: ``u_new`` holds a NaN
+        or Inf, or lies so far from ``u`` that the difference overflows.
         """
+        # u_new - u in a contiguous (h, w) view of the spent spectrum buffer;
+        # a fresh difference image would raise the solve's peak by one image
+        change = self._spectrum.view(np.float64).ravel()[: self.u.size].reshape(self.u.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(u_new, self.u, out=change)
+        norm = _norm(change)
+        if not math.isfinite(norm):
+            raise NonFiniteError("iterate contains NaN or Inf; parameters look divergent")
+        rel = norm / max(_norm(self.u), _NORM_FLOOR)
         # Per block, with v = grad(F u_new) + b and d = shrink(v):
         # b <- v - d, which is clip(v, -T, T) for the anisotropic shrink, and
         # the block becomes d - b = v - 2 b, which is added into the next
@@ -384,10 +395,11 @@ class SplitBregman:
         t = self._thresholds
         lam, isotropic = self.cfg.lam, self.cfg.shrinkage == ISO
         regularization = 0
-        self._adjoint_sum.reset()
-        if self._buffers is None:
-            self._buffers = self._stencil.block_buffers(self.f.shape, self.b.dtype)
-        for rows, v, spent in self._stencil.blocks(u_new, self._buffers):
+        if self._sweep is None:
+            self._sweep = Sweep(self.bank.frame_gradient, self.u.shape, self.cfg.gamma, t.dtype)
+        sweep = self._sweep
+        sweep.reset()
+        for rows, v in sweep.blocks(u_new):
             if self.cfg.record_trace:
                 regularization += vtv(v, weights=lam, isotropic=isotropic)
             b = self.b[:, :, rows]
@@ -399,38 +411,25 @@ class SplitBregman:
                 np.clip(v, -t, t, out=b)
             v -= b
             v -= b
-            self._adjoint_sum.add(rows, v, spent)
-        self.numerator = self._adjoint_sum.fold()
+            sweep.add(rows, v)
+        self.numerator = sweep.fold()
         self.numerator += self._atf
         if self.cfg.record_trace:
             self.regularization = regularization
-        # u_new - u in a contiguous (h, w) view of the spent spectrum buffer;
-        # a fresh difference image would raise the solve's peak by one image
-        change = self._spectrum.view(np.float64).ravel()[: self.u.size].reshape(self.u.shape)
-        with np.errstate(over="ignore"):
-            np.subtract(u_new, self.u, out=change)
-        rel = _norm(change) / max(_norm(self.u), _NORM_FLOOR)
         self.u = u_new
         return rel
 
     def step(self) -> float:
         """One full iteration; returns the relative change of u.
 
-        The next iterate is written into the array of the iterate before
-        last, so a caller that keeps ``u`` across two steps must copy it.
+        The next iterate is written into whichever of two arrays, made by the
+        first step, is not ``u``, never into ``f`` or an array a caller passed
+        to :meth:`advance`; a caller that keeps ``u`` across two steps must
+        copy it.
         """
-        u_new = self.u_update(out=self._spare)
-        if not np.isfinite(u_new).all():
-            raise NonFiniteError(
-                "iterate contains NaN or Inf; parameters look divergent"
-            )
-        previous = self.u
-        rel = self.advance(u_new)
-        # The old iterate is the next output buffer unless it is f or an
-        # array a caller passed to advance(); then a new one is made, once.
-        self._spare = previous if previous is self._stepped else np.empty_like(u_new)
-        self._stepped = u_new
-        return rel
+        if not self._iterates:
+            self._iterates = (np.empty(self.f.shape), np.empty(self.f.shape))
+        return self.advance(self.u_update(out=self._iterates[self.u is self._iterates[0]]))
 
 
 def solve(f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> SolveResult:

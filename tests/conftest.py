@@ -47,39 +47,6 @@ def make_phantom(n=256):
     return np.clip(img + stripes * patch, 0.0, 255.0)
 
 
-def rof_split_bregman_steps(f, lam, gamma, n_iter):
-    """Classical single-channel TV split Bregman, coded independently.
-
-    Uses analytic difference symbols and inline updates; returns the list of
-    u iterates so solver trajectories can be compared step by step.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    h, w = f.shape
-    wy = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(h) / h))[:, None]
-    wx = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(w) / w))[None, :]
-    denom = 1.0 + gamma * (wy + wx)
-    u = f.copy()
-    dx = np.zeros_like(f)
-    dy = np.zeros_like(f)
-    bx = np.zeros_like(f)
-    by = np.zeros_like(f)
-    steps = []
-    for _ in range(n_iter):
-        tx, ty = dx - bx, dy - by
-        rhs = f + gamma * (
-            (np.roll(tx, 1, axis=1) - tx) + (np.roll(ty, 1, axis=0) - ty)
-        )
-        u = np.real(np.fft.ifft2(np.fft.fft2(rhs) / denom))
-        gx = np.roll(u, -1, axis=1) - u
-        gy = np.roll(u, -1, axis=0) - u
-        vx, vy = gx + bx, gy + by
-        dx = np.sign(vx) * np.maximum(np.abs(vx) - lam / gamma, 0.0)
-        dy = np.sign(vy) * np.maximum(np.abs(vy) - lam / gamma, 0.0)
-        bx, by = vx - dx, vy - dy
-        steps.append(u.copy())
-    return steps
-
-
 def smoothed_tv_minimizer(f, lam, eps=1e-8):
     """Minimize lam * sum sqrt(grad^2 + eps) + 0.5 ||u - f||^2 by L-BFGS.
 

@@ -32,8 +32,9 @@ from vtvrestore import (
     synthesize_adjoint,
     verify_uep,
 )
+from vtvrestore.selftest import rof_iterates
 
-from conftest import rof_split_bregman_steps, smoothed_tv_minimizer
+from conftest import smoothed_tv_minimizer
 
 DENOISE_SIGMA = 25.5
 DENOISE_SEED = 7
@@ -178,7 +179,7 @@ def test_criterion_6_rof_reduction():
     rng = np.random.default_rng(6)
     f = np.clip(100.0 + 40.0 * rng.standard_normal((32, 32)), 0, 255)
     lam, gamma = 15.0, 5.0
-    oracle = rof_split_bregman_steps(f, lam, gamma, 30)
+    oracle = rof_iterates(f, lam, gamma, 30)
     cfg = SolverConfig(lam=(lam,), gamma=(gamma,), u_update=FULL13, tol=1e-30)
     sb = SplitBregman(f, DegradationOp.identity(), identity_bank(), cfg)
     worst = 0.0

@@ -265,8 +265,8 @@ def test_every_block_size_gives_the_same_stencil(monkeypatch, bank, shape, block
     stencil = bank.frame_gradient
     expected = reference_apply(u, bank)
     assert np.max(np.abs(stencil.apply(u) - expected)) <= 1e-12
-    # without out, each block arrives in a buffer the next block reuses
-    pieces = [(rows, g.copy()) for rows, g, _ in stencil.blocks(u)]
+    # each block arrives in a buffer the next block reuses
+    pieces = [(rows, g.copy()) for rows, g in frames.Sweep(stencil, shape).blocks(u)]
     assert [rows.start for rows, _ in pieces] == list(range(0, h, block_rows or h))
     assert np.max(np.abs(np.concatenate([g for _, g in pieces], axis=2) - expected)) <= 1e-12
     got = stencil.adjoint(p, weights=gamma)
@@ -279,22 +279,18 @@ def test_float32_block_buffers_give_the_stencil_in_single_precision(bank, shape)
     u = 255 * rng.random(shape)
     stencil = bank.frame_gradient
     expected = reference_apply(u, bank)
-    buffers = stencil.block_buffers(shape, np.float32)
+    gamma = rng.uniform(0.5, 3.0, bank.m)
+    sweep = frames.Sweep(stencil, shape, gamma, np.float32)
     for _ in range(2):  # the same buffers serve every sweep
-        pieces = [g.copy() for _, g, _ in stencil.blocks(u, buffers)]
+        pieces = [g.copy() for _, g in sweep.blocks(u)]
         assert all(g.dtype == np.float32 for g in pieces)
         got = np.concatenate(pieces, axis=2)
         assert np.max(np.abs(got - expected)) <= 1e-5 * 255
     # the float32 adjoint sums into a float64 image
-    gamma = rng.uniform(0.5, 3.0, bank.m)
     p = rng.standard_normal((bank.m, 2) + shape)
-    total = frames.AdjointSum(stencil, shape, gamma, np.float32)
-    planes = buffers[1]
-    for r0 in range(0, shape[0], buffers[2].shape[2]):
-        rows = slice(r0, min(r0 + buffers[2].shape[2], shape[0]))
-        block = p[:, :, rows].astype(np.float32)
-        total.add(rows, block, planes[:, : block[0, 0].size])
-    got = total.fold()
+    for rows in sweep.rows():
+        sweep.add(rows, p[:, :, rows].astype(np.float32))
+    got = sweep.fold()
     assert got.dtype == np.float64
     assert np.max(np.abs(got - reference_adjoint(p, bank, gamma))) <= 1e-5
 
