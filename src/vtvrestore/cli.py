@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -259,6 +260,7 @@ def _process_one(job: dict) -> dict:
         "iterations": result.iterations,
         "seconds": seconds,
         "converged": result.converged,
+        "threads": result.threads,
     }
     metadata = {
         "task": task,
@@ -296,6 +298,20 @@ def _process_isolated(job: dict) -> dict:
         return {"input": job["input"], "error": _error_text(exc)}
 
 
+def _sweep_workers(processes: int) -> int:
+    """Sweep threads per solve when ``processes`` solves run at once.
+
+    The CPUs this process may use, shared among the processes, where BLAS is
+    pinned to one thread (``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is
+    ``1``); else 1, since sweep threads over a multi-threaded BLAS ran slower
+    than one.
+    """
+    if "1" not in (os.environ.get("OPENBLAS_NUM_THREADS"), os.environ.get("OMP_NUM_THREADS")):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, (cpus or 1) // processes)
+
+
 def _run_restoration(task: str, args: argparse.Namespace) -> int:
     settings = _resolve_settings(task, args)
     # The run's solver objects are built before any output exists, so a
@@ -305,6 +321,7 @@ def _run_restoration(task: str, args: argparse.Namespace) -> int:
         op = DegradationOp.blur(motion_blur_kernel(settings["blur_len"]))
     else:
         op = DegradationOp.identity()
+    processes = min(settings["jobs"], len(settings["input"]))
     cfg = SolverConfig.head_rest(
         bank.m,
         settings["lambda1"], settings["lambda_rest"],
@@ -317,6 +334,7 @@ def _run_restoration(task: str, args: argparse.Namespace) -> int:
         # float32 splitting state: iteration counts and PSNRs as at double
         # (README, "Precision"); a solve past the float32 bound runs at double
         precision=SINGLE,
+        workers=_sweep_workers(processes),
     )
     run = {"task": task, "settings": settings, "bank": bank, "op": op, "cfg": cfg}
     jobs = [
@@ -325,11 +343,10 @@ def _run_restoration(task: str, args: argparse.Namespace) -> int:
     ]
     Path(settings["out"]).mkdir(parents=True, exist_ok=True)
 
-    workers = settings["jobs"]
-    if workers > 1 and len(jobs) > 1:
+    if processes > 1:
         from multiprocessing import Pool
 
-        with Pool(processes=min(workers, len(jobs))) as pool:
+        with Pool(processes=processes) as pool:
             results = pool.map(_process_isolated, jobs)
     else:
         results = [_process_isolated(job) for job in jobs]

@@ -16,6 +16,10 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import queue
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,10 +78,17 @@ def _compose(outer, inner) -> dict:
     return taps
 
 
-#: Pixels per row block of a :class:`Sweep`: a block's 15 shifted planes
-#: (about 2 MB for the B-spline bank) stay in cache while the caller
-#: finishes the block.
-BLOCK_PIXELS = 1 << 14
+#: Pixels per row block of a :class:`Sweep`: a block's 16 shifted planes
+#: (1 MB for the B-spline bank at double) stay in cache while the caller
+#: finishes the block.  Two workers' scratch at 8K pixels is about one
+#: worker's at 16K, and one worker ran 8K blocks 2% (1024x1024) to 13%
+#: (256x256) faster than 16K.
+BLOCK_PIXELS = 1 << 13
+
+
+#: numpy's ufunc buffer size, in elements, for the sum of a block's adjoint
+#: planes (see :meth:`Sweep._add`).
+_SUM_BUFFER = 1024
 
 
 def _block_rows(h: int, w: int) -> int:
@@ -99,6 +110,36 @@ def _wrap_rows(src, start: int, out) -> None:
         count = min(n - r, out.shape[0] - i)
         out[i : i + count] = src[r : r + count]
         i += count
+
+
+def _windows(padded, n: int, w: int) -> np.ndarray:
+    """The ``(p, q, n, w)`` windows of the C-contiguous ``(p + n - 1, q + w - 1)``
+    array ``padded``, as a view: ``[i, j]`` is
+    ``padded[p - 1 - i : p - 1 - i + n, q - 1 - j : q - 1 - j + w]``.
+
+    (Built from the strides: ``sliding_window_view(padded, (n, w))[::-1, ::-1]``
+    is the same view, but takes about 20 us a call against 1 us.)
+    """
+    p, q = padded.shape[0] - n + 1, padded.shape[1] - w + 1
+    row, col = padded.strides
+    start = (p - 1) * row + (q - 1) * col
+    return np.ndarray((p, q, n, w), padded.dtype, padded, start, (-row, -col, row, col))
+
+
+def _gathered(bordered, n: int) -> np.ndarray:
+    """The view ``[i, j, r, c] = bordered[i, j, r + i, c + j]`` of a
+    C-contiguous ``(p, q, rows, cols)`` grid of planes, for ``n + p - 1`` rows
+    and ``cols - q + 1`` columns.
+
+    Summed over ``i`` and ``j``, a plane stored in ``bordered[i, j]`` from
+    row ``p - 1`` and column ``q - 1`` on lands shifted by
+    ``(p - 1 - i, q - 1 - j)``: that is how the planes of a block's adjoint
+    add onto the accumulator.
+    """
+    p, q, _, cols = bordered.shape
+    si, sj, sr, sc = bordered.strides
+    shape = (p, q, n + p - 1, cols - q + 1)
+    return np.ndarray(shape, bordered.dtype, bordered, 0, (si + sr, sj + sc, sr, sc))
 
 
 def _fold(acc, top: int, left: int, h: int, w: int) -> np.ndarray:
@@ -130,9 +171,10 @@ class FrameGradient:
     matrix and adds the planes back with the opposite shifts.
 
     Both directions run over row blocks of about :data:`BLOCK_PIXELS`
-    pixels, so only one block's shifted planes exist at a time: a
-    :class:`Sweep` holds one grid's scratch and runs the blocks, and
-    :meth:`apply` and :meth:`adjoint` are its shortest users.
+    pixels, so only one block's shifted planes exist per worker at a time:
+    a :class:`Sweep` holds one grid's scratch and runs the blocks on
+    ``workers`` threads, and :meth:`apply` and :meth:`adjoint` are its
+    shortest users.
 
     Built once per bank (see :attr:`FilterBank.frame_gradient`); it holds no
     per-image state.
@@ -158,15 +200,19 @@ class FrameGradient:
         dys, dxs = zip((0, 0), *offsets)
         self._pad = ((max(dys), -min(dys)), (max(dxs), -min(dxs)))
 
-    def apply(self, u) -> np.ndarray:
+    def apply(self, u, workers: int = 1) -> np.ndarray:
         """``grad(analyze(u, bank))`` as a new ``(m, 2, h, w)`` stack."""
         f = np.asarray(u, dtype=np.float64)
         out = np.empty((self.m, 2) + f.shape)
-        for rows, g in Sweep(self, f.shape).blocks(f):
+
+        def copy(rows, g, add):
             out[:, :, rows] = g
+
+        with Sweep(self, f.shape, workers=workers) as sweep:
+            sweep.run(copy, f)
         return out
 
-    def adjoint(self, p, weights=None) -> np.ndarray:
+    def adjoint(self, p, weights=None, workers: int = 1) -> np.ndarray:
         """``sum_i weights[i] * conv_adjoint(grad_adjoint(p[i]), K_i)``.
 
         ``p`` is an ``(m, 2, h, w)`` field and ``weights`` default to ones.
@@ -177,9 +223,8 @@ class FrameGradient:
             raise ChannelMismatchError(
                 f"expected an ({self.m}, 2, h, w) field, got shape {q.shape}"
             )
-        sweep = Sweep(self, q.shape[2:], weights)
-        for rows in sweep.rows():
-            sweep.add(rows, q[:, :, rows])
+        with Sweep(self, q.shape[2:], weights, workers=workers) as sweep:
+            sweep.run(lambda rows, g, add: add(q[:, :, rows]))
         return sweep.fold()
 
     def normal_kernel(self, weights) -> np.ndarray:
@@ -201,100 +246,192 @@ class FrameGradient:
 class Sweep:
     """Passes of a :class:`FrameGradient` over the row blocks of one grid.
 
-    Holds all the stencil's scratch on an ``(h, w)`` grid, made once: the
-    padded rows of one block, its shifted planes, its ``(m, 2, rows, w)``
-    output, the taps and the ``weights``-weighted transposed taps of the
-    adjoint (default weights one), all of ``dtype``, float64 or float32;
-    and a float64 wrap-padded accumulator.  But for the accumulator, their
-    size is set by :data:`BLOCK_PIXELS`, not by ``h``.
+    Holds all the stencil's scratch on an ``(h, w)`` grid, made once: for
+    each of its :attr:`workers`, the padded rows of one block, its shifted
+    planes, its ``(m, 2, rows, w)`` output and the adjoint's planes on zero
+    borders; the taps and the ``weights``-weighted transposed taps of the
+    adjoint (default weights one), all of ``dtype``, float64 or float32; and
+    one float64 wrap-padded accumulator.  But for the accumulator, their
+    size is set by :data:`BLOCK_PIXELS` and the worker count, not by ``h``.
 
-    :meth:`blocks` yields the stencil's output one block at a time, while it
-    is still in cache; :meth:`add` applies the weighted transposed taps to
-    one block of a field and scatter-adds the planes, with the opposite
-    shifts, into the accumulator; :meth:`fold` adds its pad back modulo ``h``
-    and ``w``, which is exact on any grid, 1x1 included.  So a caller can
-    apply the stencil, finish each block in place and sum the adjoint of
-    what it makes of it in one loop, never storing the field; sweeping the
-    grid again, after :meth:`reset`, allocates nothing.
+    :meth:`run` hands a body the stencil's output one block at a time, while
+    it is still in cache, with a function that applies the weighted
+    transposed taps to a block of a field and scatter-adds the planes, with
+    the opposite shifts, into the accumulator; :meth:`fold` adds its pad
+    back modulo ``h`` and ``w``, which is exact on any grid, 1x1 included.
+    So a caller can apply the stencil, finish each block in place and sum
+    the adjoint of what it makes of it in one pass, never storing the field;
+    sweeping the grid again, after :meth:`reset`, allocates no image.
+
+    The blocks run in two phases, the even-indexed ones and then the odd
+    ones, and each phase is split over the workers, one thread each.  A
+    block adds onto its own rows of the accumulator and the ``top + bottom``
+    rows of padding past them, so where a block has at least that many rows
+    the blocks of one phase write disjoint rows and need no lock; where it
+    has fewer (grids wider than about ``BLOCK_PIXELS / 3`` for the B-spline
+    bank) one worker runs.  The block partition and the phase order do not
+    depend on the worker count, so neither does any sum.  One worker runs
+    in the calling thread.  More are threads that the first :meth:`run`
+    starts and that wait between runs until :meth:`close`, the end of a
+    ``with`` block or the sweep's collection ends them.
     """
 
-    def __init__(self, stencil: FrameGradient, shape, weights=None, dtype=np.float64):
+    def __init__(
+        self, stencil: FrameGradient, shape, weights=None, dtype=np.float64, workers: int = 1
+    ):
         if len(shape) != 2:
             raise DimensionMismatchError(f"expected a 2-D image, got {tuple(shape)}")
         h, w = self._shape = tuple(shape)
         (top, bottom), (left, right) = self._pad = stencil._pad
         rows = _block_rows(h, w)
-        self._offsets = stencil.offsets
-        self._halo = np.empty((top + rows + bottom, left + w + right), dtype)
-        self._planes = np.empty((len(stencil.offsets), rows * w), dtype)
-        self._block = np.empty((stencil.m, 2, rows, w), dtype)
-        self._taps = stencil.taps.astype(dtype, copy=False)
+        self._rows = [slice(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)]
+        #: Threads a :meth:`run` splits each phase over: ``workers``, at most
+        #: the blocks of a phase, and 1 where a block is shorter than the pads.
+        self.workers = min(workers, (len(self._rows) + 1) // 2) if rows >= top + bottom else 1
+        # A block's shifted planes are the windows of its padded rows at every
+        # offset of the pads' (top + bottom + 1, left + right + 1) grid, in
+        # (dy, dx) order, all copied in one call.  The taps run over the grid
+        # offsets from the stencil's first to its last, with a zero column
+        # where it has none: none for the B-spline bank, whose 15 offsets are
+        # the last 15 of its 4x4 grid.
+        p, q = top + bottom + 1, left + right + 1
+        index = [(dy + bottom) * q + dx + right for dy, dx in stencil.offsets]
+        first = index[0] if index else 0
+        self._span = slice(first, index[-1] + 1 if index else 0)
+        taps = np.zeros((2 * stencil.m, self._span.stop - first))
+        taps[:, [i - first for i in index]] = stencil.taps
+        #: Per worker: the padded rows of a block, its planes, its output, the
+        #: adjoint's planes on zero borders (see :meth:`_add`) and their sum.
+        self._scratch = [
+            (
+                np.empty((top + rows + bottom, left + w + right), dtype),
+                np.empty((p * q, rows * w), dtype),
+                np.empty((stencil.m, 2, rows, w), dtype),
+                np.zeros((p, q, rows + 2 * (p - 1), w + 2 * (q - 1)), dtype),
+                np.empty((rows + p - 1, w + q - 1)),
+            )
+            for _ in range(self.workers)
+        ]
+        self._taps = taps.astype(dtype, copy=False)
         row_weights = np.repeat(np.ones(stencil.m) if weights is None else weights, 2)
-        self._weighted = np.ascontiguousarray((stencil.taps * row_weights[:, None]).T, dtype)
+        self._weighted = np.ascontiguousarray((taps * row_weights[:, None]).T, dtype)
         self._acc = np.zeros((top + h + bottom, left + w + right))
+        #: The worker threads, started by the first :meth:`run` that needs them.
+        self._crew = None
 
-    def rows(self) -> list:
-        """The slices of the row blocks, top to bottom."""
-        h, step = self._shape[0], self._block.shape[2]
-        return [slice(r0, min(r0 + step, h)) for r0 in range(0, h, step)]
+    def run(self, body, u=None) -> list:
+        """``[body(rows, g, add) for each row block]``, in block order.
 
-    def blocks(self, u):
-        """Yield ``(rows, g)`` for each row block of the stencil applied to ``u``.
+        ``rows`` is the block's slice of rows.  ``g`` is
+        ``grad(analyze(u))[:, :, rows]`` at the sweep's dtype, in a buffer the
+        worker's next block overwrites, or None without ``u``; the body may
+        finish it in place.  ``add(block)`` adds the weighted adjoint of
+        ``block``, rows ``rows`` of an ``(m, 2, h, w)`` field, into the
+        accumulator; it reads ``block`` and overwrites the worker's planes.
 
-        ``g`` is ``grad(analyze(u))[:, :, rows]`` at the sweep's dtype, in a
-        buffer the next block overwrites; the caller may finish it in place
-        and :meth:`add` it before asking for the next block.
+        A body may run on a worker thread, under the caller's numpy error
+        state, so it may write only rows ``rows`` of an array another block
+        writes.  An exception a body raises (``MemoryError`` included) is
+        raised here once the threads of its phase have ended.
         """
-        f = np.asarray(u, dtype=np.float64)
-        if f.shape != self._shape:
-            raise DimensionMismatchError(f"expected a {self._shape} image, got {f.shape}")
+        f = None
+        if u is not None:
+            f = np.asarray(u, dtype=np.float64)
+            if f.shape != self._shape:
+                raise DimensionMismatchError(f"expected a {self._shape} image, got {f.shape}")
+        results = [None] * len(self._rows)
+
+        def work(blocks, scratch):
+            for k in blocks:
+                rows = self._rows[k]
+                g = None if f is None else self._forward(scratch, f, rows)
+                results[k] = body(rows, g, functools.partial(self._add, scratch, rows))
+
+        if self.workers > 1 and (self._crew is None or self._crew.pid != os.getpid()):
+            # a forked child has none of its parent's threads
+            self._crew = _Crew(self.workers, self)
+        try:
+            for phase in (0, 1):
+                blocks = range(phase, len(self._rows), 2)
+                shares = [(blocks[j :: self.workers], s) for j, s in enumerate(self._scratch)]
+                shares = [share for share in shares if share[0]]
+                if len(shares) > 1:
+                    self._crew.run(work, shares)
+                elif shares:
+                    work(*shares[0])
+        except BaseException:
+            self.close()
+            raise
+        return results
+
+    def close(self) -> None:
+        """End the worker threads, if any; the next :meth:`run` starts them again."""
+        if self._crew is not None:
+            self._crew.close()
+            self._crew = None
+
+    def __enter__(self) -> "Sweep":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _forward(self, scratch, f, rows: slice) -> np.ndarray:
+        """``grad(analyze(f))[:, :, rows]`` in the block buffer of ``scratch``."""
+        halo, planes, block = scratch[:3]
         (top, bottom), (left, _) = self._pad
         w = self._shape[1]
-        for rows in self.rows():
-            n = rows.stop - rows.start
-            # rows start - top .. stop + bottom of the image padded by wrap
-            padded = self._halo[: top + n + bottom]
-            body = padded[:, left : left + w]
-            _wrap_rows(f, rows.start - top, body)
-            _wrap_rows(body.T, -left, padded[:, :left].T)
-            _wrap_rows(body.T, 0, padded[:, left + w :].T)
-            # Every row of taps sums to zero (a gradient kills constants), so
-            # removing a constant first changes nothing in exact arithmetic;
-            # it maps constant images to exactly zero and shrinks the
-            # cancellation error.  A pixel value is exact where the mean may
-            # round.
-            padded -= padded.dtype.type(f.flat[0])
-            planes = self._planes[:, : n * w]
-            for plane, (dy, dx) in zip(planes, self._offsets):
-                np.copyto(
-                    plane.reshape(n, w),
-                    padded[top - dy : top - dy + n, left - dx : left - dx + w],
-                )
-            g = self._block[:, :, :n]
-            np.matmul(self._taps, planes, out=g.reshape(len(self._taps), -1))
-            yield rows, g
+        n = rows.stop - rows.start
+        # rows start - top .. stop + bottom of the image padded by wrap
+        padded = halo[: top + n + bottom]
+        body = padded[:, left : left + w]
+        _wrap_rows(f, rows.start - top, body)
+        _wrap_rows(body.T, -left, padded[:, :left].T)
+        _wrap_rows(body.T, 0, padded[:, left + w :].T)
+        # Every row of taps sums to zero (a gradient kills constants), so
+        # removing a constant first changes nothing in exact arithmetic; it
+        # maps constant images to exactly zero and shrinks the cancellation
+        # error.  A pixel value is exact where the mean may round.
+        padded -= padded.dtype.type(f.flat[0])
+        planes = planes[:, : n * w]
+        windows = _windows(padded, n, w)
+        np.copyto(planes.reshape(windows.shape), windows)
+        g = block[:, :, :n]
+        np.matmul(self._taps, planes[self._span], out=g.reshape(len(self._taps), -1))
+        return g
+
+    def _add(self, scratch, rows: slice, block) -> None:
+        """Add the weighted adjoint of ``block``, rows ``rows`` of the field.
+
+        Plane (dy, dx) at pixel (r, c) adds onto pixel (r - dy, c - dx).  So
+        that this is one sum, not one add per plane, the planes go into the
+        middle of the worker's zero-bordered ``(p, q)`` grid of planes, where
+        the accumulator's rows ``r0`` to ``r1 + p - 1`` get the sum over the
+        grid of one strided view of it (see :func:`_gathered`).
+        """
+        planes, bordered, sums = scratch[1], scratch[3], scratch[4]
+        p, q = bordered.shape[:2]
+        w = self._shape[1]
+        n = rows.stop - rows.start
+        span = planes[self._span, : n * w]
+        np.matmul(self._weighted, block.reshape(self._weighted.shape[1], -1), out=span)
+        middle = bordered.reshape(p * q, *bordered.shape[2:])[self._span, p - 1 : p - 1 + n]
+        np.copyto(middle[:, :, q - 1 : q - 1 + w], span.reshape(-1, n, w))
+        if n < bordered.shape[2] - 2 * (p - 1):
+            # a short last block: the rows under it still hold a longer one's
+            bordered[:, :, p - 1 + n : n + 2 * (p - 1)] = 0
+        total = sums[: n + p - 1]
+        # numpy buffers a sum that casts float32 planes to float64 in chunks
+        # of its buffer size, 8192 elements (64 KB per operand) by default;
+        # chunks of 1024 ran as fast and keep a warm step's allocations small
+        with np.errstate():
+            np.setbufsize(_SUM_BUFFER)
+            np.add.reduce(_gathered(bordered, n), axis=(0, 1), dtype=np.float64, out=total)
+        self._acc[rows.start : rows.stop + p - 1] += total
 
     def reset(self) -> None:
         """Start a new sum at zero."""
         self._acc.fill(0.0)
-
-    def add(self, rows: slice, block) -> None:
-        """Add the weighted adjoint of ``block``, rows ``rows`` of the field.
-
-        ``block`` is ``(m, 2, rows, w)``; it is read, never written.  Its
-        shifted planes go through the sweep's plane buffer, so a block that
-        :meth:`blocks` yielded must be added before the next one is asked for.
-        """
-        (top, _), (left, _) = self._pad
-        w = self._shape[1]
-        r0, r1 = rows.start, rows.stop
-        planes = self._planes[:, : (r1 - r0) * w]
-        np.matmul(self._weighted, block.reshape(self._weighted.shape[1], -1), out=planes)
-        # plane (dy, dx) at pixel (r, c) adds onto pixel (r - dy, c - dx)
-        for plane, (dy, dx) in zip(planes, self._offsets):
-            self._acc[top + r0 - dy : top + r1 - dy, left - dx : left - dx + w] += (
-                plane.reshape(r1 - r0, w)
-            )
 
     def fold(self) -> np.ndarray:
         """The sum as an ``(h, w)`` view of the accumulator.
@@ -303,6 +440,83 @@ class Sweep:
         """
         (top, _), (left, _) = self._pad
         return _fold(self._acc, top, left, *self._shape)
+
+
+class _Crew:
+    """``n - 1`` threads that each run one share of a phase while the calling
+    thread runs the first.
+
+    The threads wait for work between phases, so a phase costs two hand-offs
+    per thread, not a thread start.  :meth:`close` ends them; if ``owner`` is
+    collected first, :meth:`stop` ends them without waiting.
+    """
+
+    def __init__(self, n: int, owner):
+        self.pid = os.getpid()
+        # the finalizer holds the crew, not its owner, and the threads hold
+        # neither between shares, so the owner can be collected
+        self._stopper = weakref.finalize(owner, self.stop)
+        self._done = queue.SimpleQueue()
+        self._inboxes = [queue.SimpleQueue() for _ in range(n - 1)]
+        self._threads = []
+        try:
+            for j, inbox in enumerate(self._inboxes, start=1):
+                thread = threading.Thread(target=_serve, args=(j, inbox, self._done), daemon=True)
+                thread.start()
+                self._threads.append(thread)
+        except BaseException:
+            self.close()
+            raise
+
+    def run(self, fn, shares: list) -> None:
+        """``fn(*share)`` for every share, at most one per thread.
+
+        Each thread runs under this thread's numpy error state, which numpy
+        keeps per thread.  Once every share has ended, the exception of the
+        first that failed is raised.
+        """
+        errstate = np.geterr()
+        for inbox, share in zip(self._inboxes, shares[1:]):
+            inbox.put((fn, share, errstate))
+        failures = [None] * len(shares)
+        try:
+            fn(*shares[0])
+        except BaseException as exc:  # raised below, once the others end
+            failures[0] = exc
+        for _ in shares[1:]:
+            j, exc = self._done.get()
+            failures[j] = exc
+        for exc in failures:
+            if exc is not None:
+                raise exc
+
+    def stop(self) -> None:
+        """Ask every thread to end once its share, if any, is done."""
+        for inbox in self._inboxes:
+            inbox.put(None)
+
+    def close(self) -> None:
+        """End every thread and wait for it."""
+        self._stopper.detach()
+        self.stop()
+        for thread in self._threads:
+            thread.join()
+
+
+def _serve(j: int, inbox, done) -> None:
+    """Run the ``(fn, share, errstate)`` put into ``inbox`` until None comes,
+    and put ``(j, exception or None)`` into ``done`` after each."""
+    while (task := inbox.get()) is not None:
+        fn, share, errstate = task
+        try:
+            with np.errstate(**errstate):
+                fn(*share)
+        except BaseException as exc:  # raised again by the calling thread
+            done.put((j, exc))
+        else:
+            done.put((j, None))
+        # hold nothing of the sweep while waiting, so it can be collected
+        del task, fn, share
 
 
 def bspline_bank() -> FilterBank:

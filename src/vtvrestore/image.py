@@ -52,17 +52,24 @@ def conv_circular(image, kernel) -> np.ndarray:
     kernel : array, odd-sized 2-D taps
 
     The wrap-around indexing makes this a total function for any image and
-    kernel sizes >= 1.
+    kernel sizes >= 1.  A kernel larger than the grid is first folded onto
+    it: taps whose offsets wrap to the same shift are summed, so there is one
+    roll per distinct shift, at most ``h * w``, not one per tap.  Where the
+    kernel fits the grid no two taps share a shift, and the sum is the
+    tap-by-tap one.
     """
     f = np.asarray(image, dtype=np.float64)
     k = as_kernel(kernel)
     ry, rx = (k.shape[0] - 1) // 2, (k.shape[1] - 1) // 2
+    h, w = (max(n, 1) for n in f.shape[-2:])
+    taps: dict = {}
+    for p, row in enumerate(k.tolist(), start=-ry):
+        for q, tap in enumerate(row, start=-rx):
+            taps[p % h, q % w] = taps.get((p % h, q % w), 0.0) + tap
     out = np.zeros_like(f)
-    for p in range(-ry, ry + 1):
-        for q in range(-rx, rx + 1):
-            tap = k[p + ry, q + rx]
-            if tap != 0.0:
-                out += tap * np.roll(f, (p, q), axis=(-2, -1))
+    for shift, tap in taps.items():
+        if tap != 0.0:
+            out += tap * np.roll(f, shift, axis=(-2, -1))
     return out
 
 

@@ -58,6 +58,17 @@ once.  :meth:`~SplitBregman.step` is one FFT solve into whichever iterate
 array is not ``u``, and one sweep, so from the second step on a step
 allocates no image.
 
+``SolverConfig.workers`` runs each sweep on that many threads: the even
+row blocks, then the odd ones, each phase split over the workers, which
+write disjoint rows of ``b`` and of the accumulator (see
+:class:`~vtvrestore.frames.Sweep`).  The blocks and the order of every sum
+are the same for any worker count, so no result depends on it.  The
+threads start with the first step, wait between steps and end with
+:func:`solve` or :meth:`SplitBregman.close`; one worker starts none.  A
+block's body reaches :mod:`~vtvrestore.diffops` through its module, never
+through a name of this one, so a wrapper put on a name of this module (as
+a profiler does) is only ever called by the calling thread.
+
 ``SolverConfig.precision`` sets the dtype of the splitting state.  At
 ``"single"``, ``b``, the thresholds and the sweep's block buffers, taps and
 gamma-weighted transposed taps are float32: the sweep
@@ -78,7 +89,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffops import grad, grad_adjoint, shrink_iso, vtv
+from . import diffops
+from .diffops import grad, grad_adjoint
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -163,6 +175,8 @@ class SolverConfig:
     penalties (also the u-update damping).  Lengths must equal the bank's
     channel count.  ``precision`` is the dtype of the splitting state:
     ``"double"`` (float64) or ``"single"`` (float32; see the module notes).
+    ``workers`` is the number of threads each sweep over the row blocks runs
+    on (see :class:`~vtvrestore.frames.Sweep`); no result depends on it.
     """
 
     lam: tuple
@@ -173,6 +187,7 @@ class SolverConfig:
     shrinkage: str = ANISO
     record_trace: bool = False
     precision: str = DOUBLE
+    workers: int = 1
 
     def __post_init__(self):
         self.lam = tuple(float(v) for v in np.atleast_1d(self.lam))
@@ -195,6 +210,8 @@ class SolverConfig:
             raise ConfigError(f"unknown shrinkage flavor {self.shrinkage!r}")
         if self.precision not in (DOUBLE, SINGLE):
             raise ConfigError(f"unknown precision {self.precision!r}")
+        if not (isinstance(self.workers, int) and self.workers >= 1):
+            raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
 
     @classmethod
     def head_rest(
@@ -222,7 +239,8 @@ class SolveResult:
     one entry per iteration.  ``energy_trace`` is filled only when
     ``record_trace`` is set.  ``converged`` is true iff the last trace entry
     reached ``tol``.  ``precision`` is the one the solve ran at (see
-    :attr:`SplitBregman.precision`).
+    :attr:`SplitBregman.precision`) and ``threads`` the number of sweep
+    workers that ran (:attr:`~vtvrestore.frames.Sweep.workers`).
     """
 
     u: np.ndarray
@@ -231,6 +249,7 @@ class SolveResult:
     energy_trace: list = field(default_factory=list)
     converged: bool = False
     precision: str = DOUBLE
+    threads: int = 1
 
 
 def energy(u, f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> float:
@@ -241,11 +260,12 @@ def energy(u, f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> floa
         raise DimensionMismatchError(f"u {uu.shape} vs f {ff.shape}")
     if len(cfg.lam) != bank.m:
         raise ConfigError(f"config has {len(cfg.lam)} channels, bank has {bank.m}")
-    reg = sum(
-        vtv(g, weights=cfg.lam, isotropic=cfg.shrinkage == ISO)
-        for _, g in Sweep(bank.frame_gradient, uu.shape).blocks(uu)
-    )
-    return reg + _fidelity(uu, ff, op)
+    isotropic = cfg.shrinkage == ISO
+    with Sweep(bank.frame_gradient, uu.shape, workers=cfg.workers) as sweep:
+        terms = sweep.run(
+            lambda rows, g, add: diffops.vtv(g, weights=cfg.lam, isotropic=isotropic), uu
+        )
+    return sum(terms) + _fidelity(uu, ff, op)
 
 
 def _fidelity(u, f, op: DegradationOp) -> float:
@@ -391,31 +411,36 @@ class SplitBregman:
         # Per block, with v = grad(F u_new) + b and d = shrink(v):
         # b <- v - d, which is clip(v, -T, T) for the anisotropic shrink, and
         # the block becomes d - b = v - 2 b, which is added into the next
-        # numerator; all in place (a fresh result array costs 2-4x).
+        # numerator; all in place (a fresh result array costs 2-4x).  A block
+        # writes only its own rows of b; the TV terms come back in block order.
         t = self._thresholds
-        lam, isotropic = self.cfg.lam, self.cfg.shrinkage == ISO
-        regularization = 0
-        if self._sweep is None:
-            self._sweep = Sweep(self.bank.frame_gradient, self.u.shape, self.cfg.gamma, t.dtype)
-        sweep = self._sweep
-        sweep.reset()
-        for rows, v in sweep.blocks(u_new):
-            if self.cfg.record_trace:
-                regularization += vtv(v, weights=lam, isotropic=isotropic)
+        lam, isotropic, traced = self.cfg.lam, self.cfg.shrinkage == ISO, self.cfg.record_trace
+
+        def update(rows, v, add):
+            regularization = diffops.vtv(v, weights=lam, isotropic=isotropic) if traced else None
             b = self.b[:, :, rows]
             v += b
             if isotropic:
-                shrink_iso(v, t[..., 0], out=b)
+                diffops.shrink_iso(v, t[..., 0], out=b)
                 np.subtract(v, b, out=b)
             else:
                 np.clip(v, -t, t, out=b)
             v -= b
             v -= b
-            sweep.add(rows, v)
+            add(v)
+            return regularization
+
+        if self._sweep is None:
+            self._sweep = Sweep(
+                self.bank.frame_gradient, self.u.shape, self.cfg.gamma, t.dtype, self.cfg.workers
+            )
+        sweep = self._sweep
+        sweep.reset()
+        terms = sweep.run(update, u_new)
         self.numerator = sweep.fold()
         self.numerator += self._atf
-        if self.cfg.record_trace:
-            self.regularization = regularization
+        if traced:
+            self.regularization = sum(terms)
         self.u = u_new
         return rel
 
@@ -431,6 +456,11 @@ class SplitBregman:
             self._iterates = (np.empty(self.f.shape), np.empty(self.f.shape))
         return self.advance(self.u_update(out=self._iterates[self.u is self._iterates[0]]))
 
+    def close(self) -> None:
+        """End the sweep's worker threads; a later step starts them again."""
+        if self._sweep is not None:
+            self._sweep.close()
+
 
 def solve(f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> SolveResult:
     """Run the split Bregman loop to tolerance or the iteration cap.
@@ -442,14 +472,17 @@ def solve(f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> SolveRes
     trace: list = []
     energy_trace: list = []
     converged = False
-    for _ in range(cfg.max_iter):
-        rel = sb.step()
-        trace.append(rel)
-        if cfg.record_trace:
-            energy_trace.append(sb.regularization + _fidelity(sb.u, sb.f, op))
-        if rel <= cfg.tol:
-            converged = True
-            break
+    try:
+        for _ in range(cfg.max_iter):
+            rel = sb.step()
+            trace.append(rel)
+            if cfg.record_trace:
+                energy_trace.append(sb.regularization + _fidelity(sb.u, sb.f, op))
+            if rel <= cfg.tol:
+                converged = True
+                break
+    finally:
+        sb.close()
     return SolveResult(
         u=sb.u,
         iterations=len(trace),
@@ -457,4 +490,5 @@ def solve(f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> SolveRes
         energy_trace=energy_trace,
         converged=converged,
         precision=sb.precision,
+        threads=sb._sweep.workers,
     )

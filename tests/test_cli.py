@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import math
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vtvrestore import cli, quantize, write_pgm
+from vtvrestore import cli, frames, quantize, write_pgm
 from vtvrestore.cli import SETTINGS, build_parser, main
 
 from conftest import make_phantom
@@ -117,6 +118,8 @@ class TestDenoise:
         assert meta["metrics"]["converged"] is True
         assert meta["metrics"]["iterations"] == row["iters"]
         assert meta["precision"] == "single"
+        # the 256x256 grid has 8 row blocks, 4 a phase
+        assert meta["metrics"]["threads"] == min(cli._sweep_workers(1), 4)
 
     def test_trace_csv_well_formed(self, denoise_run):
         _, row, out = denoise_run
@@ -151,6 +154,24 @@ class TestDenoise:
         meta = json.loads((tmp_path / "small_run.json").read_text())
         assert meta["metrics"]["psnr_noisy"] == "-inf"
         assert meta["precision"] == "double"  # past the float32 bound
+        assert capsys.readouterr().err == ""
+
+    def test_noise_past_the_float_range_on_two_sweep_threads(
+        self, small_pgm, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(frames, "BLOCK_PIXELS", 4 * 64)  # 16 blocks of 4 rows
+        code, stdout = run_cli(
+            "denoise", "--input", small_pgm, "--out", str(tmp_path), "--sigma", "1e300",
+            "--max-iter", "2", "--trace",
+        )
+        assert code == 2
+        assert stdout.splitlines()[1].split(",")[1] == "-inf"
+        meta = json.loads((tmp_path / "small_run.json").read_text())
+        assert (meta["precision"], meta["metrics"]["threads"]) == ("double", 2)
+        rows = [line.split(",") for line in (tmp_path / "small_trace.csv").read_text().splitlines()[1:]]
+        assert [energy for _, _, energy in rows] == ["inf", "inf"]
         assert capsys.readouterr().err == ""
 
     def test_threshold_past_the_float_range_runs_at_double(self, small_pgm, tmp_path, capsys):
@@ -609,6 +630,27 @@ class TestConfigAndErrors:
         for task in ("denoise", "deblur"):
             actions = subparsers.choices[task]._actions
             assert {opt: a.dest for a in actions for opt in a.option_strings} == expected
+
+
+@pytest.mark.parametrize(
+    ("env", "processes", "workers"),
+    [
+        ({}, 1, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 4),
+        ({"OMP_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 1),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "4"}, 1, 1),
+    ],
+)
+def test_sweep_threads_share_the_cpus_only_over_a_one_thread_blas(
+    monkeypatch, env, processes, workers
+):
+    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(key, raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert cli._sweep_workers(processes) == workers
 
 
 class TestCrossVariantParityLimits:

@@ -1,5 +1,10 @@
 """Filter bank construction, tight-frame identities and the frame adjoint."""
 
+import math
+import sys
+import threading
+import unittest.mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -266,7 +271,7 @@ def test_every_block_size_gives_the_same_stencil(monkeypatch, bank, shape, block
     expected = reference_apply(u, bank)
     assert np.max(np.abs(stencil.apply(u) - expected)) <= 1e-12
     # each block arrives in a buffer the next block reuses
-    pieces = [(rows, g.copy()) for rows, g in frames.Sweep(stencil, shape).blocks(u)]
+    pieces = frames.Sweep(stencil, shape).run(lambda rows, g, add: (rows, g.copy()), u)
     assert [rows.start for rows, _ in pieces] == list(range(0, h, block_rows or h))
     assert np.max(np.abs(np.concatenate([g for _, g in pieces], axis=2) - expected)) <= 1e-12
     got = stencil.adjoint(p, weights=gamma)
@@ -282,17 +287,129 @@ def test_float32_block_buffers_give_the_stencil_in_single_precision(bank, shape)
     gamma = rng.uniform(0.5, 3.0, bank.m)
     sweep = frames.Sweep(stencil, shape, gamma, np.float32)
     for _ in range(2):  # the same buffers serve every sweep
-        pieces = [g.copy() for _, g in sweep.blocks(u)]
+        pieces = sweep.run(lambda rows, g, add: g.copy(), u)
         assert all(g.dtype == np.float32 for g in pieces)
         got = np.concatenate(pieces, axis=2)
         assert np.max(np.abs(got - expected)) <= 1e-5 * 255
     # the float32 adjoint sums into a float64 image
     p = rng.standard_normal((bank.m, 2) + shape)
-    for rows in sweep.rows():
-        sweep.add(rows, p[:, :, rows].astype(np.float32))
+    sweep.run(lambda rows, g, add: add(p[:, :, rows].astype(np.float32)))
     got = sweep.fold()
     assert got.dtype == np.float64
     assert np.max(np.abs(got - reference_adjoint(p, bank, gamma))) <= 1e-5
+
+
+# one block; 5 blocks of 8 rows and one of 5; and 2-row blocks, shorter
+# than the B-spline and 5x5 pads (3 and 5 rows) but not the identity's (1)
+WORKER_GRIDS = [(1, 1), (7, 5), (37, 1024), (6, 4096)]
+
+
+@pytest.mark.parametrize("shape", WORKER_GRIDS)
+@pytest.mark.parametrize("bank_name", sorted(BANKS))
+def test_every_worker_count_gives_the_same_stencil(bank_name, shape):
+    bank = BANKS[bank_name]()
+    stencil = bank.frame_gradient
+    rng = np.random.default_rng(28)
+    u = rng.standard_normal(shape)
+    p = rng.standard_normal((bank.m, 2) + shape)
+    gamma = rng.uniform(0.5, 3.0, bank.m)
+    applied = [stencil.apply(u, workers) for workers in (1, 2, 3)]
+    adjoints = [stencil.adjoint(p, gamma, workers) for workers in (1, 2, 3)]
+    assert all(np.array_equal(a, applied[0]) for a in applied[1:])
+    assert all(np.array_equal(a, adjoints[0]) for a in adjoints[1:])
+    assert np.max(np.abs(applied[0] - reference_apply(u, bank))) <= 1e-12
+    assert np.max(np.abs(adjoints[0] - reference_adjoint(p, bank, gamma))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    ("bank_name", "shape", "threads"),
+    [
+        ("bspline", (1, 1), 1),
+        ("bspline", (7, 5), 1),
+        ("bspline", (37, 1024), 3),  # 3 of the 5 blocks in the first phase
+        ("bspline", (6, 4096), 1),  # 2-row blocks, 3 rows of pads
+        ("identity", (6, 4096), 2),  # 2-row blocks, 1 row of pads
+        ("random5x5", (37, 1024), 3),  # 8-row blocks, 5 rows of pads
+    ],
+)
+def test_workers_are_capped_by_the_blocks_of_a_phase(bank_name, shape, threads):
+    assert frames.Sweep(BANKS[bank_name]().frame_gradient, shape, workers=3).workers == threads
+    assert frames.Sweep(BANKS[bank_name]().frame_gradient, shape).workers == 1
+
+
+def test_blocks_of_a_phase_run_on_threads_of_their_own(bank):
+    baseline = threading.active_count()
+    with frames.Sweep(bank.frame_gradient, (37, 1024), workers=3) as sweep:
+        for _ in range(2):  # the two threads wait from one run to the next
+            names = sweep.run(lambda rows, g, add: threading.current_thread().name)
+            assert threading.active_count() == baseline + 2
+    main = threading.current_thread().name
+    # phase one: blocks 0, 2 and 4, block 0 in this thread; phase two: 1 and 3
+    assert names[0] == names[1] == main
+    assert len({names[0], names[2], names[4]}) == 3
+    assert names[3] == names[2]
+    assert threading.active_count() == baseline
+
+
+def test_more_workers_than_cores_lose_no_update(bank, monkeypatch):
+    # 3-row blocks, as short as the pads allow, so that neighbouring blocks of
+    # one phase write rows next to each other; a lost or doubled update of
+    # the shared accumulator would change the sum
+    shape = (200, 64)
+    monkeypatch.setattr(frames, "BLOCK_PIXELS", 3 * shape[1])
+    rng = np.random.default_rng(35)
+    p = rng.standard_normal((bank.m, 2) + shape)
+    gamma = rng.uniform(0.5, 3.0, bank.m)
+    stencil = bank.frame_gradient
+    expected = stencil.adjoint(p, gamma)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert np.array_equal(stencil.adjoint(p, gamma, workers=8), expected)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_the_threads_of_a_collected_sweep_end(bank):
+    before = set(threading.enumerate())
+    sweep = frames.Sweep(bank.frame_gradient, (37, 1024), workers=3)
+    sweep.run(lambda rows, g, add: None)
+    started = set(threading.enumerate()) - before
+    assert len(started) == 2
+    del sweep
+    for thread in started:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def test_a_body_runs_under_the_callers_error_state_on_every_thread(bank):
+    sweep = frames.Sweep(bank.frame_gradient, (37, 1024), workers=3)
+
+    def overflow(rows, g, add):
+        return float(np.float64(1e300) * np.float64(1e300))
+
+    with np.errstate(over="ignore"):
+        assert sweep.run(overflow) == [math.inf] * 5
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        sweep.run(overflow)
+
+
+@pytest.mark.parametrize("kind", [ValueError, MemoryError])
+def test_a_failure_on_a_worker_thread_is_raised_by_run(bank, kind):
+    sweep = frames.Sweep(bank.frame_gradient, (37, 1024), workers=3)
+    baseline = threading.active_count()
+    failed = []
+
+    def body(rows, g, add):
+        if threading.current_thread() is not threading.main_thread():
+            failed.append(rows.start)
+            raise kind("failed on a worker")
+
+    with pytest.raises(kind, match="failed on a worker"):
+        sweep.run(body)
+    assert sorted(failed) == [16, 32]  # blocks 2 and 4; phase two never starts
+    assert threading.active_count() == baseline
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -301,18 +418,24 @@ def test_float32_block_buffers_give_the_stencil_in_single_precision(bank, shape)
     w=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
     bank_name=st.sampled_from(sorted(BANKS)),
+    workers=st.integers(1, 3),
 )
-@example(h=1, w=29, seed=0, bank_name="bspline")
-@example(h=31, w=1, seed=0, bank_name="bspline")
-def test_adjointness_and_uep_on_random_sizes(h, w, seed, bank_name):
+@example(h=1, w=29, seed=0, bank_name="bspline", workers=1)
+@example(h=31, w=1, seed=0, bank_name="bspline", workers=1)
+@example(h=40, w=7, seed=0, bank_name="bspline", workers=3)
+def test_adjointness_and_uep_on_random_sizes(h, w, seed, bank_name, workers):
     bank = BANKS[bank_name]()
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((h, w))
     p = rng.standard_normal((bank.m, 2, h, w))
     stencil = bank.frame_gradient
-    du = stencil.apply(u)
+    # blocks of 5 rows, at least the pads of every bank here, so that
+    # more than one worker runs on grids of more than 10 rows
+    with unittest.mock.patch.object(frames, "BLOCK_PIXELS", 5 * w):
+        du = stencil.apply(u, workers)
+        adjoint = stencil.adjoint(p, workers=workers)
     lhs = float(np.sum(du * p))
-    rhs = float(np.sum(u * stencil.adjoint(p)))
+    rhs = float(np.sum(u * adjoint))
     assert abs(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(du) * np.linalg.norm(p))
     if bank_name != "random5x5":  # the random bank is not a tight frame
         assert verify_uep(bank, w, h) < 1e-12

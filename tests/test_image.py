@@ -33,6 +33,41 @@ def embed_at_origin(k, shape):
 
 
 class TestConvCircular:
+    @pytest.mark.parametrize(
+        ("shape", "kernel"),
+        [
+            ((16, 16), motion_blur_kernel(100001)),
+            ((3, 4), np.random.default_rng(31).standard_normal((7, 9))),
+            ((1, 1), np.random.default_rng(32).standard_normal((5, 3))),
+        ],
+        ids=["blur100001-16x16", "7x9-on-3x4", "5x3-on-1x1"],
+    )
+    def test_a_kernel_larger_than_the_grid_is_folded_onto_it(self, monkeypatch, shape, kernel):
+        f = np.random.default_rng(33).uniform(0, 255, shape)
+        rolls = []
+        roll = np.roll
+        monkeypatch.setattr(np, "roll", lambda *args, **kw: rolls.append(1) or roll(*args, **kw))
+        got = conv_circular(f, kernel)
+        monkeypatch.undo()
+        # one roll per distinct wrapped shift: 16 for the long blur
+        assert len(rolls) <= min(kernel.shape[0], shape[0]) * min(kernel.shape[1], shape[1])
+        want = np.real(np.fft.ifft2(np.fft.fft2(f) * kernel_symbol(kernel, shape)))
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.sum(np.abs(kernel)) * 255
+
+    @pytest.mark.parametrize("shape", [(5, 7), (9, 9), (33, 20)])
+    def test_a_kernel_that_fits_the_grid_is_summed_tap_by_tap(self, shape):
+        rng = np.random.default_rng(34)
+        f = rng.uniform(0, 255, shape)
+        k = rng.standard_normal((5, 7))
+        k[1, 2] = 0.0
+        ry, rx = 2, 3
+        want = np.zeros_like(f)
+        for p in range(-ry, ry + 1):
+            for q in range(-rx, rx + 1):
+                if k[p + ry, q + rx] != 0.0:
+                    want += k[p + ry, q + rx] * np.roll(f, (p, q), axis=(-2, -1))
+        assert np.array_equal(conv_circular(f, k), want)
+
     def test_impulse_reproduces_kernel(self):
         k = np.arange(9, dtype=float).reshape(3, 3)
         f = np.zeros((6, 7))

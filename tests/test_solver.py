@@ -3,6 +3,7 @@ the classical-TV reduction."""
 
 import dataclasses
 import functools
+import threading
 import tracemalloc
 
 import numpy as np
@@ -72,6 +73,11 @@ class TestSolverConfig:
             SolverConfig(lam=(1.0,), gamma=(1.0,), u_update="fancy")
         with pytest.raises(ConfigError):
             SolverConfig(lam=(1.0,), gamma=(1.0,), shrinkage="huber")
+
+    @pytest.mark.parametrize("workers", [0, -1, 2.0, "2"])
+    def test_workers_must_be_a_positive_integer(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            SolverConfig(lam=(1.0,), gamma=(1.0,), workers=workers)
 
     def test_head_rest_builder(self):
         cfg = SolverConfig.head_rest(4, 2.0, 1.5, 12.0, 4.5)
@@ -197,15 +203,26 @@ def test_split_bregman_keeps_only_its_state(bank):
     assert kept <= sb.b.nbytes + 4 * f.nbytes, kept
 
 
-@pytest.mark.parametrize("precision", [DOUBLE, SINGLE])
-def test_warm_step_allocates_less_than_one_image(bank, precision):
+@pytest.mark.parametrize(
+    ("precision", "workers"),
+    [
+        pytest.param(DOUBLE, 1, id="double"),
+        pytest.param(SINGLE, 1, id="single"),
+        pytest.param(DOUBLE, 2, id="double-2-workers"),
+        pytest.param(SINGLE, 2, id="single-2-workers"),
+    ],
+)
+def test_warm_step_allocates_less_than_one_image(bank, precision, workers):
     # From the second step on, u_new is written into the one of the two
     # iterate arrays that is not u, the FFT solve and u_new - u run in the
     # spectrum buffer and the sweep made by the first step is reused, so a
-    # step allocates only small temporaries: less than a boolean image.
+    # step allocates only small temporaries: less than a boolean image.  With
+    # two workers, each has its scratch from the first step on, and the
+    # second worker's thread waits between steps.
     f = np.random.default_rng(6).uniform(0, 255, (512, 512))
     observed = f.copy()
-    sb = SplitBregman(f, DegradationOp.identity(), bank, denoise_cfg(precision=precision))
+    cfg = denoise_cfg(precision=precision, workers=workers)
+    sb = SplitBregman(f, DegradationOp.identity(), bank, cfg)
     sb.step()
     assert np.array_equal(f, observed)  # the first step does not write into f
     for _ in range(3):
@@ -238,6 +255,102 @@ def test_recycled_iterate_gives_the_same_iterates_as_fresh_ones(bank):
     for _ in range(3):
         stepped.step()
     assert np.array_equal(passed, kept)
+
+
+# 1x1; 7x5 and 40x40, each one block; 33x1024, an odd number of blocks
+# (four of 8 rows and one of 1); and 6x4096, whose 2-row blocks are shorter
+# than the B-spline pads (3 rows), so one worker runs
+WORKER_GRIDS = {(1, 1): 1, (7, 5): 1, (40, 40): 1, (33, 1024): 3, (6, 4096): 1}
+
+
+@pytest.mark.parametrize("precision", [DOUBLE, SINGLE])
+@pytest.mark.parametrize("shrinkage", [ANISO, ISO])
+@pytest.mark.parametrize("blur", [None, 3], ids=["identity", "blur3"])
+@pytest.mark.parametrize("shape", list(WORKER_GRIDS), ids="{0[0]}x{0[1]}".format)
+def test_every_worker_count_gives_the_same_iterates(bank, shape, blur, shrinkage, precision):
+    f = np.random.default_rng(29).uniform(0, 255, shape)
+    op = DegradationOp.identity() if blur is None else DegradationOp.blur(motion_blur_kernel(blur))
+    runs = []
+    for workers in (1, 2, 3):
+        cfg = denoise_cfg(
+            shrinkage=shrinkage, precision=precision, tol=1e-30, max_iter=4,
+            record_trace=True, workers=workers,
+        )
+        sb = SplitBregman(f, op, bank, cfg)
+        for _ in range(4):
+            sb.step()
+        runs.append((solve(f, op, bank, cfg), sb))
+    (first, sb_first), *others = runs
+    for result, sb in others:
+        assert np.array_equal(result.u, first.u)
+        assert result.trace == first.trace
+        assert result.energy_trace == first.energy_trace
+        assert np.array_equal(sb.b, sb_first.b)
+        assert np.array_equal(sb.numerator, sb_first.numerator)
+    assert [result.threads for result, _ in runs] == [min(n, WORKER_GRIDS[shape]) for n in (1, 2, 3)]
+
+
+# 4 blocks of 16 rows: two per phase, so the second worker runs
+THREADED_GRID = (64, 512)
+
+
+@pytest.mark.parametrize("kind", [RuntimeError, MemoryError])
+def test_a_failure_on_a_sweep_thread_is_raised_and_leaves_no_thread(bank, monkeypatch, kind):
+    f = np.random.default_rng(30).uniform(0, 255, THREADED_GRID)
+    op, cfg = DegradationOp.identity(), denoise_cfg(workers=2)
+    baseline = threading.active_count()
+    sb = SplitBregman(f, op, bank, cfg)
+    sb.step()
+    forward = frames.Sweep._forward
+    failed = []
+
+    def failing(self, scratch, u, rows):
+        if threading.current_thread() is not threading.main_thread():
+            failed.append(rows.start)
+            raise kind("no block for this thread")
+        return forward(self, scratch, u, rows)
+
+    monkeypatch.setattr(frames.Sweep, "_forward", failing)
+    with pytest.raises(kind, match="no block for this thread"):
+        sb.step()
+    assert threading.active_count() == baseline
+    with pytest.raises(kind, match="no block for this thread"):
+        solve(f, op, bank, cfg)
+    assert threading.active_count() == baseline
+    assert failed == [32, 32]  # block 2, the second of the first phase of each sweep
+
+
+def test_sweep_threads_live_from_the_first_step_to_close(bank):
+    f = np.random.default_rng(32).uniform(0, 255, THREADED_GRID)
+    op, cfg = DegradationOp.identity(), denoise_cfg(workers=2, tol=1e-30, max_iter=3)
+    baseline = threading.active_count()
+    sb = SplitBregman(f, op, bank, cfg)
+    assert threading.active_count() == baseline
+    for _ in range(2):
+        sb.step()
+        assert threading.active_count() == baseline + 1
+    sb.close()
+    assert threading.active_count() == baseline
+    sb.step()  # starts them again
+    assert threading.active_count() == baseline + 1
+    sb.close()
+    assert solve(f, op, bank, cfg).threads == 2
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_divergent_iterate_on_two_sweep_threads_keeps_the_state(bank, value):
+    f = np.random.default_rng(31).uniform(0, 255, THREADED_GRID)
+    sb = SplitBregman(f, DegradationOp.identity(), bank, denoise_cfg(workers=2))
+    sb.step()
+    u_new = sb.u_update()
+    u_new[4, 5] = value
+    b, numerator, u = sb.b.copy(), sb.numerator.copy(), sb.u.copy()
+    with pytest.raises(NonFiniteError, match="iterate contains NaN or Inf"):
+        sb.advance(u_new)
+    assert np.array_equal(sb.b, b) and np.array_equal(sb.u, u)
+    assert np.array_equal(sb.numerator, numerator)
+    assert solve(f, DegradationOp.identity(), bank, denoise_cfg(workers=2)).threads == 2
 
 
 class TestUUpdate:
