@@ -298,15 +298,28 @@ def _process_isolated(job: dict) -> dict:
         return {"input": job["input"], "error": _error_text(exc)}
 
 
+def _blas_threads() -> int | None:
+    """The BLAS thread count the environment sets, read as OpenBLAS reads it:
+    ``OPENBLAS_NUM_THREADS`` where it is a positive integer, else
+    ``OMP_NUM_THREADS``; None where neither is."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return None
+
+
 def _sweep_workers(processes: int) -> int:
     """Sweep threads per solve when ``processes`` solves run at once.
 
     The CPUs this process may use, shared among the processes, where BLAS is
-    pinned to one thread (``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is
-    ``1``); else 1, since sweep threads over a multi-threaded BLAS ran slower
-    than one.
+    pinned to one thread (:func:`_blas_threads` is 1); else 1, since sweep
+    threads over a multi-threaded BLAS ran slower than one.
     """
-    if "1" not in (os.environ.get("OPENBLAS_NUM_THREADS"), os.environ.get("OMP_NUM_THREADS")):
+    if _blas_threads() != 1:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, (cpus or 1) // processes)

@@ -17,9 +17,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import queue
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,7 +197,7 @@ class FrameGradient:
         dys, dxs = zip((0, 0), *offsets)
         self._pad = ((max(dys), -min(dys)), (max(dxs), -min(dxs)))
 
-    def apply(self, u, workers: int = 1) -> np.ndarray:
+    def apply(self, u) -> np.ndarray:
         """``grad(analyze(u, bank))`` as a new ``(m, 2, h, w)`` stack."""
         f = np.asarray(u, dtype=np.float64)
         out = np.empty((self.m, 2) + f.shape)
@@ -208,11 +205,10 @@ class FrameGradient:
         def copy(rows, g, add):
             out[:, :, rows] = g
 
-        with Sweep(self, f.shape, workers=workers) as sweep:
-            sweep.run(copy, f)
+        Sweep(self, f.shape).run(copy, f)
         return out
 
-    def adjoint(self, p, weights=None, workers: int = 1) -> np.ndarray:
+    def adjoint(self, p, weights=None) -> np.ndarray:
         """``sum_i weights[i] * conv_adjoint(grad_adjoint(p[i]), K_i)``.
 
         ``p`` is an ``(m, 2, h, w)`` field and ``weights`` default to ones.
@@ -223,8 +219,8 @@ class FrameGradient:
             raise ChannelMismatchError(
                 f"expected an ({self.m}, 2, h, w) field, got shape {q.shape}"
             )
-        with Sweep(self, q.shape[2:], weights, workers=workers) as sweep:
-            sweep.run(lambda rows, g, add: add(q[:, :, rows]))
+        sweep = Sweep(self, q.shape[2:], weights)
+        sweep.run(lambda rows, g, add: add(q[:, :, rows]))
         return sweep.fold()
 
     def normal_kernel(self, weights) -> np.ndarray:
@@ -271,9 +267,10 @@ class Sweep:
     has fewer (grids wider than about ``BLOCK_PIXELS / 3`` for the B-spline
     bank) one worker runs.  The block partition and the phase order do not
     depend on the worker count, so neither does any sum.  One worker runs
-    in the calling thread.  More are threads that the first :meth:`run`
-    starts and that wait between runs until :meth:`close`, the end of a
-    ``with`` block or the sweep's collection ends them.
+    in the calling thread.  The others run on a thread pool that the first
+    :meth:`run` makes and whose threads wait between runs until
+    :meth:`close`, the end of a ``with`` block or the sweep's collection
+    ends them.
     """
 
     def __init__(
@@ -316,8 +313,10 @@ class Sweep:
         row_weights = np.repeat(np.ones(stencil.m) if weights is None else weights, 2)
         self._weighted = np.ascontiguousarray((taps * row_weights[:, None]).T, dtype)
         self._acc = np.zeros((top + h + bottom, left + w + right))
-        #: The worker threads, started by the first :meth:`run` that needs them.
-        self._crew = None
+        #: The pool of ``workers - 1`` threads, made by the first :meth:`run`
+        #: that needs it, and the process that made it.
+        self._executor = None
+        self._executor_pid = None
 
     def run(self, body, u=None) -> list:
         """``[body(rows, g, add) for each row block]``, in block order.
@@ -332,7 +331,8 @@ class Sweep:
         A body may run on a worker thread, under the caller's numpy error
         state, so it may write only rows ``rows`` of an array another block
         writes.  An exception a body raises (``MemoryError`` included) is
-        raised here once the threads of its phase have ended.
+        raised here once every block of its phase has ended, the first in
+        worker order, and the threads are ended.
         """
         f = None
         if u is not None:
@@ -340,35 +340,52 @@ class Sweep:
             if f.shape != self._shape:
                 raise DimensionMismatchError(f"expected a {self._shape} image, got {f.shape}")
         results = [None] * len(self._rows)
+        errstate = np.geterr()
 
         def work(blocks, scratch):
-            for k in blocks:
-                rows = self._rows[k]
-                g = None if f is None else self._forward(scratch, f, rows)
-                results[k] = body(rows, g, functools.partial(self._add, scratch, rows))
+            # numpy keeps its error state per thread
+            with np.errstate(**errstate):
+                for k in blocks:
+                    rows = self._rows[k]
+                    g = None if f is None else self._forward(scratch, f, rows)
+                    results[k] = body(rows, g, functools.partial(self._add, scratch, rows))
 
-        if self.workers > 1 and (self._crew is None or self._crew.pid != os.getpid()):
-            # a forked child has none of its parent's threads
-            self._crew = _Crew(self.workers, self)
         try:
             for phase in (0, 1):
                 blocks = range(phase, len(self._rows), 2)
                 shares = [(blocks[j :: self.workers], s) for j, s in enumerate(self._scratch)]
                 shares = [share for share in shares if share[0]]
-                if len(shares) > 1:
-                    self._crew.run(work, shares)
-                elif shares:
-                    work(*shares[0])
+                futures = [self._pool().submit(work, *share) for share in shares[1:]]
+                try:
+                    for share in shares[:1]:
+                        work(*share)
+                finally:
+                    for future in futures:
+                        future.exception()  # waits for it
+                for future in futures:
+                    future.result()
         except BaseException:
             self.close()
             raise
         return results
 
+    def _pool(self):
+        """The worker threads, made on first use in each process: a forked
+        child has none of its parent's threads."""
+        if self._executor is None or self._executor_pid != os.getpid():
+            # imported here: it loads logging, about 0.5 MB of peak RSS that a
+            # one-worker run does not need
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._executor = ThreadPoolExecutor(self.workers - 1, "sweep")
+            self._executor_pid = os.getpid()
+        return self._executor
+
     def close(self) -> None:
         """End the worker threads, if any; the next :meth:`run` starts them again."""
-        if self._crew is not None:
-            self._crew.close()
-            self._crew = None
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
 
     def __enter__(self) -> "Sweep":
         return self
@@ -440,83 +457,6 @@ class Sweep:
         """
         (top, _), (left, _) = self._pad
         return _fold(self._acc, top, left, *self._shape)
-
-
-class _Crew:
-    """``n - 1`` threads that each run one share of a phase while the calling
-    thread runs the first.
-
-    The threads wait for work between phases, so a phase costs two hand-offs
-    per thread, not a thread start.  :meth:`close` ends them; if ``owner`` is
-    collected first, :meth:`stop` ends them without waiting.
-    """
-
-    def __init__(self, n: int, owner):
-        self.pid = os.getpid()
-        # the finalizer holds the crew, not its owner, and the threads hold
-        # neither between shares, so the owner can be collected
-        self._stopper = weakref.finalize(owner, self.stop)
-        self._done = queue.SimpleQueue()
-        self._inboxes = [queue.SimpleQueue() for _ in range(n - 1)]
-        self._threads = []
-        try:
-            for j, inbox in enumerate(self._inboxes, start=1):
-                thread = threading.Thread(target=_serve, args=(j, inbox, self._done), daemon=True)
-                thread.start()
-                self._threads.append(thread)
-        except BaseException:
-            self.close()
-            raise
-
-    def run(self, fn, shares: list) -> None:
-        """``fn(*share)`` for every share, at most one per thread.
-
-        Each thread runs under this thread's numpy error state, which numpy
-        keeps per thread.  Once every share has ended, the exception of the
-        first that failed is raised.
-        """
-        errstate = np.geterr()
-        for inbox, share in zip(self._inboxes, shares[1:]):
-            inbox.put((fn, share, errstate))
-        failures = [None] * len(shares)
-        try:
-            fn(*shares[0])
-        except BaseException as exc:  # raised below, once the others end
-            failures[0] = exc
-        for _ in shares[1:]:
-            j, exc = self._done.get()
-            failures[j] = exc
-        for exc in failures:
-            if exc is not None:
-                raise exc
-
-    def stop(self) -> None:
-        """Ask every thread to end once its share, if any, is done."""
-        for inbox in self._inboxes:
-            inbox.put(None)
-
-    def close(self) -> None:
-        """End every thread and wait for it."""
-        self._stopper.detach()
-        self.stop()
-        for thread in self._threads:
-            thread.join()
-
-
-def _serve(j: int, inbox, done) -> None:
-    """Run the ``(fn, share, errstate)`` put into ``inbox`` until None comes,
-    and put ``(j, exception or None)`` into ``done`` after each."""
-    while (task := inbox.get()) is not None:
-        fn, share, errstate = task
-        try:
-            with np.errstate(**errstate):
-                fn(*share)
-        except BaseException as exc:  # raised again by the calling thread
-            done.put((j, exc))
-        else:
-            done.put((j, None))
-        # hold nothing of the sweep while waiting, so it can be collected
-        del task, fn, share
 
 
 def bspline_bank() -> FilterBank:

@@ -640,6 +640,11 @@ class TestConfigAndErrors:
         ({"OMP_NUM_THREADS": "1"}, 2, 2),
         ({"OPENBLAS_NUM_THREADS": "1"}, 8, 1),
         ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "4"}, 1, 1),
+        # OpenBLAS reads OMP_NUM_THREADS only without a positive OPENBLAS_NUM_THREADS
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1, 1),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 1, 4),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 1, 4),
+        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 2, 2),
     ],
 )
 def test_sweep_threads_share_the_cpus_only_over_a_one_thread_blas(
