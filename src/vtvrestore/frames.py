@@ -208,23 +208,24 @@ class FrameGradient:
         Sweep(self, f.shape).run(copy, f)
         return out
 
-    def adjoint(self, p, weights=None) -> np.ndarray:
-        """``sum_i weights[i] * conv_adjoint(grad_adjoint(p[i]), K_i)``.
+    def adjoint(self, p) -> np.ndarray:
+        """``sum_i conv_adjoint(grad_adjoint(p[i]), K_i)`` of an ``(m, 2, h, w)``
+        field ``p``, as a new ``(h, w)`` image.
 
-        ``p`` is an ``(m, 2, h, w)`` field and ``weights`` default to ones.
-        Returns a new ``(h, w)`` image.
+        (A :class:`Sweep` with ``weights`` gives the weighted sum.)
         """
         q = np.asarray(p, dtype=np.float64)
         if q.ndim != 4 or q.shape[:2] != (self.m, 2):
             raise ChannelMismatchError(
                 f"expected an ({self.m}, 2, h, w) field, got shape {q.shape}"
             )
-        sweep = Sweep(self, q.shape[2:], weights)
+        sweep = Sweep(self, q.shape[2:])
         sweep.run(lambda rows, g, add: add(q[:, :, rows]))
         return sweep.fold()
 
     def normal_kernel(self, weights) -> np.ndarray:
-        """Kernel of ``sum_i weights[i] F_i* G* G F_i``, ``adjoint(apply(u), weights)``.
+        """Kernel of ``sum_i weights[i] F_i* G* G F_i``: :meth:`apply`, then the
+        ``weights``-weighted adjoint.
 
         The Gram matrix ``taps.T @ diag(repeat(weights, 2)) @ taps`` laid out
         by offset difference (7x7 for the B-spline bank).

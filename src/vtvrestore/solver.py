@@ -36,16 +36,17 @@ sum is checked once, when the solve is set up.  The spatial-domain primitives
 remain the references that :meth:`SplitBregman.kkt_residual` and the tests
 check against.
 
-:class:`SplitBregman`'s state is one ``(m, 2, h, w)`` stack, the
-multipliers ``b``; one image, the ``numerator`` of the next u-update; and
-one complex buffer the size of the half spectrum, in which the FFT solve
-runs and which :meth:`~SplitBregman.advance` then reuses for ``u_new - u``.
-Its first step adds a pair of iterates and a
+:class:`SplitBregman` builds its whole state when it is constructed: one
+``(m, 2, h, w)`` stack, the multipliers ``b``; a
 :class:`~vtvrestore.frames.Sweep`, which holds the block buffers and the
-numerator's accumulator.  The observation ``f`` is read, never
-written, and not copied: ``u`` starts as ``f`` itself, and ``A* f`` is
-``f`` itself for the identity, so a caller must not change ``f`` during
-the solve.  The splits ``d`` are never stored:
+wrap-padded accumulator whose ``(h, w)`` view is the ``numerator`` of the
+next u-update; a pair of iterates; and one complex buffer the size of the
+half spectrum, in which the FFT solve runs and which
+:meth:`~SplitBregman.advance` then reuses for ``u_new - u``.  The
+observation ``f`` is read, never written, and not copied: ``u`` starts as
+``f`` itself, and ``A* f``, which every numerator adds, is ``f`` itself for
+the identity, so a caller must not change ``f`` during the solve.  The
+splits ``d`` are never stored:
 :meth:`~SplitBregman.advance` checks that ``||u_new - u||`` is finite,
 then makes one sweep over row blocks and, while a block of the stencil's
 output is still in cache, shrinks it, updates ``b`` and adds the block's
@@ -55,15 +56,15 @@ copy it.  The u-update is one FFT solve; it returns a fresh array and
 never touches ``b`` or the numerator.  With ``record_trace``, the same sweep
 also sums the TV part of the energy, so a traced iteration runs the stencil
 once.  :meth:`~SplitBregman.step` is one FFT solve into whichever iterate
-array is not ``u``, and one sweep, so from the second step on a step
-allocates no image.
+array is not ``u``, and one sweep, so a step allocates no image.
 
 ``SolverConfig.workers`` runs each sweep on that many threads: the even
 row blocks, then the odd ones, each phase split over the workers, which
 write disjoint rows of ``b`` and of the accumulator (see
 :class:`~vtvrestore.frames.Sweep`).  The blocks and the order of every sum
 are the same for any worker count, so no result depends on it.  The
-threads start with the first step, wait between steps and end with
+threads are the one part of a solve its construction does not make: they
+start with the first step, wait between steps and end with
 :func:`solve` or :meth:`SplitBregman.close`; one worker starts none.  A
 block's body reaches :mod:`~vtvrestore.diffops` through its module, never
 through a name of this one, so a wrapper put on a name of this module (as
@@ -202,16 +203,16 @@ class SolverConfig:
             raise ConfigError(f"gamma entries must be finite and positive, got {self.gamma}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError(f"tol must be finite and positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.u_update not in (FULL13, REDUCED17):
             raise ConfigError(f"unknown u_update variant {self.u_update!r}")
         if self.shrinkage not in (ANISO, ISO):
             raise ConfigError(f"unknown shrinkage flavor {self.shrinkage!r}")
         if self.precision not in (DOUBLE, SINGLE):
             raise ConfigError(f"unknown precision {self.precision!r}")
-        if not (isinstance(self.workers, int) and self.workers >= 1):
-            raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
+        for name in ("max_iter", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, int) and value >= 1):
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
     @classmethod
     def head_rest(
@@ -343,18 +344,21 @@ class SplitBregman:
         #: it, and :meth:`advance` reuses it once the solve is spent.
         self._spectrum = np.empty(denominator.shape, dtype=np.complex128)
 
+        #: The stencil's :class:`~vtvrestore.frames.Sweep` over this grid:
+        #: the block buffers and the accumulator the numerator is summed in.
+        self._sweep = Sweep(stencil, (h, w), cfg.gamma, dtype, cfg.workers)
+        #: The two arrays :meth:`step` writes iterates into.
+        self._iterates = (np.empty((h, w)), np.empty((h, w)))
+
         self._atf = op.adjoint(self.f)
         self.u = self.f
         self.b = np.zeros((m, 2, h, w), dtype)
         #: ``A* f + sum_i gamma_i F_i* G* (d_i - b_i)``, the right-hand side of
-        #: the next u-update: ``A* f`` itself while ``d = b = 0``.  Overwritten
-        #: in place by :meth:`advance`; never write into it.
-        self.numerator = self._atf
-        #: The stencil's :class:`~vtvrestore.frames.Sweep` over this grid,
-        #: made by the first :meth:`advance`.
-        self._sweep = None
-        #: The two arrays :meth:`step` writes iterates into; made by the first step.
-        self._iterates = ()
+        #: the next u-update, as the sweep's folded ``(h, w)`` view of its
+        #: accumulator: ``A* f`` while ``d = b = 0``.  Overwritten in place
+        #: by :meth:`advance`.
+        self.numerator = self._sweep.fold()
+        self.numerator += self._atf
         #: The weighted vector TV ``vtv(grad(F u), lam)`` of the last iterate
         #: :meth:`advance` installed, when ``cfg.record_trace`` is set; else None.
         self.regularization = None
@@ -430,14 +434,9 @@ class SplitBregman:
             add(v)
             return regularization
 
-        if self._sweep is None:
-            self._sweep = Sweep(
-                self.bank.frame_gradient, self.u.shape, self.cfg.gamma, t.dtype, self.cfg.workers
-            )
-        sweep = self._sweep
-        sweep.reset()
-        terms = sweep.run(update, u_new)
-        self.numerator = sweep.fold()
+        self._sweep.reset()
+        terms = self._sweep.run(update, u_new)
+        self._sweep.fold()  # into the view that is the numerator
         self.numerator += self._atf
         if traced:
             self.regularization = sum(terms)
@@ -447,19 +446,16 @@ class SplitBregman:
     def step(self) -> float:
         """One full iteration; returns the relative change of u.
 
-        The next iterate is written into whichever of two arrays, made by the
-        first step, is not ``u``, never into ``f`` or an array a caller passed
-        to :meth:`advance`; a caller that keeps ``u`` across two steps must
-        copy it.
+        The next iterate is written into whichever of the two iterate arrays
+        is not ``u``, never into ``f`` or an array a caller passed to
+        :meth:`advance`; a caller that keeps ``u`` across two steps must copy
+        it.
         """
-        if not self._iterates:
-            self._iterates = (np.empty(self.f.shape), np.empty(self.f.shape))
         return self.advance(self.u_update(out=self._iterates[self.u is self._iterates[0]]))
 
     def close(self) -> None:
         """End the sweep's worker threads; a later step starts them again."""
-        if self._sweep is not None:
-            self._sweep.close()
+        self._sweep.close()
 
 
 def solve(f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> SolveResult:

@@ -420,8 +420,9 @@ class TestConfigAndErrors:
             (jobs, header)
             for header in (b"P5\nabc 4\n255\n", b"P5\n" + b"1" * 5000 + b" 4\n255\n")
             for jobs in ("1", "2")
-        ],
-        ids=["1", "2", "1-5000-digit-width", "2-5000-digit-width"],
+        ]
+        + [("1", b"P5\n0 0\n255\n"), ("1", b"P5\n4 4\n65535\n" + bytes(32))],
+        ids=["1", "2", "1-5000-digit-width", "2-5000-digit-width", "1-0x0", "1-maxval-65535"],
     )
     def test_bad_image_in_a_batch_keeps_the_other_rows(
         self, small_pgm, tmp_path, capsys, jobs, header
@@ -488,10 +489,11 @@ class TestConfigAndErrors:
             {"dump_features": 1},
             {"max_iter": 20.0},
             {"sigma": 10**400},
+            [{"sigma": 1.0}],
         ],
         ids=[
             "variant", "shrinkage", "ref", "out", "input-number", "input-list",
-            "trace", "dump_features", "max_iter-float", "sigma-beyond-float",
+            "trace", "dump_features", "max_iter-float", "sigma-beyond-float", "not-an-object",
         ],
     )
     def test_config_value_of_the_wrong_kind_is_an_error(self, small_pgm, tmp_path, capsys, config):
@@ -501,6 +503,22 @@ class TestConfigAndErrors:
         flags = [] if "input" in config else ["--input", small_pgm]
         code, _ = run_cli("denoise", *flags, "--out", str(out), "--config", str(cfg_path))
         self.assert_one_line_error(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["unknown-flag", "variant", "missing-ref", "same-stem"])
+    def test_bad_run_is_one_error_line_before_any_output(self, small_pgm, tmp_path, capsys, case):
+        twin = tmp_path / "twin" / Path(small_pgm).name
+        twin.parent.mkdir()
+        twin.write_bytes(Path(small_pgm).read_bytes())
+        flags, problem = {
+            "unknown-flag": (["--bogus"], "unrecognized arguments: --bogus"),
+            "variant": (["--variant", "fancy"], "invalid choice: 'fancy'"),
+            "missing-ref": (["--ref", str(tmp_path / "nope.pgm")], "reference image not found"),
+            "same-stem": ([str(twin)], "distinct file stems"),
+        }[case]
+        out = tmp_path / "o"
+        code, _ = run_cli("denoise", "--input", small_pgm, *flags, "--out", str(out))
+        assert problem in self.assert_one_line_error(capsys, code)
         assert not out.exists()
 
     def test_config_file_that_is_not_utf8_is_an_error(self, small_pgm, tmp_path, capsys):

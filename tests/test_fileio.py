@@ -105,6 +105,13 @@ def test_pgm_rejects_truncated_raster(tmp_path):
         read_pgm(path)
 
 
+def test_write_pgm_rejects_a_3d_array(tmp_path):
+    path = tmp_path / "stack.pgm"
+    with pytest.raises(VTVError, match="2-D"):
+        write_pgm(path, np.zeros((2, 3, 4)))
+    assert not path.exists()
+
+
 def test_png_round_trip(tmp_path):
     pil_image = pytest.importorskip("PIL.Image")
     rng = np.random.default_rng(1)

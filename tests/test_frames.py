@@ -210,7 +210,7 @@ class TestFrameGradient:
         rng = np.random.default_rng(23)
         p = rng.standard_normal((bank.m, 2) + shape)
         gamma = rng.uniform(0.5, 3.0, bank.m)
-        got = bank.frame_gradient.adjoint(p, weights=gamma)
+        got = swept_adjoint(bank.frame_gradient, p, gamma, 1)
         assert np.max(np.abs(got - reference_adjoint(p, bank, gamma))) <= 1e-12
 
     def test_dot_product_identity(self, bank_name, shape):
@@ -250,6 +250,23 @@ def test_normal_kernel_symbol_is_the_per_channel_product(bank_name, shape):
     assert err <= 1e-12 * np.sum(np.abs(kernel))
 
 
+@pytest.mark.parametrize(
+    ("call", "error"),
+    [
+        (lambda stencil: frames.Sweep(stencil, (4, 4, 4)), DimensionMismatchError),
+        (
+            lambda stencil: frames.Sweep(stencil, (4, 4)).run(lambda *_: None, np.zeros((4, 5))),
+            DimensionMismatchError,
+        ),
+        (lambda stencil: stencil.adjoint(np.zeros((stencil.m, 3, 4, 4))), ChannelMismatchError),
+    ],
+    ids=["sweep-3-d-grid", "run-other-shape", "adjoint-three-components"],
+)
+def test_a_misshapen_argument_is_rejected(bank, call, error):
+    with pytest.raises(error):
+        call(bank.frame_gradient)
+
+
 def test_bspline_stencil_has_fifteen_offsets(bank):
     stencil = bank.frame_gradient
     assert stencil.taps.shape == (18, 15)
@@ -274,7 +291,7 @@ def test_every_block_size_gives_the_same_stencil(monkeypatch, bank, shape, block
     pieces = frames.Sweep(stencil, shape).run(lambda rows, g, add: (rows, g.copy()), u)
     assert [rows.start for rows, _ in pieces] == list(range(0, h, block_rows or h))
     assert np.max(np.abs(np.concatenate([g for _, g in pieces], axis=2) - expected)) <= 1e-12
-    got = stencil.adjoint(p, weights=gamma)
+    got = swept_adjoint(stencil, p, gamma, 1)
     assert np.max(np.abs(got - reference_adjoint(p, bank, gamma))) <= 1e-12
 
 
@@ -317,7 +334,8 @@ def swept_apply(stencil, u, workers):
 
 
 def swept_adjoint(stencil, p, weights, workers):
-    """``stencil.adjoint(p, weights)``, its blocks run on ``workers`` threads."""
+    """The ``weights``-weighted ``stencil.adjoint(p)`` (weights one for None),
+    its blocks run on ``workers`` threads."""
     with frames.Sweep(stencil, p.shape[2:], weights, workers=workers) as sweep:
         sweep.run(lambda rows, g, add: add(p[:, :, rows]))
     return sweep.fold()
@@ -348,7 +366,7 @@ def test_every_worker_count_gives_the_same_stencil(bank_name, shape):
     applied = [swept_apply(stencil, u, workers) for workers in (1, 2, 3)]
     adjoints = [swept_adjoint(stencil, p, gamma, workers) for workers in (1, 2, 3)]
     assert np.array_equal(applied[0], stencil.apply(u))
-    assert np.array_equal(adjoints[0], stencil.adjoint(p, gamma))
+    assert np.array_equal(swept_adjoint(stencil, p, None, 1), stencil.adjoint(p))
     assert all(np.array_equal(a, applied[0]) for a in applied[1:])
     assert all(np.array_equal(a, adjoints[0]) for a in adjoints[1:])
     assert np.max(np.abs(applied[0] - reference_apply(u, bank))) <= 1e-12
@@ -396,7 +414,7 @@ def test_more_workers_than_cores_lose_no_update(bank, monkeypatch):
     p = rng.standard_normal((bank.m, 2) + shape)
     gamma = rng.uniform(0.5, 3.0, bank.m)
     stencil = bank.frame_gradient
-    expected = stencil.adjoint(p, gamma)
+    expected = swept_adjoint(stencil, p, gamma, 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

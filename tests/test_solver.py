@@ -3,6 +3,7 @@ the classical-TV reduction."""
 
 import dataclasses
 import functools
+import multiprocessing
 import threading
 import tracemalloc
 
@@ -74,10 +75,15 @@ class TestSolverConfig:
         with pytest.raises(ConfigError):
             SolverConfig(lam=(1.0,), gamma=(1.0,), shrinkage="huber")
 
-    @pytest.mark.parametrize("workers", [0, -1, 2.0, "2"])
+    @pytest.mark.parametrize("workers", [0, -1, 2.0, "2", True])
     def test_workers_must_be_a_positive_integer(self, workers):
         with pytest.raises(ConfigError, match="workers"):
             SolverConfig(lam=(1.0,), gamma=(1.0,), workers=workers)
+
+    @pytest.mark.parametrize("max_iter", [-1, 2.5, 2.0, "2", True])
+    def test_max_iter_must_be_a_positive_integer(self, max_iter):
+        with pytest.raises(ConfigError, match="max_iter"):
+            SolverConfig(lam=(1.0,), gamma=(1.0,), max_iter=max_iter)
 
     def test_head_rest_builder(self):
         cfg = SolverConfig.head_rest(4, 2.0, 1.5, 12.0, 4.5)
@@ -164,6 +170,27 @@ class TestEnergy:
         assert abs(got - expected) <= 1e-12 * expected
 
 
+ONE_CHANNEL = SolverConfig(lam=(1.0,), gamma=(1.0,))
+
+
+@pytest.mark.parametrize(
+    ("f", "cfg", "error"),
+    [
+        (np.zeros(8), denoise_cfg(), DimensionMismatchError),
+        (np.zeros((8, 8)), ONE_CHANNEL, ConfigError),
+    ],
+    ids=["1-d", "channels"],
+)
+def test_split_bregman_rejects_a_problem_of_the_wrong_shape(bank, f, cfg, error):
+    with pytest.raises(error):
+        SplitBregman(f, DegradationOp.identity(), bank, cfg)
+
+
+def test_energy_rejects_a_config_of_the_wrong_channel_count(bank):
+    with pytest.raises(ConfigError, match="channels"):
+        energy(np.zeros((4, 4)), np.zeros((4, 4)), DegradationOp.identity(), bank, ONE_CHANNEL)
+
+
 @pytest.mark.parametrize("shrinkage", [ANISO, ISO])
 def test_step_and_energy_allocate_no_feature_stack(bank, shrinkage):
     # the state is one (m, 2, h, w) stack; an iteration and an energy
@@ -187,20 +214,34 @@ def test_step_and_energy_allocate_no_feature_stack(bank, shrinkage):
 
 
 def test_split_bregman_keeps_only_its_state(bank):
-    # one (m, 2, h, w) stack plus the wrap-padded numerator, the complex
-    # spectrum buffer and the half-spectrum denominator, under four images in
-    # all: f is read in place, u starts as f, A*f is f for the identity, and
-    # no operator symbol outlives the construction
+    # construction builds the whole solve, and nothing else outlives it: the
+    # (m, 2, h, w) stack b, the complex spectrum buffer, the half-spectrum
+    # denominator, the iterate pair and the sweep's accumulator, per-worker
+    # scratch and taps.  f is read in place, u starts as f, A*f is f for the
+    # identity, the numerator is a view of the accumulator and no operator
+    # symbol outlives the construction; the threads wait for the first step.
     f = np.random.default_rng(5).uniform(0, 255, (256, 256))
     op = DegradationOp.identity()
     bank.frame_gradient  # built once per bank, not per solve
-    tracemalloc.start()
-    try:
-        sb = SplitBregman(f, op, bank, denoise_cfg())
-        kept = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert kept <= sb.b.nbytes + 4 * f.nbytes, kept
+    np.fft  # numpy imports its FFT module on first use, once per process
+    baseline = threading.active_count()
+    for workers in (1, 2):
+        tracemalloc.start()
+        try:
+            sb = SplitBregman(f, op, bank, denoise_cfg(workers=workers))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        sweep = sb._sweep
+        assert sweep.workers == workers and threading.active_count() == baseline
+        state = [sb.b, sb._spectrum, sb._denominator, *sb._iterates]
+        state += [sweep._acc, sweep._taps, sweep._weighted, *(a for s in sweep._scratch for a in s)]
+        expected = sum(a.nbytes for a in state)
+        assert expected <= kept <= expected + 16 * 1024, (workers, kept, expected)
+        assert sb.u is sb.f and np.shares_memory(sb.f, f)
+        assert np.shares_memory(sb.numerator, sweep._acc)
+        assert not np.shares_memory(sb.numerator, f)
+        assert np.array_equal(sb.numerator, f)  # A*f, for the identity
 
 
 @pytest.mark.parametrize(
@@ -213,19 +254,19 @@ def test_split_bregman_keeps_only_its_state(bank):
     ],
 )
 def test_warm_step_allocates_less_than_one_image(bank, precision, workers):
-    # From the second step on, u_new is written into the one of the two
-    # iterate arrays that is not u, the FFT solve and u_new - u run in the
-    # spectrum buffer and the sweep made by the first step is reused, so a
-    # step allocates only small temporaries: less than a boolean image.  With
-    # two workers, each has its scratch from the first step on, and the
-    # second worker's thread waits between steps.
+    # u_new is written into the one of the two iterate arrays that is not u,
+    # the FFT solve and u_new - u run in the spectrum buffer and the sweep
+    # made at construction is reused, so every step, the first included,
+    # allocates only small temporaries: less than a boolean image.  With two
+    # workers, the first step starts the second worker's thread, which then
+    # waits between steps.
+    import concurrent.futures  # noqa: F401  (a sweep pool's first import is not a step's cost)
+
     f = np.random.default_rng(6).uniform(0, 255, (512, 512))
     observed = f.copy()
     cfg = denoise_cfg(precision=precision, workers=workers)
     sb = SplitBregman(f, DegradationOp.identity(), bank, cfg)
-    sb.step()
-    assert np.array_equal(f, observed)  # the first step does not write into f
-    for _ in range(3):
+    for _ in range(4):
         tracemalloc.start()
         try:
             sb.step()
@@ -233,7 +274,8 @@ def test_warm_step_allocates_less_than_one_image(bank, precision, workers):
         finally:
             tracemalloc.stop()
         assert peak < f.nbytes // 8, (peak, f.nbytes // 8)
-    assert np.array_equal(f, observed)
+        assert np.array_equal(f, observed)  # no step writes into f
+    sb.close()
 
 
 def test_recycled_iterate_gives_the_same_iterates_as_fresh_ones(bank):
@@ -336,6 +378,43 @@ def test_sweep_threads_live_from_the_first_step_to_close(bank):
     sb.close()
     assert solve(f, op, bank, cfg).threads == 2
     assert threading.active_count() == baseline
+
+
+# Python 3.12+ warns that forking a process with threads may deadlock the child
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_a_forked_child_steps_a_solve_whose_parent_started_its_threads(bank):
+    # the child inherits the parent's pool but none of its threads, so the
+    # sweep must start a pool of its own there rather than wait on the
+    # parent's; the child's step gives the parent's next iterate bit for bit
+    f = np.random.default_rng(33).uniform(0, 255, THREADED_GRID)
+    sb = SplitBregman(f, DegradationOp.identity(), bank, denoise_cfg(workers=2, tol=1e-30))
+    sb.step()
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+
+    def child():
+        try:
+            sb.step()
+            writer.send(("u", sb.u))
+        except BaseException as exc:
+            writer.send(("error", repr(exc)))
+
+    process = context.Process(target=child)
+    process.start()
+    try:
+        # read before join, with a timeout, so that a child that hangs fails
+        assert reader.poll(60), "the forked child did not finish its step"
+        kind, value = reader.recv()
+    finally:
+        process.kill()
+        process.join(10)
+    assert kind == "u", value
+    sb.step()
+    sb.close()
+    assert np.array_equal(value, sb.u)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
