@@ -83,8 +83,11 @@ def _compose(outer, inner) -> dict:
 BLOCK_PIXELS = 1 << 13
 
 
-#: numpy's ufunc buffer size, in elements, for the sum of a block's adjoint
-#: planes (see :meth:`Sweep._add`).
+#: numpy's ufunc buffer size, in elements, on a :class:`Sweep`'s threads.
+#: The sum of a block's adjoint planes (see :meth:`Sweep._add`) casts
+#: nothing, but numpy still buffers a reduction over this strided view: at
+#: the default 8192 elements one float32 sum of an 8K block allocates about
+#: 29 KB, at 1024 about 1 KB, and it runs as fast.
 _SUM_BUFFER = 1024
 
 
@@ -243,15 +246,19 @@ class FrameGradient:
 class Sweep:
     """Passes of a :class:`FrameGradient` over the row blocks of one grid.
 
-    Holds all the stencil's scratch on an ``(h, w)`` grid, made once: for
-    each of its :attr:`workers`, the padded rows of one block, its shifted
-    planes, its ``(m, 2, rows, w)`` output and the adjoint's planes on zero
-    borders; the taps and the ``weights``-weighted transposed taps of the
-    adjoint (default weights one), all of ``dtype``, float64 or float32; and
-    one float64 wrap-padded accumulator.  But for the accumulator, their
-    size is set by :data:`BLOCK_PIXELS` and the worker count, not by ``h``.
+    Holds all the stencil's scratch on an ``(h, w)`` grid, made once: one
+    wrap-padded copy of the image being swept; for each of its
+    :attr:`workers`, a block's shifted planes, its ``(m, 2, rows, w)``
+    output, the adjoint's planes on zero borders and their sum; the taps and
+    the ``weights``-weighted transposed taps of the adjoint (default weights
+    one), all of ``dtype``, float64 or float32; and one float64 wrap-padded
+    accumulator.  But for the padded image and the accumulator, their size
+    is set by :data:`BLOCK_PIXELS` and the worker count, not by ``h``.
+    A block's adjoint planes are summed at ``dtype``, and the sum is added
+    into the accumulator.
 
-    :meth:`run` hands a body the stencil's output one block at a time, while
+    :meth:`run` fills the padded copy of ``u`` once, in the calling thread,
+    then hands a body the stencil's output one block at a time, while
     it is still in cache, with a function that applies the weighted
     transposed taps to a block of a field and scatter-adds the planes, with
     the opposite shifts, into the accumulator; :meth:`fold` adds its pad
@@ -298,15 +305,17 @@ class Sweep:
         self._span = slice(first, index[-1] + 1 if index else 0)
         taps = np.zeros((2 * stencil.m, self._span.stop - first))
         taps[:, [i - first for i in index]] = stencil.taps
-        #: Per worker: the padded rows of a block, its planes, its output, the
-        #: adjoint's planes on zero borders (see :meth:`_add`) and their sum.
+        #: The image being swept, less its first pixel, wrap-padded by the
+        #: stencil's pads at ``dtype``: every block's windows are views of it.
+        self._padded = np.empty((top + h + bottom, left + w + right), dtype)
+        #: Per worker: a block's planes, its output, the adjoint's planes on
+        #: zero borders (see :meth:`_add`) and their sum.
         self._scratch = [
             (
-                np.empty((top + rows + bottom, left + w + right), dtype),
                 np.empty((p * q, rows * w), dtype),
                 np.empty((stencil.m, 2, rows, w), dtype),
                 np.zeros((p, q, rows + 2 * (p - 1), w + 2 * (q - 1)), dtype),
-                np.empty((rows + p - 1, w + q - 1)),
+                np.empty((rows + p - 1, w + q - 1), dtype),
             )
             for _ in range(self.workers)
         ]
@@ -327,28 +336,32 @@ class Sweep:
         worker's next block overwrites, or None without ``u``; the body may
         finish it in place.  ``add(block)`` adds the weighted adjoint of
         ``block``, rows ``rows`` of an ``(m, 2, h, w)`` field, into the
-        accumulator; it reads ``block`` and overwrites the worker's planes.
+        accumulator; it reads ``block`` and overwrites the worker's adjoint
+        buffers.  ``u`` is read once, before the first block.
 
         A body may run on a worker thread, under the caller's numpy error
-        state, so it may write only rows ``rows`` of an array another block
-        writes.  An exception a body raises (``MemoryError`` included) is
-        raised here once every block of its phase has ended, the first in
-        worker order, and the threads are ended.
+        state and a ufunc buffer of :data:`_SUM_BUFFER` elements, so it may
+        write only rows ``rows`` of an array another block writes.  An
+        exception a body raises (``MemoryError`` included) is raised here
+        once every block of its phase has ended, the first in worker order,
+        and the threads are ended.
         """
-        f = None
+        padded = None
         if u is not None:
             f = np.asarray(u, dtype=np.float64)
             if f.shape != self._shape:
                 raise DimensionMismatchError(f"expected a {self._shape} image, got {f.shape}")
+            padded = self._pad_image(f)
         results = [None] * len(self._rows)
         errstate = np.geterr()
 
         def work(blocks, scratch):
-            # numpy keeps its error state per thread
+            # numpy keeps its error state and buffer size per thread
             with np.errstate(**errstate):
+                np.setbufsize(_SUM_BUFFER)
                 for k in blocks:
                     rows = self._rows[k]
-                    g = None if f is None else self._forward(scratch, f, rows)
+                    g = None if padded is None else self._forward(scratch, padded, rows)
                     results[k] = body(rows, g, functools.partial(self._add, scratch, rows))
 
         try:
@@ -394,25 +407,33 @@ class Sweep:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _forward(self, scratch, f, rows: slice) -> np.ndarray:
-        """``grad(analyze(f))[:, :, rows]`` in the block buffer of ``scratch``."""
-        halo, planes, block = scratch[:3]
-        (top, bottom), (left, _) = self._pad
-        w = self._shape[1]
-        n = rows.stop - rows.start
-        # rows start - top .. stop + bottom of the image padded by wrap
-        padded = halo[: top + n + bottom]
+    def _pad_image(self, f) -> np.ndarray:
+        """Fill :attr:`_padded` with ``f``, less ``f``'s first pixel, wrapped."""
+        (top, _), (left, _) = self._pad
+        h, w = self._shape
+        padded = self._padded
         body = padded[:, left : left + w]
-        _wrap_rows(f, rows.start - top, body)
-        _wrap_rows(body.T, -left, padded[:, :left].T)
-        _wrap_rows(body.T, 0, padded[:, left + w :].T)
+        image = body[top : top + h]
         # Every row of taps sums to zero (a gradient kills constants), so
         # removing a constant first changes nothing in exact arithmetic; it
         # maps constant images to exactly zero and shrinks the cancellation
         # error.  A pixel value is exact where the mean may round.
-        padded -= padded.dtype.type(f.flat[0])
+        np.subtract(f, padded.dtype.type(f.flat[0]), out=image, dtype=padded.dtype)
+        _wrap_rows(image, -top, body[:top])
+        _wrap_rows(image, 0, body[top + h :])
+        _wrap_rows(body.T, -left, padded[:, :left].T)
+        _wrap_rows(body.T, 0, padded[:, left + w :].T)
+        return padded
+
+    def _forward(self, scratch, padded, rows: slice) -> np.ndarray:
+        """``grad(analyze(u))[:, :, rows]`` in the block buffer of ``scratch``,
+        read from ``padded``, ``u`` as :meth:`_pad_image` leaves it."""
+        planes, block = scratch[:2]
+        (top, bottom), _ = self._pad
+        w = self._shape[1]
+        n = rows.stop - rows.start
+        windows = _windows(padded[rows.start : rows.stop + top + bottom], n, w)
         planes = planes[:, : n * w]
-        windows = _windows(padded, n, w)
         np.copyto(planes.reshape(windows.shape), windows)
         g = block[:, :, :n]
         np.matmul(self._taps, planes[self._span], out=g.reshape(len(self._taps), -1))
@@ -422,29 +443,28 @@ class Sweep:
         """Add the weighted adjoint of ``block``, rows ``rows`` of the field.
 
         Plane (dy, dx) at pixel (r, c) adds onto pixel (r - dy, c - dx).  So
-        that this is one sum, not one add per plane, the planes go into the
-        middle of the worker's zero-bordered ``(p, q)`` grid of planes, where
-        the accumulator's rows ``r0`` to ``r1 + p - 1`` get the sum over the
-        grid of one strided view of it (see :func:`_gathered`).
+        that this is one sum, not one add per plane, the matrix product
+        writes the planes straight into the middle of the worker's
+        zero-bordered ``(p, q)`` grid of planes, one row of the block at a
+        time, and the accumulator's rows ``r0`` to ``r1 + p - 1`` get the
+        sum over the grid of one strided view of it (see :func:`_gathered`),
+        taken at the sweep's dtype.
         """
-        planes, bordered, sums = scratch[1], scratch[3], scratch[4]
+        bordered, sums = scratch[2:]
         p, q = bordered.shape[:2]
         w = self._shape[1]
         n = rows.stop - rows.start
-        span = planes[self._span, : n * w]
-        np.matmul(self._weighted, block.reshape(self._weighted.shape[1], -1), out=span)
         middle = bordered.reshape(p * q, *bordered.shape[2:])[self._span, p - 1 : p - 1 + n]
-        np.copyto(middle[:, :, q - 1 : q - 1 + w], span.reshape(-1, n, w))
+        np.matmul(
+            self._weighted,
+            block.reshape(self._weighted.shape[1], n, w).transpose(1, 0, 2),
+            out=middle[:, :, q - 1 : q - 1 + w].transpose(1, 0, 2),
+        )
         if n < bordered.shape[2] - 2 * (p - 1):
             # a short last block: the rows under it still hold a longer one's
             bordered[:, :, p - 1 + n : n + 2 * (p - 1)] = 0
         total = sums[: n + p - 1]
-        # numpy buffers a sum that casts float32 planes to float64 in chunks
-        # of its buffer size, 8192 elements (64 KB per operand) by default;
-        # chunks of 1024 ran as fast and keep a warm step's allocations small
-        with np.errstate():
-            np.setbufsize(_SUM_BUFFER)
-            np.add.reduce(_gathered(bordered, n), axis=(0, 1), dtype=np.float64, out=total)
+        np.add.reduce(_gathered(bordered, n), axis=(0, 1), out=total)
         self._acc[rows.start : rows.stop + p - 1] += total
 
     def reset(self) -> None:

@@ -33,8 +33,8 @@ that of ``A*A``, built once per solve; only their ``rfft2`` halves are
 built (:func:`~vtvrestore.image.half_symbol`), and the smallest bin of the
 sum is checked once, when the solve is set up.  The spatial-domain primitives
 (:func:`~vtvrestore.frames.analyze`, :func:`~vtvrestore.diffops.grad`, ...)
-remain the references that :meth:`SplitBregman.kkt_residual` and the tests
-check against.
+remain the references the tests check against, the u-update's KKT
+residual among them.
 
 :class:`SplitBregman` builds its whole state when it is constructed: one
 ``(m, 2, h, w)`` stack, the multipliers ``b``; a
@@ -71,13 +71,14 @@ through a name of this one, so a wrapper put on a name of this module (as
 a profiler does) is only ever called by the calling thread.
 
 ``SolverConfig.precision`` sets the dtype of the splitting state.  At
-``"single"``, ``b``, the thresholds and the sweep's block buffers, taps and
-gamma-weighted transposed taps are float32: the sweep
-reads and writes half the bytes and its matrix products run in single
-precision.  The iterate ``u``, the numerator it is summed into, the
-denominator, the FFT solve and ``rel_err`` stay float64, as do the
-references :func:`energy`, ``FrameGradient.apply``/``adjoint`` and
-:meth:`~SplitBregman.kkt_residual`.  A single solve whose observation,
+``"single"``, ``b``, the thresholds and the sweep's padded copy of ``u``,
+block buffers, taps and gamma-weighted transposed taps are float32: the
+sweep reads and writes half the bytes and its matrix products run in single
+precision.  The adjoint's planes of a block are summed in float32 too, and
+the sum is added into the float64 accumulator.  The iterate ``u``, the
+numerator the accumulator holds, the denominator, the FFT solve and
+``rel_err`` stay float64, as do the references :func:`energy` and
+``FrameGradient.apply``/``adjoint``.  A single solve whose observation,
 gamma-weighted taps or thresholds exceed :data:`SINGLE_BOUND` runs at
 double; :attr:`SplitBregman.precision` and :attr:`SolveResult.precision`
 say which ran.
@@ -91,6 +92,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffops
+# grad, grad_adjoint and analyze have no caller here: they stay as the names
+# perfbench/traced.py wraps, until the benchmark's spans are redone
 from .diffops import grad, grad_adjoint
 from .errors import (
     ConfigError,
@@ -118,10 +121,14 @@ SINGLE = "single"
 _NORM_FLOOR = 1e-12
 
 #: Largest magnitude a single-precision solve casts to float32: of the
-#: observation, a gamma-weighted tap and a threshold.  A product of two such
-#: values, summed over a stencil's taps, stays some eight decades below
-#: float32's largest value (3.4e38), which leaves room for the iterate to
-#: grow past the observation.  Past it a single solve runs at double.
+#: observation, a gamma-weighted tap and a threshold.  The largest float32
+#: values are the adjoint's: a plane of a block is the product of the 2m
+#: gamma-weighted taps with the block's ``d - b``, whose entries are of the
+#: observation's and the thresholds' size, and a block's 16 planes (for the
+#: B-spline bank) are summed in float32.  That is about
+#: ``16 * 18 * 1e15 * 1e15``, 3e32, some six decades below float32's
+#: largest value (3.4e38), which leaves room for the iterate to grow past
+#: the observation.  Past it a single solve runs at double.
 SINGLE_BOUND = 1e15
 
 
@@ -372,26 +379,6 @@ class SplitBregman:
         it; ``b`` and the numerator are left untouched.
         """
         return solve_diagonal(self.numerator, self._denominator, self._spectrum, out)
-
-    def kkt_residual(self, u) -> float:
-        """Relative residual of the normal equation the u-update solves.
-
-        ``A*A u + sum_i w_i F_i* G* G F_i u - numerator`` over the norm of the
-        numerator, ``w`` the denominator weights; for ``full13`` it is the
-        subproblem's stationarity condition.  The normal operator is applied
-        with the roll-based primitives, independently of the stencil and the
-        FFT solve.
-        """
-        uu = np.asarray(u, dtype=np.float64)
-        features = grad(analyze(uu, self.bank))
-        normal = self.op.adjoint(self.op.apply(uu)) + sum(
-            g * conv_adjoint(grad_adjoint(features[i]), k)
-            for i, (g, k) in enumerate(zip(self._weights, self.bank.kernels))
-        )
-        resid = normal - self.numerator
-        return float(np.linalg.norm(resid)) / max(
-            float(np.linalg.norm(self.numerator)), _NORM_FLOOR
-        )
 
     # -- d/b updates and stepping -------------------------------------------
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vtvrestore import bspline_bank
+from vtvrestore import analyze, bspline_bank, conv_adjoint, grad, grad_adjoint
 
 
 def conv_brute_force(f, k):
@@ -22,6 +22,25 @@ def conv_brute_force(f, k):
                     acc += f[(row - p) % h, (col - q) % w] * k[p + ry, q + rx]
             out[row, col] = acc
     return out
+
+
+def kkt_residual(sb, u):
+    """Relative residual of the normal equation the u-update of ``sb`` solves.
+
+    ``A*A u + sum_i w_i F_i* G* G F_i u - numerator`` over the norm of the
+    numerator, ``w`` the denominator weights of the :class:`SplitBregman`
+    ``sb``; for ``full13`` it is the subproblem's stationarity condition.
+    The normal operator is applied with the roll-based primitives,
+    independently of the stencil and the FFT solve.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    features = grad(analyze(u, sb.bank))
+    normal = sb.op.adjoint(sb.op.apply(u)) + sum(
+        g * conv_adjoint(grad_adjoint(features[i]), k)
+        for i, (g, k) in enumerate(zip(sb._weights, sb.bank.kernels))
+    )
+    numerator = float(np.linalg.norm(sb.numerator))
+    return float(np.linalg.norm(normal - sb.numerator)) / max(numerator, 1e-12)
 
 
 def make_phantom(n=256):

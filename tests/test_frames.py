@@ -295,25 +295,49 @@ def test_every_block_size_gives_the_same_stencil(monkeypatch, bank, shape, block
     assert np.max(np.abs(got - reference_adjoint(p, bank, gamma))) <= 1e-12
 
 
-@pytest.mark.parametrize("shape", [(40, 33), (9, 1)])
+# (37, 1024) runs on two workers
+@pytest.mark.parametrize("shape", [(40, 33), (9, 1), (37, 1024)])
 def test_float32_block_buffers_give_the_stencil_in_single_precision(bank, shape):
     rng = np.random.default_rng(27)
     u = 255 * rng.random(shape)
     stencil = bank.frame_gradient
     expected = reference_apply(u, bank)
     gamma = rng.uniform(0.5, 3.0, bank.m)
-    sweep = frames.Sweep(stencil, shape, gamma, np.float32)
+    sweep = frames.Sweep(stencil, shape, gamma, np.float32, workers=2)
+    assert sweep.workers == (2 if shape == (37, 1024) else 1)
     for _ in range(2):  # the same buffers serve every sweep
         pieces = sweep.run(lambda rows, g, add: g.copy(), u)
         assert all(g.dtype == np.float32 for g in pieces)
         got = np.concatenate(pieces, axis=2)
         assert np.max(np.abs(got - expected)) <= 1e-5 * 255
-    # the float32 adjoint sums into a float64 image
+    # the float32 adjoint, summed in float32, adds into a float64 image
     p = rng.standard_normal((bank.m, 2) + shape)
     sweep.run(lambda rows, g, add: add(p[:, :, rows].astype(np.float32)))
     got = sweep.fold()
     assert got.dtype == np.float64
     assert np.max(np.abs(got - reference_adjoint(p, bank, gamma))) <= 1e-5
+    sweep.close()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_one_sweep_over_two_images_gives_each_its_own_stencil(bank, dtype, workers):
+    # the padded copy of u is filled by every run, pads and first pixel
+    # included: a run must not see the image of the run before it
+    shape = (37, 1024)
+    rng = np.random.default_rng(29)
+    images = [255 * rng.random(shape), rng.standard_normal(shape) - 40]
+    stencil = bank.frame_gradient
+    with frames.Sweep(stencil, shape, dtype=dtype, workers=workers) as sweep:
+        assert sweep.workers == workers
+        for u in images + images:
+            got = np.concatenate(sweep.run(lambda rows, g, add: g.copy(), u), axis=2)
+            alone = frames.Sweep(stencil, shape, dtype=dtype).run(
+                lambda rows, g, add: g.copy(), u
+            )
+            assert np.array_equal(got, np.concatenate(alone, axis=2))
+            bound = 1e-12 if dtype == np.float64 else 1e-5
+            assert np.max(np.abs(got - reference_apply(u, bank))) <= bound * np.abs(u).max()
 
 
 # one block; 5 blocks of 8 rows and one of 5; and 2-row blocks, shorter

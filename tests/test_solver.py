@@ -46,7 +46,7 @@ from vtvrestore.solver import SINGLE_BOUND
 
 from vtvrestore.diffops import FORWARD_DIFF_X, FORWARD_DIFF_Y
 
-from conftest import make_phantom, smoothed_tv_minimizer
+from conftest import kkt_residual, make_phantom, smoothed_tv_minimizer
 
 
 def denoise_cfg(**kw):
@@ -216,10 +216,11 @@ def test_step_and_energy_allocate_no_feature_stack(bank, shrinkage):
 def test_split_bregman_keeps_only_its_state(bank):
     # construction builds the whole solve, and nothing else outlives it: the
     # (m, 2, h, w) stack b, the complex spectrum buffer, the half-spectrum
-    # denominator, the iterate pair and the sweep's accumulator, per-worker
-    # scratch and taps.  f is read in place, u starts as f, A*f is f for the
-    # identity, the numerator is a view of the accumulator and no operator
-    # symbol outlives the construction; the threads wait for the first step.
+    # denominator, the iterate pair and the sweep's accumulator, padded
+    # image, per-worker scratch and taps.  f is read in place, u starts as
+    # f, A*f is f for the identity, the numerator is a view of the
+    # accumulator and no operator symbol outlives the construction; the
+    # threads wait for the first step.
     f = np.random.default_rng(5).uniform(0, 255, (256, 256))
     op = DegradationOp.identity()
     bank.frame_gradient  # built once per bank, not per solve
@@ -235,7 +236,8 @@ def test_split_bregman_keeps_only_its_state(bank):
         sweep = sb._sweep
         assert sweep.workers == workers and threading.active_count() == baseline
         state = [sb.b, sb._spectrum, sb._denominator, *sb._iterates]
-        state += [sweep._acc, sweep._taps, sweep._weighted, *(a for s in sweep._scratch for a in s)]
+        state += [sweep._acc, sweep._padded, sweep._taps, sweep._weighted]
+        state += [a for s in sweep._scratch for a in s]
         expected = sum(a.nbytes for a in state)
         assert expected <= kept <= expected + 16 * 1024, (workers, kept, expected)
         assert sb.u is sb.f and np.shares_memory(sb.f, f)
@@ -439,7 +441,7 @@ class TestUUpdate:
         cfg = SolverConfig.head_rest(9, 0.2, 0.2, 8.0, 4.0, u_update=FULL13)
         sb = SplitBregman(f, DegradationOp.identity(), bank, cfg)
         u1 = sb.u_update()
-        assert sb.kkt_residual(u1) <= 1e-8
+        assert kkt_residual(sb, u1) <= 1e-8
 
     @pytest.mark.parametrize("variant", [FULL13, REDUCED17])
     @pytest.mark.parametrize("blur", [None, 9], ids=["identity", "blur9"])
@@ -450,7 +452,7 @@ class TestUUpdate:
         sb = SplitBregman(f, op, bank, denoise_cfg(u_update=variant))
         for _ in range(4):
             u_new = sb.u_update()
-            assert sb.kkt_residual(u_new) <= 1e-8
+            assert kkt_residual(sb, u_new) <= 1e-8
             sb.advance(u_new)
 
     def test_dc_fixed_point_for_constant_observation(self, bank):
@@ -500,7 +502,7 @@ class TestUUpdate:
         sb = SplitBregman(f, DegradationOp.identity(), bank, denoise_cfg())
         for _ in range(4):
             u_new = sb.u_update()
-            assert sb.kkt_residual(u_new) <= 1e-8
+            assert kkt_residual(sb, u_new) <= 1e-8
             sb.advance(u_new)
 
     def test_both_variants_converge_with_distinguished_gamma(self, bank):
@@ -886,3 +888,45 @@ class TestSinglePrecision:
         for _ in range(5):
             assert np.isfinite(sb.step())
         assert np.isfinite(sb.b).all()
+
+    @pytest.mark.parametrize("near", ["tap", "threshold", "all"])
+    def test_values_just_inside_the_bound_stay_single_and_finite_on_two_workers(self, bank, near):
+        # at 0.99 of the bound, a gamma-weighted tap, a threshold or these
+        # and the observation stay single, and every float32 value of the
+        # solve, the adjoint's sums included, stays finite on both threads
+        f, op, cfg = cli_default_problem(REDUCED17, 9, size=256, precision=SINGLE, workers=2)
+        edge = 0.99 * SINGLE_BOUND
+        lam, gamma = np.array(cfg.lam), np.array(cfg.gamma)
+        if near == "all":
+            f = f * (edge / np.abs(f).max())
+        if near in ("tap", "all"):
+            gamma *= edge / (gamma.max() * np.abs(bank.frame_gradient.taps).max())
+        if near in ("threshold", "all"):
+            lam *= edge / (lam / gamma).max()
+        sb = SplitBregman(f, op, bank, dataclasses.replace(cfg, lam=lam, gamma=gamma))
+        assert sb.precision == SINGLE and sb._sweep.workers == 2
+        try:
+            for _ in range(5):
+                assert np.isfinite(sb.step())
+        finally:
+            sb.close()
+        assert np.isfinite(sb.b).all() and np.isfinite(sb.u).all()
+
+    def test_the_float32_adjoint_of_a_field_at_the_bound_is_finite(self, bank):
+        # the worst case of SINGLE_BOUND's margin: gamma-weighted taps and a
+        # field of d - b both at 0.99 of the bound, so that each of a block's
+        # 16 planes sums 18 products near 1e30 and the float32 sum adds 16
+        # planes, on two sweep threads
+        stencil = bank.frame_gradient
+        edge = 0.99 * SINGLE_BOUND
+        gamma = np.full(bank.m, edge / np.abs(stencil.taps).max())
+        shape = (37, 1024)
+        signs = np.random.default_rng(36).choice([-1.0, 1.0], (bank.m, 2) + shape)
+        field = (edge * signs).astype(np.float32)
+        with frames.Sweep(stencil, shape, gamma, np.float32, workers=2) as sweep:
+            assert sweep.workers == 2
+            sweep.run(lambda rows, g, add: add(field[:, :, rows]))
+        got = sweep.fold()
+        expected = stencil.adjoint(gamma[:, None, None, None] * field.astype(np.float64))
+        assert np.isfinite(got).all()
+        assert np.max(np.abs(got - expected)) <= 1e-5 * np.abs(expected).max()
