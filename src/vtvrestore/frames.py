@@ -8,8 +8,9 @@ identity, which :func:`verify_uep` checks in the frequency domain.
 
 :class:`FrameGradient` fuses the bank with the forward-difference gradient
 into one stencil, the form the solver iterates with, and a :class:`Sweep`
-runs it over the row blocks of one grid; :func:`analyze` and the
-:mod:`~vtvrestore.diffops` gradient stay the spatial references.
+runs it over the row blocks of one grid.  :func:`analyze` and the
+:mod:`~vtvrestore.diffops` gradient stay the spatial references: the
+stencil's taps are their response to a unit impulse.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffops import FORWARD_DIFF_X, FORWARD_DIFF_Y
+from .diffops import grad
 from .errors import ChannelMismatchError, DimensionMismatchError
 from .image import as_kernel, conv_adjoint, conv_circular, kernel_symbol
 
@@ -53,26 +54,6 @@ class FilterBank:
     def frame_gradient(self) -> "FrameGradient":
         """The bank's fused gradient stencil, built on first use."""
         return FrameGradient(self)
-
-
-def _offset_taps(kernel) -> dict:
-    """``{(p, q): K(p, q)}`` over the kernel's centred offsets."""
-    k = as_kernel(kernel)
-    ry, rx = (k.shape[0] - 1) // 2, (k.shape[1] - 1) // 2
-    return {
-        (p - ry, q - rx): float(k[p, q])
-        for p in range(k.shape[0])
-        for q in range(k.shape[1])
-    }
-
-
-def _compose(outer, inner) -> dict:
-    """Taps by offset of ``conv_circular(conv_circular(u, inner), outer)``."""
-    taps: dict = {}
-    for (p, q), a in _offset_taps(inner).items():
-        for (s, t), b in _offset_taps(outer).items():
-            taps[(p + s, q + t)] = taps.get((p + s, q + t), 0.0) + a * b
-    return taps
 
 
 #: Pixels per row block of a :class:`Sweep`: a block's 16 shifted planes
@@ -142,11 +123,12 @@ def _gathered(bordered, n: int) -> np.ndarray:
     return np.ndarray(shape, bordered.dtype, bordered, 0, (si + sr, sj + sc, sr, sc))
 
 
-def _fold(acc, top: int, left: int, h: int, w: int) -> np.ndarray:
-    """Add the wrap padding of ``acc`` back onto the ``(h, w)`` image it pads.
+def _fold(acc, top: int, left: int, h: int, w: int) -> None:
+    """Add the wrap padding of ``acc`` back onto the ``(h, w)`` image it pads,
+    ``acc[top : top + h, left : left + w]``.
 
     ``acc[top + r, left + c]`` stands for pixel ``(r mod h, c mod w)``, for
-    pads of any width.  Returns the image as a view into ``acc``.
+    pads of any width.
     """
     body = acc[top : top + h]
     for i in (*range(top), *range(top + h, acc.shape[0])):
@@ -154,21 +136,20 @@ def _fold(acc, top: int, left: int, h: int, w: int) -> np.ndarray:
     out = body[:, left : left + w]
     for j in (*range(left), *range(left + w, acc.shape[1])):
         out[:, (j - left) % w] += body[:, j]
-    return out
 
 
 class FrameGradient:
     """``grad(analyze(u, bank))`` as one circular stencil, and its adjoint.
 
     Each component ``grad(conv_circular(u, K_i))[c]`` is itself a circular
-    convolution, with ``K_i`` composed with the forward difference
-    ``FORWARD_DIFF_X`` or ``FORWARD_DIFF_Y``.  Over the union of the composed
-    kernels' offsets (15 for the 3x3 B-spline bank), the whole operator is
-    the dense ``(2m, n)`` matrix :attr:`taps` applied to the ``n`` shifted
-    copies ``np.roll(u, offsets[j])``: a single matrix product, whose row
-    ``2 i + c`` is the ``(m, 2, h, w)`` layout of :func:`analyze` followed by
-    :func:`~vtvrestore.diffops.grad`.  The adjoint applies the transposed
-    matrix and adds the planes back with the opposite shifts.
+    convolution, so the whole operator is the dense ``(2m, n)`` matrix
+    :attr:`taps` applied to the ``n`` shifted copies
+    ``np.roll(u, offsets[j])``: a single matrix product, whose row ``2 i + c``
+    is the ``(m, 2, h, w)`` layout of :func:`analyze` followed by
+    :func:`~vtvrestore.diffops.grad`.  The taps are those references'
+    response to a unit impulse, so they are built by the code they stand
+    for.  The adjoint applies the transposed matrix and adds the planes back
+    with the opposite shifts.
 
     Both directions run over row blocks of about :data:`BLOCK_PIXELS`
     pixels, so only one block's shifted planes exist per worker at a time:
@@ -181,24 +162,42 @@ class FrameGradient:
     """
 
     def __init__(self, bank: FilterBank):
-        rows = [
-            _compose(diff, k)
-            for k in bank.kernels
-            for diff in (FORWARD_DIFF_X, FORWARD_DIFF_Y)
-        ]
-        offsets = sorted({o for row in rows for o, tap in row.items() if tap != 0.0})
-        taps = np.array([[row.get(o, 0.0) for o in offsets] for row in rows])
+        # The impulse's grid is one pixel wider than the largest kernel on
+        # each side, so the forward differences of its response wrap onto
+        # zeros.
+        ry = max(k.shape[0] // 2 for k in bank.kernels) + 1
+        rx = max(k.shape[1] // 2 for k in bank.kernels) + 1
+        impulse = np.zeros((2 * ry + 1, 2 * rx + 1))
+        impulse[ry, rx] = 1.0
+        # plane (dy, dx) at pixel (r, c) reads u[r - dy, c - dx], so the
+        # response at (ry + dy, rx + dx) is the tap of offset (dy, dx)
+        response = grad(analyze(impulse, bank)).reshape(2 * bank.m, *impulse.shape)
+        rows, cols = np.nonzero(response.any(axis=0))
+        # the padding is max(dy, 0) rows above, max(-dy, 0) below, likewise
+        # for columns
+        top, bottom = int(rows.max(initial=ry)) - ry, ry - int(rows.min(initial=ry))
+        left, right = int(cols.max(initial=rx)) - rx, rx - int(cols.min(initial=rx))
+        self._pad = ((top, bottom), (left, right))
+        # The planes of a Sweep are the pads' (top + bottom + 1,
+        # left + right + 1) grid of offsets in (dy, dx) order; the taps run
+        # from its first live offset to its last, with a zero column where
+        # the stencil has none (the B-spline bank's 15 offsets are the last
+        # 15 of its 4x4 grid, with none).
+        grid = response[:, ry - bottom : ry + top + 1, rx - right : rx + left + 1]
+        live = np.flatnonzero(grid.any(axis=0)).tolist()
+        #: The planes of a :class:`Sweep`'s grid that :attr:`taps` multiply.
+        self._span = slice(live[0], live[-1] + 1) if live else slice(0, 0)
+        taps = np.ascontiguousarray(grid.reshape(2 * bank.m, -1)[:, self._span])
         taps.flags.writeable = False
+        q = left + right + 1
         self.m = bank.m
         #: ``(dy, dx)`` shift of each column of :attr:`taps`.
-        self.offsets = tuple(offsets)
+        self.offsets = tuple(
+            (k // q - bottom, k % q - right) for k in range(self._span.start, self._span.stop)
+        )
         #: ``(2m, n)`` read-only tap matrix; row ``2 i + c`` is channel ``i``,
         #: gradient component ``c`` (0 for x, 1 for y).
         self.taps = taps
-        # plane (dy, dx) at pixel (r, c) reads u[r - dy, c - dx], so the
-        # padding is max(dy) rows above, -min(dy) below, likewise for columns
-        dys, dxs = zip((0, 0), *offsets)
-        self._pad = ((max(dys), -min(dys)), (max(dxs), -min(dxs)))
 
     def apply(self, u) -> np.ndarray:
         """``grad(analyze(u, bank))`` as a new ``(m, 2, h, w)`` stack."""
@@ -224,7 +223,7 @@ class FrameGradient:
             )
         sweep = Sweep(self, q.shape[2:])
         sweep.run(lambda rows, g, add: add(q[:, :, rows]))
-        return sweep.fold()
+        return sweep.total
 
     def normal_kernel(self, weights) -> np.ndarray:
         """Kernel of ``sum_i weights[i] F_i* G* G F_i``: :meth:`apply`, then the
@@ -258,14 +257,15 @@ class Sweep:
     into the accumulator.
 
     :meth:`run` fills the padded copy of ``u`` once, in the calling thread,
-    then hands a body the stencil's output one block at a time, while
-    it is still in cache, with a function that applies the weighted
-    transposed taps to a block of a field and scatter-adds the planes, with
-    the opposite shifts, into the accumulator; :meth:`fold` adds its pad
-    back modulo ``h`` and ``w``, which is exact on any grid, 1x1 included.
-    So a caller can apply the stencil, finish each block in place and sum
-    the adjoint of what it makes of it in one pass, never storing the field;
-    sweeping the grid again, after :meth:`reset`, allocates no image.
+    zeroes the accumulator, then hands a body the stencil's output one block
+    at a time, while it is still in cache, with a function that applies the
+    weighted transposed taps to a block of a field and scatter-adds the
+    planes, with the opposite shifts, into the accumulator.  After the last
+    block it adds the accumulator's pad back modulo ``h`` and ``w``, which
+    is exact on any grid, 1x1 included, so each run leaves one whole sum in
+    :attr:`total`.  So a caller can apply the stencil, finish each block in
+    place and sum the adjoint of what it makes of it in one pass, never
+    storing the field; sweeping the grid again allocates no image.
 
     The blocks run in two phases, the even-indexed ones and then the odd
     ones, and each phase is split over the workers, one thread each.  A
@@ -294,17 +294,10 @@ class Sweep:
         #: the blocks of a phase, and 1 where a block is shorter than the pads.
         self.workers = min(workers, (len(self._rows) + 1) // 2) if rows >= top + bottom else 1
         # A block's shifted planes are the windows of its padded rows at every
-        # offset of the pads' (top + bottom + 1, left + right + 1) grid, in
-        # (dy, dx) order, all copied in one call.  The taps run over the grid
-        # offsets from the stencil's first to its last, with a zero column
-        # where it has none: none for the B-spline bank, whose 15 offsets are
-        # the last 15 of its 4x4 grid.
+        # offset of the pads' grid, in (dy, dx) order, all copied in one call;
+        # the taps multiply the stencil's span of them.
         p, q = top + bottom + 1, left + right + 1
-        index = [(dy + bottom) * q + dx + right for dy, dx in stencil.offsets]
-        first = index[0] if index else 0
-        self._span = slice(first, index[-1] + 1 if index else 0)
-        taps = np.zeros((2 * stencil.m, self._span.stop - first))
-        taps[:, [i - first for i in index]] = stencil.taps
+        self._span = stencil._span
         #: The image being swept, less its first pixel, wrap-padded by the
         #: stencil's pads at ``dtype``: every block's windows are views of it.
         self._padded = np.empty((top + h + bottom, left + w + right), dtype)
@@ -319,10 +312,13 @@ class Sweep:
             )
             for _ in range(self.workers)
         ]
-        self._taps = taps.astype(dtype, copy=False)
+        self._taps = stencil.taps.astype(dtype)
         row_weights = np.repeat(np.ones(stencil.m) if weights is None else weights, 2)
-        self._weighted = np.ascontiguousarray((taps * row_weights[:, None]).T, dtype)
+        self._weighted = np.ascontiguousarray((stencil.taps * row_weights[:, None]).T, dtype)
         self._acc = np.zeros((top + h + bottom, left + w + right))
+        #: The ``(h, w)`` sum of the last :meth:`run`'s adjoint, a view of the
+        #: accumulator: the next run overwrites it.
+        self.total = self._acc[top : top + h, left : left + w]
         #: The pool of ``workers - 1`` threads, made by the first :meth:`run`
         #: that needs it, and the process that made it.
         self._executor = None
@@ -337,7 +333,9 @@ class Sweep:
         finish it in place.  ``add(block)`` adds the weighted adjoint of
         ``block``, rows ``rows`` of an ``(m, 2, h, w)`` field, into the
         accumulator; it reads ``block`` and overwrites the worker's adjoint
-        buffers.  ``u`` is read once, before the first block.
+        buffers.  ``u`` is read once, before the first block.  The
+        accumulator starts at zero and, once the last block has ended, holds
+        the sum of every ``add`` of this run in :attr:`total`.
 
         A body may run on a worker thread, under the caller's numpy error
         state and a ufunc buffer of :data:`_SUM_BUFFER` elements, so it may
@@ -346,6 +344,7 @@ class Sweep:
         once every block of its phase has ended, the first in worker order,
         and the threads are ended.
         """
+        self._acc.fill(0.0)
         padded = None
         if u is not None:
             f = np.asarray(u, dtype=np.float64)
@@ -381,6 +380,8 @@ class Sweep:
         except BaseException:
             self.close()
             raise
+        (top, _), (left, _) = self._pad
+        _fold(self._acc, top, left, *self._shape)
         return results
 
     def _pool(self):
@@ -466,18 +467,6 @@ class Sweep:
         total = sums[: n + p - 1]
         np.add.reduce(_gathered(bordered, n), axis=(0, 1), out=total)
         self._acc[rows.start : rows.stop + p - 1] += total
-
-    def reset(self) -> None:
-        """Start a new sum at zero."""
-        self._acc.fill(0.0)
-
-    def fold(self) -> np.ndarray:
-        """The sum as an ``(h, w)`` view of the accumulator.
-
-        Folding changes the accumulator, so call it once per sum.
-        """
-        (top, _), (left, _) = self._pad
-        return _fold(self._acc, top, left, *self._shape)
 
 
 def bspline_bank() -> FilterBank:

@@ -333,7 +333,7 @@ class SplitBregman:
         if self.precision == SINGLE and max(
             float(self.f.max()),
             -float(self.f.min()),
-            max(cfg.gamma) * float(np.abs(stencil.taps).max()),
+            max(cfg.gamma) * float(np.abs(stencil.taps).max(initial=0.0)),
             float(thresholds.max()),
         ) > SINGLE_BOUND:
             self.precision = DOUBLE
@@ -361,10 +361,9 @@ class SplitBregman:
         self.u = self.f
         self.b = np.zeros((m, 2, h, w), dtype)
         #: ``A* f + sum_i gamma_i F_i* G* (d_i - b_i)``, the right-hand side of
-        #: the next u-update, as the sweep's folded ``(h, w)`` view of its
-        #: accumulator: ``A* f`` while ``d = b = 0``.  Overwritten in place
-        #: by :meth:`advance`.
-        self.numerator = self._sweep.fold()
+        #: the next u-update, as the sweep's :attr:`~vtvrestore.frames.Sweep.total`:
+        #: ``A* f`` while ``d = b = 0``.  Overwritten in place by :meth:`advance`.
+        self.numerator = self._sweep.total
         self.numerator += self._atf
         #: The weighted vector TV ``vtv(grad(F u), lam)`` of the last iterate
         #: :meth:`advance` installed, when ``cfg.record_trace`` is set; else None.
@@ -421,9 +420,7 @@ class SplitBregman:
             add(v)
             return regularization
 
-        self._sweep.reset()
         terms = self._sweep.run(update, u_new)
-        self._sweep.fold()  # into the view that is the numerator
         self.numerator += self._atf
         if traced:
             self.regularization = sum(terms)

@@ -174,7 +174,19 @@ def random_bank():
     return FilterBank([rng.standard_normal((5, 5)) for _ in range(3)])
 
 
-BANKS = {"bspline": bspline_bank, "identity": identity_bank, "random5x5": random_bank}
+def mixed_bank():
+    # kernels of two shapes, neither square: the stencil's impulse grid and
+    # pads differ per axis, and its span of offsets has zero columns
+    rng = np.random.default_rng(30)
+    return FilterBank([rng.standard_normal((3, 7)), rng.standard_normal((5, 1))])
+
+
+BANKS = {
+    "bspline": bspline_bank,
+    "identity": identity_bank,
+    "mixed3x7_5x1": mixed_bank,
+    "random5x5": random_bank,
+}
 # odd, even, 1xN, Nx1, 2x2 and 1x1 (smaller than the kernels, so offsets
 # wrap onto each other); a height that is not a multiple of the block rows;
 # a width beyond the block budget, which forces one-row blocks
@@ -313,7 +325,7 @@ def test_float32_block_buffers_give_the_stencil_in_single_precision(bank, shape)
     # the float32 adjoint, summed in float32, adds into a float64 image
     p = rng.standard_normal((bank.m, 2) + shape)
     sweep.run(lambda rows, g, add: add(p[:, :, rows].astype(np.float32)))
-    got = sweep.fold()
+    got = sweep.total
     assert got.dtype == np.float64
     assert np.max(np.abs(got - reference_adjoint(p, bank, gamma))) <= 1e-5
     sweep.close()
@@ -340,8 +352,29 @@ def test_one_sweep_over_two_images_gives_each_its_own_stencil(bank, dtype, worke
             assert np.max(np.abs(got - reference_apply(u, bank))) <= bound * np.abs(u).max()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_run_of_a_sweep_is_one_whole_sum(bank, workers):
+    # run zeroes the accumulator before its first block and folds its pads
+    # after the last, so a run never adds onto the sum of the run before
+    shape = (37, 1024)
+    rng = np.random.default_rng(31)
+    p = rng.standard_normal((bank.m, 2) + shape)
+    gamma = rng.uniform(0.5, 3.0, bank.m)
+    stencil = bank.frame_gradient
+    fresh = swept_adjoint(stencil, p, gamma, 1)
+    with frames.Sweep(stencil, shape, gamma, workers=workers) as sweep:
+        assert sweep.workers == workers
+        total = sweep.total
+        for _ in range(2):
+            sweep.run(lambda rows, g, add: add(p[:, :, rows]))
+            assert sweep.total is total and np.array_equal(total, fresh)
+        sweep.run(lambda rows, g, add: None, rng.standard_normal(shape))
+        assert not total.any()  # a run that adds nothing sums to zero
+
+
 # one block; 5 blocks of 8 rows and one of 5; and 2-row blocks, shorter
-# than the B-spline and 5x5 pads (3 and 5 rows) but not the identity's (1)
+# than the pads of the B-spline (3 rows), 5x5 and mixed banks (5) but not
+# the identity's (1)
 WORKER_GRIDS = [(1, 1), (7, 5), (37, 1024), (6, 4096)]
 
 
@@ -362,7 +395,7 @@ def swept_adjoint(stencil, p, weights, workers):
     its blocks run on ``workers`` threads."""
     with frames.Sweep(stencil, p.shape[2:], weights, workers=workers) as sweep:
         sweep.run(lambda rows, g, add: add(p[:, :, rows]))
-    return sweep.fold()
+    return sweep.total
 
 
 def meeting(starts):
@@ -514,6 +547,6 @@ def test_adjointness_and_uep_on_random_sizes(h, w, seed, bank_name, workers):
     lhs = float(np.sum(du * p))
     rhs = float(np.sum(u * adjoint))
     assert abs(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(du) * np.linalg.norm(p))
-    if bank_name != "random5x5":  # the random bank is not a tight frame
+    if bank_name in ("bspline", "identity"):  # the random banks are not tight frames
         assert verify_uep(bank, w, h) < 1e-12
         assert np.max(np.abs(synthesize_adjoint(analyze(u, bank), bank) - u)) < 1e-12

@@ -20,6 +20,7 @@ from vtvrestore import (
     ConfigError,
     DegradationOp,
     DimensionMismatchError,
+    FilterBank,
     NoiseSpec,
     NonFiniteError,
     SingularSymbolError,
@@ -866,6 +867,21 @@ class TestSinglePrecision:
         with pytest.raises(ConfigError):
             SolverConfig(lam=(1.0,), gamma=(1.0,), precision="half")
 
+    @pytest.mark.parametrize("precision", [DOUBLE, SINGLE])
+    def test_a_bank_without_taps_solves_at_either_precision(self, precision):
+        # a zero kernel's stencil has no taps and no pads, so the splitting
+        # terms vanish and the first u-update gives back the observation
+        bank = FilterBank([np.zeros((1, 1))])
+        stencil = bank.frame_gradient
+        assert stencil.taps.shape == (2, 0) and stencil.offsets == ()
+        assert stencil._pad == ((0, 0), (0, 0))
+        assert all(type(n) is int for pad in stencil._pad for n in pad)
+        f = np.random.default_rng(38).uniform(0, 255, (8, 9))
+        cfg = SolverConfig(lam=(1.0,), gamma=(1.0,), precision=precision)
+        res = solve(f, DegradationOp.identity(), bank, cfg)
+        assert res.precision == precision and res.converged and res.iterations == 1
+        assert np.max(np.abs(res.u - f)) <= 1e-12 * 255
+
     def test_observation_past_the_bound_runs_at_double(self, bank):
         f, op, cfg = cli_default_problem(REDUCED17, None, precision=SINGLE)
         res = solve(f * 1e298, op, bank, dataclasses.replace(cfg, max_iter=2))
@@ -926,7 +942,7 @@ class TestSinglePrecision:
         with frames.Sweep(stencil, shape, gamma, np.float32, workers=2) as sweep:
             assert sweep.workers == 2
             sweep.run(lambda rows, g, add: add(field[:, :, rows]))
-        got = sweep.fold()
+        got = sweep.total
         expected = stencil.adjoint(gamma[:, None, None, None] * field.astype(np.float64))
         assert np.isfinite(got).all()
         assert np.max(np.abs(got - expected)) <= 1e-5 * np.abs(expected).max()
