@@ -236,9 +236,10 @@ def _process_one(job: dict) -> dict:
     ref = ref.astype(np.uint8)
     del clean
 
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), time.process_time()
     result = solve(degraded, op, bank, cfg)
     seconds = time.perf_counter() - start
+    cpu_seconds = time.process_time() - cpu_start
 
     degraded_path = out_dir / f"{stem}_degraded.pgm"
     restored_path = out_dir / f"{stem}_restored.pgm"
@@ -259,6 +260,7 @@ def _process_one(job: dict) -> dict:
         "psnr_restored": psnr(ref, quantize(result.u).astype(np.float64)),
         "iterations": result.iterations,
         "seconds": seconds,
+        "cpu_seconds": cpu_seconds,
         "converged": result.converged,
         "threads": result.threads,
     }

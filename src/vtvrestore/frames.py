@@ -256,11 +256,11 @@ class Sweep:
     A block's adjoint planes are summed at ``dtype``, and the sum is added
     into the accumulator.
 
-    :meth:`run` fills the padded copy of ``u`` once, in the calling thread,
-    zeroes the accumulator, then hands a body the stencil's output one block
-    at a time, while it is still in cache, with a function that applies the
-    weighted transposed taps to a block of a field and scatter-adds the
-    planes, with the opposite shifts, into the accumulator.  After the last
+    :meth:`run` zeroes the accumulator, fills the padded copy of ``u`` once,
+    then hands a body the stencil's output one block at a time, while it is
+    still in cache, with a function that applies the weighted transposed
+    taps to a block of a field and scatter-adds the planes, with the
+    opposite shifts, into the accumulator.  After the last
     block it adds the accumulator's pad back modulo ``h`` and ``w``, which
     is exact on any grid, 1x1 included, so each run leaves one whole sum in
     :attr:`total`.  So a caller can apply the stencil, finish each block in
@@ -274,11 +274,15 @@ class Sweep:
     the blocks of one phase write disjoint rows and need no lock; where it
     has fewer (grids wider than about ``BLOCK_PIXELS / 3`` for the B-spline
     bank) one worker runs.  The block partition and the phase order do not
-    depend on the worker count, so neither does any sum.  One worker runs
-    in the calling thread.  The others run on a thread pool that the first
-    :meth:`run` makes and whose threads wait between runs until
-    :meth:`close`, the end of a ``with`` block or the sweep's collection
-    ends them.
+    depend on the worker count, so neither does any sum.
+
+    Every pass of a run over the workers, the two phases and the image-sized
+    zeroing and cast before them, goes through :meth:`split`, which a
+    caller can use too for passes of its own over the grid (a solver's FFT
+    solve, say).  One worker runs in the calling thread.  The others run on
+    a thread pool that the first :meth:`split` over more than one range
+    makes and whose threads wait between calls until :meth:`close`, the end
+    of a ``with`` block or the sweep's collection ends them.
     """
 
     def __init__(
@@ -319,7 +323,7 @@ class Sweep:
         #: The ``(h, w)`` sum of the last :meth:`run`'s adjoint, a view of the
         #: accumulator: the next run overwrites it.
         self.total = self._acc[top : top + h, left : left + w]
-        #: The pool of ``workers - 1`` threads, made by the first :meth:`run`
+        #: The pool of ``workers - 1`` threads, made by the first :meth:`split`
         #: that needs it, and the process that made it.
         self._executor = None
         self._executor_pid = None
@@ -344,7 +348,7 @@ class Sweep:
         once every block of its phase has ended, the first in worker order,
         and the threads are ended.
         """
-        self._acc.fill(0.0)
+        self.split(lambda r0, r1: self._acc[r0:r1].fill(0.0), self._acc.shape[0])
         padded = None
         if u is not None:
             f = np.asarray(u, dtype=np.float64)
@@ -352,37 +356,58 @@ class Sweep:
                 raise DimensionMismatchError(f"expected a {self._shape} image, got {f.shape}")
             padded = self._pad_image(f)
         results = [None] * len(self._rows)
-        errstate = np.geterr()
 
         def work(blocks, scratch):
-            # numpy keeps its error state and buffer size per thread
-            with np.errstate(**errstate):
-                np.setbufsize(_SUM_BUFFER)
-                for k in blocks:
-                    rows = self._rows[k]
-                    g = None if padded is None else self._forward(scratch, padded, rows)
-                    results[k] = body(rows, g, functools.partial(self._add, scratch, rows))
+            for k in blocks:
+                rows = self._rows[k]
+                g = None if padded is None else self._forward(scratch, padded, rows)
+                results[k] = body(rows, g, functools.partial(self._add, scratch, rows))
 
-        try:
-            for phase in (0, 1):
-                blocks = range(phase, len(self._rows), 2)
-                shares = [(blocks[j :: self.workers], s) for j, s in enumerate(self._scratch)]
-                shares = [share for share in shares if share[0]]
-                futures = [self._pool().submit(work, *share) for share in shares[1:]]
-                try:
-                    for share in shares[:1]:
-                        work(*share)
-                finally:
-                    for future in futures:
-                        future.exception()  # waits for it
-                for future in futures:
-                    future.result()
-        except BaseException:
-            self.close()
-            raise
+        for phase in (0, 1):
+            blocks = range(phase, len(self._rows), 2)
+            # range j is worker j: every workers-th block of the phase from the j-th
+            self.split(
+                lambda j, _: work(blocks[j :: self.workers], self._scratch[j]),
+                min(self.workers, len(blocks)),
+            )
         (top, _), (left, _) = self._pad
         _fold(self._acc, top, left, *self._shape)
         return results
+
+    def split(self, fn, n: int) -> None:
+        """``fn(start, stop)`` over contiguous ranges that cover ``range(n)``,
+        one per worker: at most :attr:`workers` ranges, as even as ``n``
+        allows.
+
+        The first range runs in the calling thread, the others on the
+        sweep's thread pool, each under the caller's numpy error state and a
+        ufunc buffer of :data:`_SUM_BUFFER` elements.  So ``fn`` may write
+        only the part of an array that its range names.  An exception
+        ``fn`` raises (``MemoryError`` included) is raised here once every
+        range has ended, the first in range order, and the threads are
+        ended.  One worker, or ``n`` of 1, runs ``fn(0, n)`` in the calling
+        thread and starts no thread.
+        """
+        if n < 1:
+            return
+        parts = min(self.workers, n)
+        bounds = [n * j // parts for j in range(parts + 1)]
+        errstate = np.geterr()
+
+        def part(j):
+            # numpy keeps its error state and buffer size per thread
+            with np.errstate(**errstate):
+                np.setbufsize(_SUM_BUFFER)
+                fn(bounds[j], bounds[j + 1])
+
+        try:
+            futures = [self._pool().submit(part, j) for j in range(1, parts)]
+            part(0)
+            for future in futures:
+                future.result()
+        except BaseException:
+            self.close()  # waits for the ranges still running
+            raise
 
     def _pool(self):
         """The worker threads, made on first use in each process: a forked
@@ -409,7 +434,9 @@ class Sweep:
         self.close()
 
     def _pad_image(self, f) -> np.ndarray:
-        """Fill :attr:`_padded` with ``f``, less ``f``'s first pixel, wrapped."""
+        """Fill :attr:`_padded` with ``f``, less ``f``'s first pixel, wrapped:
+        the cast-and-subtract split over the workers, the four wrap copies in
+        the calling thread."""
         (top, _), (left, _) = self._pad
         h, w = self._shape
         padded = self._padded
@@ -419,7 +446,10 @@ class Sweep:
         # removing a constant first changes nothing in exact arithmetic; it
         # maps constant images to exactly zero and shrinks the cancellation
         # error.  A pixel value is exact where the mean may round.
-        np.subtract(f, padded.dtype.type(f.flat[0]), out=image, dtype=padded.dtype)
+        first = padded.dtype.type(f.flat[0])
+        self.split(
+            lambda r0, r1: np.subtract(f[r0:r1], first, out=image[r0:r1], dtype=padded.dtype), h
+        )
         _wrap_rows(image, -top, body[:top])
         _wrap_rows(image, 0, body[top + h :])
         _wrap_rows(body.T, -left, padded[:, :left].T)
@@ -437,7 +467,12 @@ class Sweep:
         planes = planes[:, : n * w]
         np.copyto(planes.reshape(windows.shape), windows)
         g = block[:, :, :n]
-        np.matmul(self._taps, planes[self._span], out=g.reshape(len(self._taps), -1))
+        # one product per row of the block, as in _add
+        np.matmul(
+            self._taps,
+            planes[self._span].reshape(-1, n, w).transpose(1, 0, 2),
+            out=g.reshape(len(self._taps), n, w).transpose(1, 0, 2),
+        )
         return g
 
     def _add(self, scratch, rows: slice, block) -> None:

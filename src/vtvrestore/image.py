@@ -141,6 +141,9 @@ def half_symbol(kernel, shape) -> np.ndarray:
 def nonsingular(half) -> np.ndarray:
     """Return the half symbol ``half`` once no bin of it is singular.
 
+    A solve inverts it then, once: :func:`solve_diagonal` multiplies by the
+    reciprocal.
+
     Raises
     ------
     SingularSymbolError
@@ -156,30 +159,55 @@ def nonsingular(half) -> np.ndarray:
     return half
 
 
-def solve_diagonal(numerator, half, spectrum, out=None) -> np.ndarray:
+def _whole(fn, n: int) -> None:
+    """``fn(0, n)``: one range, in the calling thread."""
+    fn(0, n)
+
+
+def solve_diagonal(numerator, inverse, spectrum, out=None, split=_whole) -> np.ndarray:
     """Solve ``Op u = numerator`` for an operator with the given symbol.
 
-    Computes ``IFFT(FFT(numerator) / symbol)``, the exact inverse of any real
-    circular-convolution operator, over the half spectrum: ``half`` is the
-    ``rfft2`` half of the operator's symbol (see :func:`half_symbol`),
-    checked once by :func:`nonsingular`.  Runs the transforms of
+    Computes ``IFFT(FFT(numerator) * (1 / symbol))``, the exact inverse of any
+    real circular-convolution operator, over the half spectrum: ``inverse``
+    is the reciprocal of the ``rfft2`` half of the operator's symbol (see
+    :func:`half_symbol`), checked once by :func:`nonsingular` and inverted
+    once by the caller.  Runs the transforms of
     ``irfft2(rfft2(numerator) / half)`` in the complex ``spectrum`` buffer of
-    ``half``'s shape, which it overwrites, so no other complex array is made
-    and the result is bit for bit the same.  Returns a new array, or writes
-    the result into the float64 array ``out`` of ``numerator``'s shape and
-    returns ``out``.
+    ``inverse``'s shape, which it overwrites, so no other complex array is
+    made.  numpy divides a complex ``a + bi`` by a real ``c`` as
+    ``(a * (1/c), b * (1/c))``, so the result is bit for bit the same, but
+    for the sign of a zero.  Returns a new array, or writes the result into
+    the float64 array ``out`` of ``numerator``'s shape and returns ``out``.
+
+    The solve is three passes: ``rfft`` over the rows; per range of columns,
+    ``fft`` down them, the multiply and ``ifft`` back; ``irfft`` over the
+    rows.  ``split(fn, n)`` runs each pass as ``fn(start, stop)`` over
+    contiguous ranges that cover its ``n`` rows or columns, possibly on
+    several threads, and returns once all have ended (a
+    :meth:`~vtvrestore.frames.Sweep.split`); by default one range runs in
+    the calling thread.  Every 1-D transform is the same however the passes
+    are split, so no result depends on it.
     """
     num = np.asarray(numerator, dtype=np.float64)
-    half = np.asarray(half)
-    w = num.shape[-1]
-    if half.shape != num.shape[:-1] + (w // 2 + 1,):
+    inverse = np.asarray(inverse)
+    if num.ndim != 2 or inverse.shape != (num.shape[0], num.shape[1] // 2 + 1):
         raise DimensionMismatchError(
-            f"half symbol shape {half.shape} does not fit numerator shape {num.shape}"
+            f"half symbol shape {inverse.shape} does not fit numerator shape {num.shape}"
         )
-    np.fft.rfft2(num, out=spectrum)
-    spectrum /= half
-    np.fft.ifft(spectrum, axis=-2, out=spectrum)
-    return np.fft.irfft(spectrum, n=w, axis=-1, out=out)
+    h, w = num.shape
+    if out is None:
+        out = np.empty(num.shape)
+
+    def columns(c0, c1):
+        block = spectrum[:, c0:c1]
+        np.fft.fft(block, axis=0, out=block)
+        block *= inverse[:, c0:c1]
+        np.fft.ifft(block, axis=0, out=block)
+
+    split(lambda r0, r1: np.fft.rfft(num[r0:r1], axis=-1, out=spectrum[r0:r1]), h)
+    split(columns, w // 2 + 1)
+    split(lambda r0, r1: np.fft.irfft(spectrum[r0:r1], n=w, axis=-1, out=out[r0:r1]), h)
+    return out
 
 
 def psnr(ref, test) -> float:

@@ -31,10 +31,11 @@ product followed by shifted adds.  The denominator is the symbol of the
 stencil's :meth:`~vtvrestore.frames.FrameGradient.normal_kernel` plus
 that of ``A*A``, built once per solve; only their ``rfft2`` halves are
 built (:func:`~vtvrestore.image.half_symbol`), and the smallest bin of the
-sum is checked once, when the solve is set up.  The spatial-domain primitives
-(:func:`~vtvrestore.frames.analyze`, :func:`~vtvrestore.diffops.grad`, ...)
-remain the references the tests check against, the u-update's KKT
-residual among them.
+sum is checked once, when the solve is set up, which then inverts the sum in
+place: the FFT solve multiplies by the reciprocal.  The spatial-domain
+primitives (:func:`~vtvrestore.frames.analyze`,
+:func:`~vtvrestore.diffops.grad`, ...) remain the references the tests check
+against, the u-update's KKT residual among them.
 
 :class:`SplitBregman` builds its whole state when it is constructed: one
 ``(m, 2, h, w)`` stack, the multipliers ``b``; a
@@ -61,10 +62,15 @@ array is not ``u``, and one sweep, so a step allocates no image.
 ``SolverConfig.workers`` runs each sweep on that many threads: the even
 row blocks, then the odd ones, each phase split over the workers, which
 write disjoint rows of ``b`` and of the accumulator (see
-:class:`~vtvrestore.frames.Sweep`).  The blocks and the order of every sum
-are the same for any worker count, so no result depends on it.  The
-threads are the one part of a solve its construction does not make: they
-start with the first step, wait between steps and end with
+:class:`~vtvrestore.frames.Sweep`).  The rest of a step's image-sized work
+runs on the same workers, through :meth:`~vtvrestore.frames.Sweep.split`:
+the FFT solve's three passes (``rfft`` over row ranges; ``fft``, the
+multiply and ``ifft`` over column ranges; ``irfft`` over row ranges),
+``u_new - u`` and ``numerator += A* f``.  The two norms of ``rel_err``
+stay in the calling thread.  The blocks, every 1-D transform and the order
+of every sum are the same for any worker count, so no result depends on
+it.  The threads are the one part of a solve its construction does not
+make: they start with the first step, wait between steps and end with
 :func:`solve` or :meth:`SplitBregman.close`; one worker starts none.  A
 block's body reaches :mod:`~vtvrestore.diffops` through its module, never
 through a name of this one, so a wrapper put on a name of this module (as
@@ -183,8 +189,9 @@ class SolverConfig:
     penalties (also the u-update damping).  Lengths must equal the bank's
     channel count.  ``precision`` is the dtype of the splitting state:
     ``"double"`` (float64) or ``"single"`` (float32; see the module notes).
-    ``workers`` is the number of threads each sweep over the row blocks runs
-    on (see :class:`~vtvrestore.frames.Sweep`); no result depends on it.
+    ``workers`` is the number of threads each sweep over the row blocks and
+    each FFT solve run on (see :class:`~vtvrestore.frames.Sweep`); no result
+    depends on it.
     """
 
     lam: tuple
@@ -346,7 +353,9 @@ class SplitBregman:
             half_symbol(stencil.normal_kernel(self._weights), (h, w)).real
         )
         denominator += op.gram_symbol((h, w))
-        self._denominator = nonsingular(denominator)
+        #: The reciprocal of the denominator's half symbol, which the FFT
+        #: solve multiplies by: inverted in place once it is nonsingular.
+        self._denominator = np.reciprocal(nonsingular(denominator), out=denominator)
         #: Complex scratch of the denominator's shape: the FFT solve runs in
         #: it, and :meth:`advance` reuses it once the solve is spent.
         self._spectrum = np.empty(denominator.shape, dtype=np.complex128)
@@ -377,7 +386,9 @@ class SplitBregman:
         Returns a new array, or fills the float64 image ``out`` and returns
         it; ``b`` and the numerator are left untouched.
         """
-        return solve_diagonal(self.numerator, self._denominator, self._spectrum, out)
+        return solve_diagonal(
+            self.numerator, self._denominator, self._spectrum, out, self._sweep.split
+        )
 
     # -- d/b updates and stepping -------------------------------------------
 
@@ -392,8 +403,9 @@ class SplitBregman:
         # u_new - u in a contiguous (h, w) view of the spent spectrum buffer;
         # a fresh difference image would raise the solve's peak by one image
         change = self._spectrum.view(np.float64).ravel()[: self.u.size].reshape(self.u.shape)
+        u, split = self.u, self._sweep.split
         with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(u_new, self.u, out=change)
+            split(lambda r0, r1: np.subtract(u_new[r0:r1], u[r0:r1], out=change[r0:r1]), len(u))
         norm = _norm(change)
         if not math.isfinite(norm):
             raise NonFiniteError("iterate contains NaN or Inf; parameters look divergent")
@@ -421,7 +433,8 @@ class SplitBregman:
             return regularization
 
         terms = self._sweep.run(update, u_new)
-        self.numerator += self._atf
+        numerator, atf = self.numerator, self._atf
+        split(lambda r0, r1: np.add(numerator[r0:r1], atf[r0:r1], out=numerator[r0:r1]), len(u))
         if traced:
             self.regularization = sum(terms)
         self.u = u_new

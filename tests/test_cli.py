@@ -121,6 +121,11 @@ class TestDenoise:
         # the 256x256 grid has 8 row blocks, 4 a phase
         assert meta["metrics"]["threads"] == min(cli._sweep_workers(1), 4)
 
+    def test_run_json_records_the_solve_cpu_time(self, denoise_run):
+        _, _, out = denoise_run
+        cpu = json.loads((out / "phantom_run.json").read_text())["metrics"]["cpu_seconds"]
+        assert isinstance(cpu, float) and math.isfinite(cpu) and cpu >= 0
+
     def test_trace_csv_well_formed(self, denoise_run):
         _, row, out = denoise_run
         lines = (out / "phantom_trace.csv").read_text().splitlines()

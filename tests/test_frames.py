@@ -21,6 +21,7 @@ from vtvrestore import (
     grad_adjoint,
     identity_bank,
     kernel_symbol,
+    solve_diagonal,
     synthesize_adjoint,
     verify_uep,
 )
@@ -481,6 +482,28 @@ def test_more_workers_than_cores_lose_no_update(bank, monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def test_more_workers_than_cores_split_a_solve_as_one_thread_does(bank, monkeypatch):
+    # eight ranges of 25 rows or of 4 and 5 columns write their parts of the
+    # shared spectrum and image side by side
+    shape = (200, 64)
+    monkeypatch.setattr(frames, "BLOCK_PIXELS", 3 * shape[1])
+    rng = np.random.default_rng(36)
+    num = rng.standard_normal(shape)
+    inverse = 1 / rng.uniform(0.5, 2.0, (shape[0], shape[1] // 2 + 1))
+    expected = solve_diagonal(num, inverse, np.empty(inverse.shape, dtype=complex))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with frames.Sweep(bank.frame_gradient, shape, workers=8) as sweep:
+            assert sweep.workers == 8
+            for _ in range(5):
+                spectrum = np.empty(inverse.shape, dtype=complex)
+                got = solve_diagonal(num, inverse, spectrum, None, sweep.split)
+                assert np.array_equal(got, expected)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_the_threads_of_a_collected_sweep_end(bank):
     before = set(threading.enumerate())
     sweep = frames.Sweep(bank.frame_gradient, (37, 1024), workers=3)
@@ -520,6 +543,43 @@ def test_a_failure_on_a_worker_thread_is_raised_by_run(bank, kind):
         sweep.run(body)
     assert sorted(failed) == [16, 32]  # blocks 2 and 4; phase two never starts
     assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 37])
+def test_split_runs_one_contiguous_range_per_worker(bank, workers, n):
+    ranges = []
+    with frames.Sweep(bank.frame_gradient, (37, 1024), workers=workers) as sweep:
+        assert sweep.workers == workers
+        sweep.split(lambda start, stop: ranges.append((start, stop, threading.current_thread())), n)
+    ranges.sort(key=lambda r: r[0])
+    bounds = [start for start, _, _ in ranges] + [n]
+    assert len(ranges) == min(workers, n)
+    assert [stop for _, stop, _ in ranges] == bounds[1:] and bounds[0] == 0
+    sizes = [stop - start for start, stop, _ in ranges]
+    assert sizes == [] or min(sizes) >= max(sizes) - 1 >= 0
+    # the first range runs in the calling thread, the others on the pool
+    on_caller = [t is threading.current_thread() for *_, t in ranges]
+    assert on_caller == [j == 0 for j in range(len(ranges))]
+
+
+def test_split_runs_each_range_under_the_callers_error_state(bank):
+    bufsize = np.getbufsize()
+    seen = {}
+
+    def overflow_on_a_worker(start, stop):
+        seen[start] = (np.geterr()["over"], np.getbufsize())
+        if threading.current_thread() is not threading.main_thread():
+            return float(np.float64(1e300) * np.float64(1e300))
+
+    with frames.Sweep(bank.frame_gradient, (37, 1024), workers=3) as sweep:
+        with np.errstate(over="ignore"):
+            sweep.split(overflow_on_a_worker, 3)
+        assert seen == {j: ("ignore", frames._SUM_BUFFER) for j in range(3)}
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            sweep.split(overflow_on_a_worker, 3)
+        assert seen == {j: ("raise", frames._SUM_BUFFER) for j in range(3)}
+    assert np.getbufsize() == bufsize  # the calling thread's own is back
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -16,6 +16,7 @@ from vtvrestore import (
     psnr,
     solve_diagonal,
 )
+from vtvrestore.frames import Sweep
 from vtvrestore.image import nonsingular
 
 from conftest import conv_brute_force
@@ -185,7 +186,7 @@ class TestSolveDiagonal:
         u = rng.uniform(0, 255, (9, 7))
         k = bank.kernels[0]
         half = nonsingular(half_symbol(k, u.shape))
-        u_rec = solve_diagonal(conv_circular(u, k), half, np.empty(half.shape, dtype=complex))
+        u_rec = solve_diagonal(conv_circular(u, k), 1 / half, np.empty(half.shape, dtype=complex))
         assert np.max(np.abs(u_rec - u)) < 1e-8 * 255
         # residual check through the spatial operator
         resid = conv_circular(u_rec, k) - conv_circular(u, k)
@@ -195,7 +196,7 @@ class TestSolveDiagonal:
     def test_dc_algebra_for_constants(self):
         sym = np.full((4, 4), 1.0 + 0j)
         sym[0, 0] = 2.5
-        out = solve_diagonal(np.full((4, 4), 5.0), sym[:, :3], np.empty((4, 3), dtype=complex))
+        out = solve_diagonal(np.full((4, 4), 5.0), 1 / sym[:, :3], np.empty((4, 3), dtype=complex))
         np.testing.assert_allclose(out, 2.0, atol=1e-12)
 
     def test_singular_symbol_raises(self, bank):
@@ -214,9 +215,28 @@ class TestSolveDiagonal:
         num = rng.standard_normal(shape)
         half = rng.uniform(0.5, 2.0, (shape[0], shape[1] // 2 + 1))
         spectrum = np.empty(half.shape, dtype=complex)
-        got = solve_diagonal(num, half, spectrum)
+        got = solve_diagonal(num, 1 / half, spectrum)
         want = np.fft.irfft2(np.fft.rfft2(num) / half, s=shape)
         assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (15, 13), (16, 12), (37, 500)])
+    def test_a_solve_split_over_a_sweeps_workers_is_the_one_worker_solve(self, bank, shape):
+        # the passes run over row and column ranges on threads of their own;
+        # every 1-D transform is the same however the passes are split
+        rng = np.random.default_rng(16)
+        num = rng.standard_normal(shape)
+        inverse = 1 / rng.uniform(0.5, 2.0, (shape[0], shape[1] // 2 + 1))
+        want = solve_diagonal(num, inverse, np.empty(inverse.shape, dtype=complex))
+        for workers in (1, 2, 3):
+            # a grid of 5 row blocks, 3 in the first phase: up to 3 workers
+            with Sweep(bank.frame_gradient, (37, 1024), workers=workers) as sweep:
+                assert sweep.workers == workers
+                out = np.empty(shape)
+                spectrum = np.empty(inverse.shape, dtype=complex)
+                got = solve_diagonal(num, inverse, spectrum, out, sweep.split)
+            assert got is out
+            assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes(), workers
 
 
 class TestHalfSymbol:

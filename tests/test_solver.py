@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import multiprocessing
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -363,6 +364,35 @@ def test_a_failure_on_a_sweep_thread_is_raised_and_leaves_no_thread(bank, monkey
         solve(f, op, bank, cfg)
     assert threading.active_count() == baseline
     assert failed == [32, 32]  # block 2, the second of the first phase of each sweep
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_a_failure_in_a_split_pass_is_raised_once_both_parts_have_ended(
+    bank, monkeypatch, failing
+):
+    # the FFT solve's column pass runs its two column ranges on two threads:
+    # one part's ifft fails at once, the other's ends 50 ms later
+    f = np.random.default_rng(31).uniform(0, 255, THREADED_GRID)
+    baseline = threading.active_count()
+    sb = SplitBregman(f, DegradationOp.identity(), bank, denoise_cfg(workers=2))
+    sb.step()
+    ifft, ended = np.fft.ifft, []
+
+    def patched(a, *args, **kwargs):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        if on_worker == (failing == "worker"):
+            raise MemoryError("no spectrum for this range")
+        time.sleep(0.05)
+        out = ifft(a, *args, **kwargs)
+        ended.append(a.shape[1])
+        return out
+
+    monkeypatch.setattr(np.fft, "ifft", patched)
+    with pytest.raises(MemoryError, match="no spectrum for this range"):
+        sb.step()
+    # 257 columns: 128 in the calling thread, 129 on the worker
+    assert ended == [129 if failing == "caller" else 128]
+    assert threading.active_count() == baseline
 
 
 def test_sweep_threads_live_from_the_first_step_to_close(bank):
