@@ -11,10 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Convolution taps realizing the forward differences (see tests).
-FORWARD_DIFF_X = np.array([[1.0, -1.0, 0.0]])
-FORWARD_DIFF_Y = np.array([[1.0], [-1.0], [0.0]])
-
 
 def grad(u) -> np.ndarray:
     """Forward-difference gradient with periodic wrap.

@@ -18,7 +18,10 @@ class SingularSymbolError(VTVError):
 
 
 class NonFiniteError(VTVError):
-    """An iterate contains NaN or Inf, typically a sign of divergent parameters."""
+    """A kernel, an observation or an iterate contains NaN or Inf.
+
+    In an iterate it is typically a sign of divergent parameters.
+    """
 
 
 class ConfigError(VTVError):

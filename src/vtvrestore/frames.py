@@ -143,13 +143,14 @@ class FrameGradient:
 
     Each component ``grad(conv_circular(u, K_i))[c]`` is itself a circular
     convolution, so the whole operator is the dense ``(2m, n)`` matrix
-    :attr:`taps` applied to the ``n`` shifted copies
-    ``np.roll(u, offsets[j])``: a single matrix product, whose row ``2 i + c``
-    is the ``(m, 2, h, w)`` layout of :func:`analyze` followed by
+    :attr:`taps` applied to the ``n`` copies of ``u`` shifted by the offsets
+    the stencil reads: a single matrix product, whose row ``2 i + c`` is the
+    ``(m, 2, h, w)`` layout of :func:`analyze` followed by
     :func:`~vtvrestore.diffops.grad`.  The taps are those references'
     response to a unit impulse, so they are built by the code they stand
     for.  The adjoint applies the transposed matrix and adds the planes back
-    with the opposite shifts.
+    with the opposite shifts, and :meth:`normal_kernel` is the response of
+    the one followed by the other to a unit impulse.
 
     Both directions run over row blocks of about :data:`BLOCK_PIXELS`
     pixels, so only one block's shifted planes exist per worker at a time:
@@ -189,12 +190,7 @@ class FrameGradient:
         self._span = slice(live[0], live[-1] + 1) if live else slice(0, 0)
         taps = np.ascontiguousarray(grid.reshape(2 * bank.m, -1)[:, self._span])
         taps.flags.writeable = False
-        q = left + right + 1
         self.m = bank.m
-        #: ``(dy, dx)`` shift of each column of :attr:`taps`.
-        self.offsets = tuple(
-            (k // q - bottom, k % q - right) for k in range(self._span.start, self._span.stop)
-        )
         #: ``(2m, n)`` read-only tap matrix; row ``2 i + c`` is channel ``i``,
         #: gradient component ``c`` (0 for x, 1 for y).
         self.taps = taps
@@ -227,19 +223,20 @@ class FrameGradient:
 
     def normal_kernel(self, weights) -> np.ndarray:
         """Kernel of ``sum_i weights[i] F_i* G* G F_i``: :meth:`apply`, then the
-        ``weights``-weighted adjoint.
+        ``weights``-weighted adjoint, applied to a unit impulse.
 
-        The Gram matrix ``taps.T @ diag(repeat(weights, 2)) @ taps`` laid out
-        by offset difference (7x7 for the B-spline bank).
+        The operator reaches ``top + bottom`` rows and ``left + right``
+        columns each way (7x7 for the B-spline bank), so on a grid of twice
+        that plus one the impulse's response does not wrap and is the
+        kernel.
         """
-        gram = self.taps.T @ (np.repeat(weights, 2)[:, None] * self.taps)
-        offsets = np.array(self.offsets, dtype=int).reshape(-1, 2)
-        # entry (k, j) reads u[x - o_j] and adds it back at x - o_k
-        diffs = offsets[None] - offsets[:, None]
-        ry, rx = np.abs(diffs).reshape(-1, 2).max(axis=0, initial=0)
-        kernel = np.zeros((2 * ry + 1, 2 * rx + 1))
-        np.add.at(kernel, (ry + diffs[..., 0], rx + diffs[..., 1]), gram)
-        return kernel
+        (top, bottom), (left, right) = self._pad
+        ry, rx = top + bottom, left + right
+        impulse = np.zeros((2 * ry + 1, 2 * rx + 1))
+        impulse[ry, rx] = 1.0
+        sweep = Sweep(self, impulse.shape, weights)
+        sweep.run(lambda rows, g, add: add(g), impulse)
+        return sweep.total
 
 
 class Sweep:

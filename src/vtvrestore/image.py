@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SingularSymbolError
+from .errors import DimensionMismatchError, NonFiniteError, SingularSymbolError
 
 #: Frequency bins with modulus below this floor make a solve singular.
 _EPS_DENOM = 1e-12
@@ -30,13 +30,17 @@ _EPS_DENOM = 1e-12
 def as_kernel(taps) -> np.ndarray:
     """Validate convolution taps and return them as a float64 array.
 
-    Both side lengths must be odd so that the kernel has a center tap.
+    Both side lengths must be odd so that the kernel has a center tap, and
+    every tap must be finite (a NaN or Inf tap is a
+    :class:`~vtvrestore.errors.NonFiniteError`).
     """
     k = np.asarray(taps, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] % 2 == 0 or k.shape[1] % 2 == 0:
         raise DimensionMismatchError(
             f"kernel must be 2-D with odd side lengths, got shape {k.shape}"
         )
+    if not np.isfinite(k).all():
+        raise NonFiniteError("kernel contains NaN or Inf")
     return k
 
 
@@ -52,24 +56,19 @@ def conv_circular(image, kernel) -> np.ndarray:
     kernel : array, odd-sized 2-D taps
 
     The wrap-around indexing makes this a total function for any image and
-    kernel sizes >= 1.  A kernel larger than the grid is first folded onto
-    it: taps whose offsets wrap to the same shift are summed, so there is one
-    roll per distinct shift, at most ``h * w``, not one per tap.  Where the
-    kernel fits the grid no two taps share a shift, and the sum is the
-    tap-by-tap one.
+    kernel sizes >= 1.  The kernel is first folded onto the grid (see
+    :func:`_wrapped_taps`), so there is one roll per distinct shift, at most
+    ``h * w``, not one per tap, taken in the order the kernel first reaches
+    the shifts.  Where the kernel fits the grid no two taps share a shift,
+    and the sum is the tap-by-tap one.
     """
     f = np.asarray(image, dtype=np.float64)
-    k = as_kernel(kernel)
-    ry, rx = (k.shape[0] - 1) // 2, (k.shape[1] - 1) // 2
-    h, w = (max(n, 1) for n in f.shape[-2:])
-    taps: dict = {}
-    for p, row in enumerate(k.tolist(), start=-ry):
-        for q, tap in enumerate(row, start=-rx):
-            taps[p % h, q % w] = taps.get((p % h, q % w), 0.0) + tap
+    rows, cols, taps = _wrapped_taps(kernel, [max(n, 1) for n in f.shape[-2:]])
     out = np.zeros_like(f)
-    for shift, tap in taps.items():
-        if tap != 0.0:
-            out += tap * np.roll(f, shift, axis=(-2, -1))
+    for r, row in zip(rows.tolist(), taps.tolist()):
+        for c, tap in zip(cols.tolist(), row):
+            if tap != 0.0:
+                out += tap * np.roll(f, (r, c), axis=(-2, -1))
     return out
 
 
@@ -85,23 +84,27 @@ def conv_adjoint(image, kernel) -> np.ndarray:
 
 
 def _wrapped_taps(kernel, shape):
-    """``(rows, taps)``: the kernel embedded circularly in an ``shape`` grid.
+    """``(rows, cols, taps)``: the kernel folded onto an ``shape`` grid.
 
-    The center tap lands at index (0, 0) and negative offsets wrap;
-    overlapping taps accumulate.  ``taps[i]`` is grid row ``rows[i]``; every
-    other row of the grid is zero.
+    Tap ``K(p, q)`` lands on cell ``(p % h, q % w)``, so the center tap is
+    at (0, 0) and negative offsets wrap; the taps that land on one cell are
+    summed in the kernel's row-major order.  ``taps[i, j]`` is cell
+    ``(rows[i], cols[j])``, and every other cell of the grid is zero.
+    ``rows`` and ``cols`` are in the order the kernel first reaches them.
+    (Row ``i`` of a ``ky``-row kernel has offset ``i - ky // 2``, so it
+    lands on grid row ``(i - ky // 2) % h``, which row ``i % h`` reaches
+    first; likewise for columns.)
     """
     h, w = int(shape[0]), int(shape[1])
     if h < 1 or w < 1:
         raise DimensionMismatchError(f"grid must be at least 1x1, got {(h, w)}")
     k = as_kernel(kernel)
-    ry, rx = (k.shape[0] - 1) // 2, (k.shape[1] - 1) // 2
-    rows = sorted({p % h for p in range(-ry, ry + 1)})
-    taps = np.zeros((len(rows), w))
-    for p in range(-ry, ry + 1):
-        for q in range(-rx, rx + 1):
-            taps[rows.index(p % h), q % w] += k[p + ry, q + rx]
-    return rows, taps
+    ky, kx = k.shape
+    taps = np.zeros((min(ky, h), min(kx, w)))
+    np.add.at(taps, (np.arange(ky)[:, None] % h, np.arange(kx) % w), k)
+    rows = (np.arange(taps.shape[0]) - ky // 2) % h
+    cols = (np.arange(taps.shape[1]) - kx // 2) % w
+    return rows, cols, taps
 
 
 def kernel_symbol(kernel, shape) -> np.ndarray:
@@ -114,9 +117,9 @@ def kernel_symbol(kernel, shape) -> np.ndarray:
 
     Returns a complex array of shape ``(h, w)``, one value per frequency bin.
     """
-    rows, taps = _wrapped_taps(kernel, shape)
+    rows, cols, taps = _wrapped_taps(kernel, shape)
     grid = np.zeros((int(shape[0]), int(shape[1])))
-    grid[rows] = taps
+    grid[np.ix_(rows, cols)] = taps
     return np.fft.fft2(grid)
 
 
@@ -131,10 +134,12 @@ def half_symbol(kernel, shape) -> np.ndarray:
     Hermitian, ``symbol[-k] == conj(symbol[k])``, so these columns determine
     it; they are what :func:`solve_diagonal` divides by.
     """
-    rows, taps = _wrapped_taps(kernel, shape)
-    w = taps.shape[1]
+    rows, cols, taps = _wrapped_taps(kernel, shape)
+    w = int(shape[1])
+    wide = np.zeros((len(rows), w))
+    wide[:, cols] = taps
     half = np.zeros((int(shape[0]), w // 2 + 1), dtype=np.complex128)
-    half[rows] = np.fft.fft(taps, axis=-1)[:, : w // 2 + 1]
+    half[rows] = np.fft.fft(wide, axis=-1)[:, : w // 2 + 1]
     return np.fft.fft(half, axis=0, out=half)
 
 
@@ -149,12 +154,12 @@ def nonsingular(half) -> np.ndarray:
     SingularSymbolError
         If any frequency bin has modulus below 1e-12, which signals an
         ill-posed solve (e.g. a blur with zero DC gain and no
-        regularization).
+        regularization), or is NaN.
     """
     smallest = np.min(np.abs(half))
-    if smallest < _EPS_DENOM:
+    if not smallest >= _EPS_DENOM:
         raise SingularSymbolError(
-            f"symbol has a bin with modulus {smallest:.3e} < {_EPS_DENOM:.3e}"
+            f"symbol has a bin with modulus {smallest:.3e}, not >= {_EPS_DENOM:.3e}"
         )
     return half
 

@@ -28,8 +28,9 @@ Both directions of the operator run through the bank's fused stencil
 shifted copies of ``u``, and the u-update numerator
 ``sum_i gamma_i F_i* G* (d_i - b_i)`` is the gamma-weighted transposed
 product followed by shifted adds.  The denominator is the symbol of the
-stencil's :meth:`~vtvrestore.frames.FrameGradient.normal_kernel` plus
-that of ``A*A``, built once per solve; only their ``rfft2`` halves are
+stencil's :meth:`~vtvrestore.frames.FrameGradient.normal_kernel`, the
+response of those two passes to a unit impulse, plus that of ``A*A``, built
+once per solve; only their ``rfft2`` halves are
 built (:func:`~vtvrestore.image.half_symbol`), and the smallest bin of the
 sum is checked once, when the solve is set up, which then inverts the sum in
 place: the FFT solve multiplies by the reciprocal.  The spatial-domain

@@ -3,6 +3,10 @@ import pytest
 
 from vtvrestore import analyze, bspline_bank, conv_adjoint, grad, grad_adjoint
 
+#: Convolution taps of the forward differences of :func:`vtvrestore.grad`.
+FORWARD_DIFF_X = np.array([[1.0, -1.0, 0.0]])
+FORWARD_DIFF_Y = np.array([[1.0], [-1.0], [0.0]])
+
 
 def conv_brute_force(f, k):
     """Double-loop circular convolution with explicit modular indexing.

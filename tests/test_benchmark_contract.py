@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vtvrestore
 from vtvrestore import cli, frames, image, solver, write_pgm
 
 from conftest import make_phantom
@@ -119,3 +120,34 @@ def test_setup_probe_runs_on_a_small_image(task, tmp_path):
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert {"ready", "cold_step_ms"} <= set(report)
     assert report["cold_step_ms"] > 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the set-up probe builds its solver at the library default, double, "
+    "while the CLI solves at single",
+)
+def test_setup_probe_builds_the_solver_the_cli_runs(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import setup_child
+
+    image_path = tmp_path / "probe.pgm"
+    write_pgm(image_path, make_phantom(16))
+    probed = []
+    build = vtvrestore.SplitBregman
+    monkeypatch.setattr(
+        vtvrestore, "SplitBregman", lambda *args: probed.append(args[3]) or build(*args)
+    )
+    monkeypatch.setattr(sys, "argv", [
+        "setup_child.py", "--task", "denoise", "--variant", "reduced17",
+        "--input", str(image_path), "--seed", "0",
+    ])
+    setup_child.main()
+    solved = []
+    monkeypatch.setattr(cli, "solve", lambda *args: solved.append(args[3]) or solver.solve(*args))
+    code = cli.main(["denoise", "--input", str(image_path), "--out", str(tmp_path / "out"),
+                     "--seed", "0", "--variant", "reduced17", "--max-iter", "2"])
+    capsys.readouterr()
+    assert code in (0, 2) and len(probed) == len(solved) == 1
+    assert probed[0].precision == solved[0].precision

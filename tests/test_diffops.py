@@ -13,7 +13,8 @@ from vtvrestore import (
     shrink_iso,
     vtv,
 )
-from vtvrestore.diffops import FORWARD_DIFF_X, FORWARD_DIFF_Y
+
+from conftest import FORWARD_DIFF_X, FORWARD_DIFF_Y
 
 
 class TestGrad:

@@ -26,9 +26,8 @@ from vtvrestore import (
     verify_uep,
 )
 from vtvrestore import frames
-from vtvrestore.diffops import FORWARD_DIFF_X, FORWARD_DIFF_Y
 
-from conftest import conv_brute_force
+from conftest import FORWARD_DIFF_X, FORWARD_DIFF_Y, conv_brute_force
 
 
 class TestBsplineBank:

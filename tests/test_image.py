@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from vtvrestore import (
+    DegradationOp,
     DimensionMismatchError,
+    FilterBank,
+    NonFiniteError,
     SingularSymbolError,
     conv_adjoint,
     conv_circular,
@@ -33,6 +36,35 @@ def embed_at_origin(k, shape):
     return grid
 
 
+def conv_by_dict_fold(f, k):
+    """Circular convolution with the kernel folded onto the grid tap by tap.
+
+    Each tap is added, in row-major order, onto its wrapped shift in a dict,
+    and the shifts are rolled in the order the dict first met them: the sum
+    :func:`conv_circular` must reproduce bit for bit.
+    """
+    h, w = f.shape[-2:]
+    ry, rx = (k.shape[0] - 1) // 2, (k.shape[1] - 1) // 2
+    taps = {}
+    for p, row in enumerate(k.tolist(), start=-ry):
+        for q, tap in enumerate(row, start=-rx):
+            taps[p % h, q % w] = taps.get((p % h, q % w), 0.0) + tap
+    out = np.zeros_like(f)
+    for shift, tap in taps.items():
+        if tap != 0.0:
+            out += tap * np.roll(f, shift, axis=(-2, -1))
+    return out
+
+
+def cancelling_kernel():
+    """A 5x7 kernel with a zero tap whose columns 0, 3 and 6, which share
+    a cell on a 3-wide grid, sum to exactly zero in every row."""
+    k = np.random.default_rng(36).standard_normal((5, 7))
+    k[1, 2] = 0.0
+    k[:, 6] = -(k[:, 0] + k[:, 3])
+    return k
+
+
 class TestConvCircular:
     @pytest.mark.parametrize(
         ("shape", "kernel"),
@@ -40,8 +72,9 @@ class TestConvCircular:
             ((16, 16), motion_blur_kernel(100001)),
             ((3, 4), np.random.default_rng(31).standard_normal((7, 9))),
             ((1, 1), np.random.default_rng(32).standard_normal((5, 3))),
+            ((2, 3), cancelling_kernel()),
         ],
-        ids=["blur100001-16x16", "7x9-on-3x4", "5x3-on-1x1"],
+        ids=["blur100001-16x16", "7x9-on-3x4", "5x3-on-1x1", "cancelling-5x7-on-2x3"],
     )
     def test_a_kernel_larger_than_the_grid_is_folded_onto_it(self, monkeypatch, shape, kernel):
         f = np.random.default_rng(33).uniform(0, 255, shape)
@@ -52,7 +85,10 @@ class TestConvCircular:
         monkeypatch.undo()
         # one roll per distinct wrapped shift: 16 for the long blur
         assert len(rolls) <= min(kernel.shape[0], shape[0]) * min(kernel.shape[1], shape[1])
-        want = np.real(np.fft.ifft2(np.fft.fft2(f) * kernel_symbol(kernel, shape)))
+        assert got.tobytes() == conv_by_dict_fold(f, kernel).tobytes()
+        symbol = kernel_symbol(kernel, shape)
+        assert symbol.tobytes() == np.fft.fft2(embed_at_origin(kernel, shape)).tobytes()
+        want = np.real(np.fft.ifft2(np.fft.fft2(f) * symbol))
         assert np.max(np.abs(got - want)) <= 1e-10 * np.sum(np.abs(kernel)) * 255
 
     @pytest.mark.parametrize("shape", [(5, 7), (9, 9), (33, 20)])
@@ -109,6 +145,25 @@ class TestConvCircular:
     def test_even_kernel_rejected(self):
         with pytest.raises(DimensionMismatchError):
             conv_circular(np.zeros((4, 4)), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda k: FilterBank([k]),
+        DegradationOp.blur,
+        lambda k: conv_circular(np.ones((4, 4)), k),
+        lambda k: kernel_symbol(k, (4, 4)),
+        lambda k: half_symbol(k, (4, 4)),
+    ],
+    ids=["bank", "blur", "conv", "symbol", "half-symbol"],
+)
+def test_a_kernel_with_a_non_finite_tap_is_rejected(build, value):
+    k = np.full((3, 5), 0.1)
+    k[2, 1] = value
+    with pytest.raises(NonFiniteError, match="kernel contains NaN or Inf"):
+        build(k)
 
 
 class TestConvAdjoint:
@@ -203,6 +258,11 @@ class TestSolveDiagonal:
         # On even grids K_1's symbol vanishes at Nyquist.
         with pytest.raises(SingularSymbolError):
             nonsingular(half_symbol(bank.kernels[0], (8, 8)))
+
+    def test_a_nan_bin_is_singular(self):
+        # NaN compares false to the floor, so the check must not pass it
+        with pytest.raises(SingularSymbolError):
+            nonsingular(np.array([[np.nan, 1.0]]))
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):

@@ -46,9 +46,13 @@ from vtvrestore import cli, frames
 from vtvrestore.selftest import rof_iterates
 from vtvrestore.solver import SINGLE_BOUND
 
-from vtvrestore.diffops import FORWARD_DIFF_X, FORWARD_DIFF_Y
-
-from conftest import kkt_residual, make_phantom, smoothed_tv_minimizer
+from conftest import (
+    FORWARD_DIFF_X,
+    FORWARD_DIFF_Y,
+    kkt_residual,
+    make_phantom,
+    smoothed_tv_minimizer,
+)
 
 
 def denoise_cfg(**kw):
@@ -903,7 +907,7 @@ class TestSinglePrecision:
         # terms vanish and the first u-update gives back the observation
         bank = FilterBank([np.zeros((1, 1))])
         stencil = bank.frame_gradient
-        assert stencil.taps.shape == (2, 0) and stencil.offsets == ()
+        assert stencil.taps.shape == (2, 0)
         assert stencil._pad == ((0, 0), (0, 0))
         assert all(type(n) is int for pad in stencil._pad for n in pad)
         f = np.random.default_rng(38).uniform(0, 255, (8, 9))
