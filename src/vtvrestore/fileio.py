@@ -62,10 +62,11 @@ def write_trace_csv(path, result) -> None:
     """Write a :class:`~vtvrestore.solver.SolveResult` trace as CSV:
     ``iter,rel_err,energy``, one row per iteration.
 
-    The result must come from a solve with ``record_trace`` set: a trace
-    without one energy per iteration raises ``ValueError`` and leaves no
-    file.  Floats carry 17 significant digits so the file round-trips
-    exactly.
+    The result must come from a solve with ``record_trace`` set, whose
+    :meth:`~vtvrestore.solver.SplitBregman.advance` recorded one energy per
+    iteration beside each relative change: a trace without one energy per
+    iteration raises ``ValueError`` and leaves no file.  Floats carry 17
+    significant digits so the file round-trips exactly.
     """
     rows = zip(result.trace, result.energy_trace, strict=True)
     with atomic_open(path, "w", encoding="ascii", newline="\n") as fh:

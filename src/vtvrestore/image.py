@@ -52,7 +52,8 @@ def conv_circular(image, kernel) -> np.ndarray:
     Parameters
     ----------
     image : array, shape (..., h, w)
-        One image, or a stack of images on the leading axes.
+        One image, or a stack of images on the leading axes; fewer than two
+        axes is a :class:`~vtvrestore.errors.DimensionMismatchError`.
     kernel : array, odd-sized 2-D taps
 
     The wrap-around indexing makes this a total function for any image and
@@ -63,6 +64,8 @@ def conv_circular(image, kernel) -> np.ndarray:
     and the sum is the tap-by-tap one.
     """
     f = np.asarray(image, dtype=np.float64)
+    if f.ndim < 2:
+        raise DimensionMismatchError(f"expected an image of shape (..., h, w), got {f.shape}")
     rows, cols, taps = _wrapped_taps(kernel, [max(n, 1) for n in f.shape[-2:]])
     out = np.zeros_like(f)
     for r, row in zip(rows.tolist(), taps.tolist()):

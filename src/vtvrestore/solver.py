@@ -55,10 +55,13 @@ output is still in cache, shrinks it, updates ``b`` and adds the block's
 ``d - b`` to the next numerator, all in one loop.  It overwrites ``b`` and
 ``numerator`` **in place**: a caller that keeps either across a step must
 copy it.  The u-update is one FFT solve; it returns a fresh array and
-never touches ``b`` or the numerator.  With ``record_trace``, the same sweep
-also sums the TV part of the energy, so a traced iteration runs the stencil
-once.  :meth:`~SplitBregman.step` is one FFT solve into whichever iterate
-array is not ``u``, and one sweep, so a step allocates no image.
+never touches ``b`` or the numerator.  :meth:`~SplitBregman.advance` is
+also the one place an iteration is recorded: it appends the relative change
+to ``SplitBregman.trace`` and, with ``record_trace``, the new iterate's
+energy to ``SplitBregman.energy_trace``, whose TV part the same sweep sums,
+so a traced iteration runs the stencil once.  :meth:`~SplitBregman.step` is
+one FFT solve into whichever iterate array is not ``u``, and one sweep, so
+an untraced step allocates no image; :func:`solve` is a loop over it.
 
 ``SolverConfig.workers`` runs each sweep on that many threads: the even
 row blocks, then the odd ones, each phase split over the workers, which
@@ -251,8 +254,10 @@ class SolverConfig:
 class SolveResult:
     """Final iterate plus per-iteration bookkeeping.
 
-    ``trace[j]`` is the relative change after u-update ``j+1``; it always has
-    one entry per iteration.  ``energy_trace`` is filled only when
+    ``trace`` and ``energy_trace`` are the solve's :attr:`SplitBregman.trace`
+    and :attr:`SplitBregman.energy_trace`: ``trace[j]`` is the relative
+    change after u-update ``j+1``, one entry per iteration, and
+    ``energy_trace[j]`` the energy of that iterate, filled only when
     ``record_trace`` is set.  ``converged`` is true iff the last trace entry
     reached ``tol``.  ``precision`` is the one the solve ran at (see
     :attr:`SplitBregman.precision`) and ``threads`` the number of sweep
@@ -305,7 +310,10 @@ class SplitBregman:
     """One restoration problem with explicit per-iteration control.
 
     :func:`solve` drives this class; it is public so tests and callers can
-    step the iteration manually and inspect ``u``, ``b`` and ``numerator``.
+    step the iteration manually and inspect ``u``, ``b`` and ``numerator``,
+    and read each iteration's record from ``trace`` and ``energy_trace``.
+    Both grow by one entry per step, so a caller that steps without end
+    should clear them.
     :attr:`precision` is the precision the solve runs at: the configured one,
     or ``"double"`` where a single solve would cast a value past
     :data:`SINGLE_BOUND` to float32.
@@ -375,9 +383,10 @@ class SplitBregman:
         #: ``A* f`` while ``d = b = 0``.  Overwritten in place by :meth:`advance`.
         self.numerator = self._sweep.total
         self.numerator += self._atf
-        #: The weighted vector TV ``vtv(grad(F u), lam)`` of the last iterate
-        #: :meth:`advance` installed, when ``cfg.record_trace`` is set; else None.
-        self.regularization = None
+        #: One entry per iterate :meth:`advance` installed since construction:
+        #: its relative change, and, when ``cfg.record_trace`` is set, its
+        #: energy (else ``energy_trace`` stays empty).
+        self.trace, self.energy_trace = [], []
 
     # -- u-updates ---------------------------------------------------------
 
@@ -397,7 +406,10 @@ class SplitBregman:
         """Run the d and b updates for ``u_new``, install it, return rel. err.
 
         One sweep over row blocks overwrites ``b`` and the numerator in
-        place.  Raises :class:`~vtvrestore.errors.NonFiniteError`, changing
+        place.  Appends the relative change to :attr:`trace` and, when
+        ``cfg.record_trace`` is set, ``u_new``'s energy (the sweep's TV
+        terms plus the fidelity) to :attr:`energy_trace`.  Raises
+        :class:`~vtvrestore.errors.NonFiniteError`, changing and recording
         nothing, when ``||u_new - u||`` is not finite: ``u_new`` holds a NaN
         or Inf, or lies so far from ``u`` that the difference overflows.
         """
@@ -437,7 +449,8 @@ class SplitBregman:
         numerator, atf = self.numerator, self._atf
         split(lambda r0, r1: np.add(numerator[r0:r1], atf[r0:r1], out=numerator[r0:r1]), len(u))
         if traced:
-            self.regularization = sum(terms)
+            self.energy_trace.append(sum(terms) + _fidelity(u_new, self.f, self.op))
+        self.trace.append(rel)
         self.u = u_new
         return rel
 
@@ -459,30 +472,24 @@ class SplitBregman:
 def solve(f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> SolveResult:
     """Run the split Bregman loop to tolerance or the iteration cap.
 
-    Starts from ``u = f`` with zero splits and multipliers.  Deterministic:
+    Starts from ``u = f`` with zero splits and multipliers and calls
+    :meth:`SplitBregman.step` until a relative change reaches ``tol``;
+    the result carries the solver's own trace lists.  Deterministic:
     identical inputs produce bit-identical results.
     """
     sb = SplitBregman(f, op, bank, cfg)
-    trace: list = []
-    energy_trace: list = []
-    converged = False
     try:
         for _ in range(cfg.max_iter):
-            rel = sb.step()
-            trace.append(rel)
-            if cfg.record_trace:
-                energy_trace.append(sb.regularization + _fidelity(sb.u, sb.f, op))
-            if rel <= cfg.tol:
-                converged = True
+            if sb.step() <= cfg.tol:
                 break
     finally:
         sb.close()
     return SolveResult(
         u=sb.u,
-        iterations=len(trace),
-        trace=trace,
-        energy_trace=energy_trace,
-        converged=converged,
+        iterations=len(sb.trace),
+        trace=sb.trace,
+        energy_trace=sb.energy_trace,
+        converged=sb.trace[-1] <= cfg.tol,
         precision=sb.precision,
         threads=sb._sweep.workers,
     )

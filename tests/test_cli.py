@@ -4,7 +4,11 @@ import argparse
 import io
 import json
 import math
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -17,6 +21,23 @@ from vtvrestore import cli, frames, quantize, write_pgm
 from vtvrestore.cli import SETTINGS, build_parser, main
 
 from conftest import make_phantom
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: A ``python -c`` program: ``main`` on ``sys.argv[2:]``, with an image
+#: worker that kills itself by ``SIGKILL`` on the image ``sys.argv[1]``, as
+#: the kernel's out-of-memory killer would.
+KILLED_WORKER_RUN = """
+import os, signal, sys
+from vtvrestore import cli
+process_one = cli._process_one
+def process_or_die(job):
+    if job["input"] == sys.argv[1]:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return process_one(job)
+cli._process_one = process_or_die
+sys.exit(cli.main(sys.argv[2:]))
+"""
 
 
 def run_cli(*argv):
@@ -471,6 +492,39 @@ class TestConfigAndErrors:
         assert [row["image"] for row in parse_metrics(stdout)] == ["small"]
         assert (out / "small_restored.pgm").is_file() and (out / "small_degraded.pgm").is_file()
         assert not (out / "other_restored.pgm").exists()
+
+    @pytest.mark.skipif(
+        multiprocessing.get_all_start_methods()[0] != "fork",
+        reason="the patched worker reaches the pool only by fork",
+    )
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="multiprocessing.Pool waits forever for the task of a worker "
+        "killed by a signal (ROADMAP item 2)",
+    )
+    def test_a_killed_image_worker_keeps_the_other_rows(self, tmp_path):
+        images = [tmp_path / f"{name}.pgm" for name in "abcd"]
+        for k, path in enumerate(images):
+            write_pgm(path, make_phantom(32) + k)
+        argv = ["denoise", "--input", *map(str, images), "--out", str(tmp_path / "o"),
+                "--jobs", "2", "--max-iter", "3"]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        child = subprocess.Popen(
+            [sys.executable, "-c", KILLED_WORKER_RUN, str(images[1]), *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            start_new_session=True,
+        )
+        try:
+            stdout, stderr = child.communicate(timeout=5)
+        except subprocess.TimeoutExpired:
+            # the child leads its own process group, pool workers included
+            os.killpg(child.pid, signal.SIGKILL)
+            stdout, stderr = child.communicate()
+        assert child.returncode == 1
+        err = stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"vtv-restore: error: {images[1]}: ")
+        assert [row["image"] for row in parse_metrics(stdout)] == ["a", "c", "d"]
 
     def test_non_numeric_config_value_is_an_error(self, small_pgm, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

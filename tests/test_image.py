@@ -11,6 +11,8 @@ from vtvrestore import (
     FilterBank,
     NonFiniteError,
     SingularSymbolError,
+    analyze,
+    bspline_bank,
     conv_adjoint,
     conv_circular,
     half_symbol,
@@ -164,6 +166,32 @@ def test_a_kernel_with_a_non_finite_tap_is_rejected(build, value):
     k[2, 1] = value
     with pytest.raises(NonFiniteError, match="kernel contains NaN or Inf"):
         build(k)
+
+
+@pytest.mark.parametrize("image", [np.ones(5), np.float64(1.0)], ids=["1-D", "0-D"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u: conv_circular(u, np.ones((1, 3))),
+        lambda u: conv_adjoint(u, np.ones((1, 3))),
+        lambda u: DegradationOp.blur(np.ones((1, 3))).apply(u),
+        lambda u: analyze(u, bspline_bank()),
+    ],
+    ids=["conv", "adjoint", "blur", "analyze"],
+)
+def test_an_image_with_fewer_than_two_axes_is_a_dimension_mismatch(call, image):
+    with pytest.raises(DimensionMismatchError, match=r"\(\.\.\., h, w\)"):
+        call(image)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4, 5), (0, 4), (4, 0)])
+def test_stacks_and_empty_grids_are_convolved(shape):
+    f = np.arange(float(np.prod(shape))).reshape(shape)
+    k = np.random.default_rng(35).standard_normal((3, 5))
+    got = conv_circular(f, k)
+    assert got.shape == shape
+    for index in np.ndindex(shape[:-2]):
+        assert got[index].tobytes() == conv_circular(f[index], k).tobytes()
 
 
 class TestConvAdjoint:

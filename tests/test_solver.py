@@ -617,11 +617,13 @@ class TestSolve:
             u_new = sb.u_update()
             u_new[4, 5] = np.nan if case == "advance-nan" else np.inf
             run = functools.partial(sb.advance, u_new)
-        b, numerator, u = sb.b.copy(), sb.numerator.copy(), sb.u.copy()
+        b, numerator, u, trace = sb.b.copy(), sb.numerator.copy(), sb.u.copy(), list(sb.trace)
         with pytest.raises(NonFiniteError, match="iterate contains NaN or Inf"):
             run()
         assert np.array_equal(sb.b, b) and np.array_equal(sb.u, u)
         assert np.array_equal(sb.numerator, numerator, equal_nan=True)
+        # untraced, the first step recorded its change and no energy
+        assert len(sb.trace) == 1 and sb.trace == trace and sb.energy_trace == []
 
     def test_trace_contract(self, bank):
         rng = np.random.default_rng(8)
@@ -808,22 +810,37 @@ class TestFusedTrajectory:
         assert res.iterations == len(steps) < cfg.max_iter
         assert np.max(np.abs(res.u - steps[-1][0])) <= 1e-10
 
+    @pytest.mark.parametrize("precision", [DOUBLE, SINGLE])
     @pytest.mark.parametrize("shrinkage", [ANISO, ISO])
     @pytest.mark.parametrize("blur", [None, 3], ids=["identity", "blur3"])
-    def test_energy_trace_is_energy_of_every_iterate(self, bank, monkeypatch, blur, shrinkage):
-        # the trace's TV part is summed inside the sweep; it must be the same
-        # float energy() computes from the iterate, block for block
+    def test_energy_trace_is_energy_of_every_iterate(
+        self, bank, monkeypatch, blur, shrinkage, precision
+    ):
+        # the trace's TV part is summed inside the sweep; at double it must be
+        # the same float energy() computes from the iterate, block for block.
+        # Each step records its own entries, so stepping by hand gives the
+        # lists solve() returns, and a rejected iterate records nothing.
         monkeypatch.setattr(frames, "BLOCK_PIXELS", 60)  # blocks of 3 rows
         rng = np.random.default_rng(19)
         f = rng.uniform(0, 255, (20, 17)) + 25.5 * rng.standard_normal((20, 17))
         op = DegradationOp.identity() if blur is None else DegradationOp.blur(motion_blur_kernel(blur))
-        cfg = denoise_cfg(shrinkage=shrinkage, tol=1e-30, max_iter=12, record_trace=True)
+        cfg = denoise_cfg(
+            shrinkage=shrinkage, tol=1e-30, max_iter=12, record_trace=True, precision=precision
+        )
         res = solve(f, op, bank, cfg)
         sb = SplitBregman(f, op, bank, cfg)
-        for expected in res.energy_trace:
+        assert sb.precision == res.precision == precision
+        for j, expected in enumerate(res.energy_trace, start=1):
             sb.step()
-            assert energy(sb.u, f, op, bank, cfg) == expected
+            assert sb.trace == res.trace[:j] and sb.energy_trace == res.energy_trace[:j]
+            if precision == DOUBLE:
+                assert energy(sb.u, f, op, bank, cfg) == expected
         assert len(res.energy_trace) == 12
+        u_new = sb.u_update()
+        u_new[5, 5] = np.nan
+        with pytest.raises(NonFiniteError):
+            sb.advance(u_new)
+        assert sb.trace == res.trace and sb.energy_trace == res.energy_trace
 
 
 class TestTraceCsv:
