@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .image import as_image
 from .solver import DegradationOp
 
 RNG_DESCRIPTION = "numpy-pcg64-standard-normal"
@@ -40,7 +41,7 @@ def gaussian_noise(u, spec: NoiseSpec) -> np.ndarray:
 
     Deterministic for a fixed seed; ``sigma == 0`` returns an unchanged copy.
     """
-    clean = np.asarray(u, dtype=np.float64)
+    clean = as_image(u)
     if spec.sigma == 0:
         return clean.copy()
     rng = np.random.default_rng(spec.seed)
@@ -63,4 +64,4 @@ def motion_blur_kernel(length: int) -> np.ndarray:
 
 def apply_degradation(u, op: DegradationOp, noise: NoiseSpec) -> np.ndarray:
     """Observation model: apply the operator, then add noise."""
-    return gaussian_noise(op.apply(u), noise)
+    return gaussian_noise(op.apply(as_image(u)), noise)

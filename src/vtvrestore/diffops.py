@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from .image import as_stack
+
 
 def grad(u) -> np.ndarray:
     """Forward-difference gradient with periodic wrap.
 
     ``gx[k, l] = u[k, (l+1) % w] - u[k, l]`` and likewise for rows.
-    Operates on the trailing two axes, so channel stacks pass through.
+    Operates on the trailing two axes, so channel stacks pass through (see
+    :func:`~vtvrestore.image.as_stack`).
     """
-    f = np.asarray(u, dtype=np.float64)
+    f = as_stack(u)
     gx = np.roll(f, -1, axis=-1) - f
     gy = np.roll(f, -1, axis=-2) - f
     return np.stack((gx, gy), axis=-3)

@@ -18,7 +18,7 @@ class SingularSymbolError(VTVError):
 
 
 class NonFiniteError(VTVError):
-    """A kernel, an observation or an iterate contains NaN or Inf.
+    """A caller's image or kernel, or an iterate, contains NaN or Inf.
 
     In an iterate it is typically a sign of divergent parameters.
     """

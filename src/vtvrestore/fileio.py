@@ -17,6 +17,7 @@ import os
 import numpy as np
 
 from .errors import VTVError
+from .image import as_image
 
 
 def quantize(image) -> np.ndarray:
@@ -48,10 +49,9 @@ def atomic_open(path, mode="w", **kwargs):
 
 
 def write_pgm(path, image) -> None:
-    """Write an image as binary PGM (P5, maxval 255)."""
-    q = quantize(image)
-    if q.ndim != 2:
-        raise VTVError(f"expected a 2-D image, got shape {q.shape}")
+    """Write an image, checked by :func:`~vtvrestore.image.as_image`, as
+    binary PGM (P5, maxval 255)."""
+    q = quantize(as_image(image))
     h, w = q.shape
     with atomic_open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))

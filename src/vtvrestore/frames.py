@@ -24,7 +24,7 @@ import numpy as np
 
 from .diffops import grad
 from .errors import ChannelMismatchError, DimensionMismatchError
-from .image import as_kernel, conv_adjoint, conv_circular, kernel_symbol
+from .image import as_image, as_kernel, conv_adjoint, conv_circular, kernel_symbol
 
 
 @dataclass(eq=False)
@@ -196,8 +196,9 @@ class FrameGradient:
         self.taps = taps
 
     def apply(self, u) -> np.ndarray:
-        """``grad(analyze(u, bank))`` as a new ``(m, 2, h, w)`` stack."""
-        f = np.asarray(u, dtype=np.float64)
+        """``grad(analyze(u, bank))`` of an image ``u`` (see
+        :func:`~vtvrestore.image.as_image`) as a new ``(m, 2, h, w)`` stack."""
+        f = as_image(u)
         out = np.empty((self.m, 2) + f.shape)
 
         def copy(rows, g, add):

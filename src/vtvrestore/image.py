@@ -3,7 +3,9 @@ FFT solves and the PSNR metric.
 
 Images are 2-D float64 arrays indexed ``(row, column)``.  Intensities follow
 the [0, 255] convention but are never clamped inside the library; clamping
-happens only on export (see :mod:`vtvrestore.fileio`).
+happens only on export (see :mod:`vtvrestore.fileio`).  Every entry point
+that takes one image from a caller checks it with :func:`as_image`; the
+spatial references take ``(..., h, w)`` stacks (see :func:`as_stack`).
 
 A kernel is a small 2-D array with odd side lengths whose center tap sits at
 the middle index: a ``(2*ry+1, 2*rx+1)`` array stores tap ``K(p, q)`` at
@@ -27,21 +29,47 @@ from .errors import DimensionMismatchError, NonFiniteError, SingularSymbolError
 _EPS_DENOM = 1e-12
 
 
-def as_kernel(taps) -> np.ndarray:
-    """Validate convolution taps and return them as a float64 array.
+def as_image(x, shape=None, name="image") -> np.ndarray:
+    """The one check of an image a caller passes in; returns it as float64.
 
-    Both side lengths must be odd so that the kernel has a center tap, and
-    every tap must be finite (a NaN or Inf tap is a
-    :class:`~vtvrestore.errors.NonFiniteError`).
+    ``x`` must be a non-empty 2-D array (or nested sequence) of bool,
+    integer or floating values, of ``shape`` where one is given; anything
+    else is a :class:`~vtvrestore.errors.DimensionMismatchError`, and a NaN
+    or Inf entry a :class:`~vtvrestore.errors.NonFiniteError`.  A float64
+    ndarray is returned itself, not a copy.  ``name`` names ``x`` in the
+    error.
     """
-    k = np.asarray(taps, dtype=np.float64)
-    if k.ndim != 2 or k.shape[0] % 2 == 0 or k.shape[1] % 2 == 0:
-        raise DimensionMismatchError(
-            f"kernel must be 2-D with odd side lengths, got shape {k.shape}"
-        )
-    if not np.isfinite(k).all():
-        raise NonFiniteError("kernel contains NaN or Inf")
+    expected = f"expected a non-empty real 2-D {name} of shape {shape or '(h, w)'}"
+    try:
+        a = np.asarray(x)
+    except ValueError as exc:  # a ragged nested sequence
+        raise DimensionMismatchError(f"{expected}: {exc}") from None
+    if a.dtype.kind not in "biuf" or a.ndim != 2 or a.size == 0 or a.shape != (shape or a.shape):
+        raise DimensionMismatchError(f"{expected}, got {a.dtype} of shape {a.shape}")
+    a = np.asarray(a, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"{name} contains NaN or Inf")
+    return a
+
+
+def as_kernel(taps) -> np.ndarray:
+    """Convolution taps checked by :func:`as_image`, as a float64 array.
+
+    Both side lengths must also be odd, so that the kernel has a center tap.
+    """
+    k = as_image(taps, name="kernel")
+    if k.shape[0] % 2 == 0 or k.shape[1] % 2 == 0:
+        raise DimensionMismatchError(f"kernel must have odd side lengths, got shape {k.shape}")
     return k
+
+
+def as_stack(x) -> np.ndarray:
+    """``x`` as a float64 array of one image or a stack of images, ``(..., h, w)``;
+    fewer than two axes is a :class:`~vtvrestore.errors.DimensionMismatchError`."""
+    f = np.asarray(x, dtype=np.float64)
+    if f.ndim < 2:
+        raise DimensionMismatchError(f"expected an image of shape (..., h, w), got {f.shape}")
+    return f
 
 
 def conv_circular(image, kernel) -> np.ndarray:
@@ -52,8 +80,8 @@ def conv_circular(image, kernel) -> np.ndarray:
     Parameters
     ----------
     image : array, shape (..., h, w)
-        One image, or a stack of images on the leading axes; fewer than two
-        axes is a :class:`~vtvrestore.errors.DimensionMismatchError`.
+        One image, or a stack of images on the leading axes (see
+        :func:`as_stack`).
     kernel : array, odd-sized 2-D taps
 
     The wrap-around indexing makes this a total function for any image and
@@ -63,9 +91,7 @@ def conv_circular(image, kernel) -> np.ndarray:
     the shifts.  Where the kernel fits the grid no two taps share a shift,
     and the sum is the tap-by-tap one.
     """
-    f = np.asarray(image, dtype=np.float64)
-    if f.ndim < 2:
-        raise DimensionMismatchError(f"expected an image of shape (..., h, w), got {f.shape}")
+    f = as_stack(image)
     rows, cols, taps = _wrapped_taps(kernel, [max(n, 1) for n in f.shape[-2:]])
     out = np.zeros_like(f)
     for r, row in zip(rows.tolist(), taps.tolist()):
@@ -225,10 +251,8 @@ def psnr(ref, test) -> float:
     Returns ``math.inf`` when the images are identical and ``-math.inf``
     when the squared error overflows float64.
     """
-    a = np.asarray(ref, dtype=np.float64)
-    b = np.asarray(test, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
+    a = as_image(ref)
+    b = as_image(test, a.shape)
     with np.errstate(over="ignore"):
         err = float(np.sum((a - b) ** 2))
     if err == 0.0:

@@ -96,7 +96,9 @@ say which ran.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,13 +107,10 @@ from . import diffops
 # grad, grad_adjoint and analyze have no caller here: they stay as the names
 # perfbench/traced.py wraps, until the benchmark's spans are redone
 from .diffops import grad, grad_adjoint
-from .errors import (
-    ConfigError,
-    DimensionMismatchError,
-    NonFiniteError,
-)
+from .errors import ConfigError, NonFiniteError
 from .frames import FilterBank, Sweep, analyze
 from .image import (
+    as_image,
     as_kernel,
     conv_adjoint,
     conv_circular,
@@ -185,6 +184,16 @@ class DegradationOp:
         return np.abs(half_symbol(self.psf, shape)) ** 2
 
 
+def _reals(name: str, value) -> tuple:
+    """``value``, a real number or a flat sequence of them, as a tuple of floats."""
+    with contextlib.suppress(TypeError, ValueError):  # not real numbers, or a ragged sequence
+        # a "same_kind" cast to float64 takes bool, integer and floating values
+        values = np.atleast_1d(value).astype(np.float64, casting="same_kind")
+        if values.ndim == 1:
+            return tuple(values.tolist())
+    raise ConfigError(f"{name} must be a real number or a flat sequence of them, got {value!r}")
+
+
 @dataclass
 class SolverConfig:
     """Per-channel weights and loop controls for :func:`solve`.
@@ -209,8 +218,7 @@ class SolverConfig:
     workers: int = 1
 
     def __post_init__(self):
-        self.lam = tuple(float(v) for v in np.atleast_1d(self.lam))
-        self.gamma = tuple(float(v) for v in np.atleast_1d(self.gamma))
+        self.lam, self.gamma = _reals("lam", self.lam), _reals("gamma", self.gamma)
         if len(self.lam) != len(self.gamma):
             raise ConfigError(
                 f"lam has {len(self.lam)} entries but gamma has {len(self.gamma)}"
@@ -219,8 +227,8 @@ class SolverConfig:
             raise ConfigError(f"lam entries must be finite and nonnegative, got {self.lam}")
         if not all(math.isfinite(v) and v > 0 for v in self.gamma):
             raise ConfigError(f"gamma entries must be finite and positive, got {self.gamma}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ConfigError(f"tol must be finite and positive, got {self.tol}")
+        if not (isinstance(self.tol, numbers.Real) and math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be a finite positive number, got {self.tol!r}")
         if self.u_update not in (FULL13, REDUCED17):
             raise ConfigError(f"unknown u_update variant {self.u_update!r}")
         if self.shrinkage not in (ANISO, ISO):
@@ -275,18 +283,21 @@ class SolveResult:
 
 def energy(u, f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> float:
     """Objective value: weighted vector TV of the features plus fidelity."""
-    uu = np.asarray(u, dtype=np.float64)
-    ff = np.asarray(f, dtype=np.float64)
-    if uu.shape != ff.shape:
-        raise DimensionMismatchError(f"u {uu.shape} vs f {ff.shape}")
-    if len(cfg.lam) != bank.m:
-        raise ConfigError(f"config has {len(cfg.lam)} channels, bank has {bank.m}")
+    uu = as_image(u)
+    ff = as_image(f, uu.shape)
+    _check_channels(bank, cfg)
     isotropic = cfg.shrinkage == ISO
     with Sweep(bank.frame_gradient, uu.shape, workers=cfg.workers) as sweep:
         terms = sweep.run(
             lambda rows, g, add: diffops.vtv(g, weights=cfg.lam, isotropic=isotropic), uu
         )
     return sum(terms) + _fidelity(uu, ff, op)
+
+
+def _check_channels(bank: FilterBank, cfg: SolverConfig) -> None:
+    """Raise ConfigError unless ``cfg`` has one weight per channel of ``bank``."""
+    if len(cfg.lam) != bank.m:
+        raise ConfigError(f"config has {len(cfg.lam)} channels, bank has {bank.m}")
 
 
 def _fidelity(u, f, op: DegradationOp) -> float:
@@ -320,22 +331,10 @@ class SplitBregman:
     """
 
     def __init__(self, f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig):
-        self.f = np.asarray(f, dtype=np.float64)
-        if self.f.ndim != 2:
-            raise DimensionMismatchError(f"expected a 2-D image, got {self.f.shape}")
-        if not np.isfinite(self.f).all():
-            raise NonFiniteError("observed image contains NaN or Inf")
-        if len(cfg.lam) != bank.m:
-            raise ConfigError(
-                f"config has {len(cfg.lam)} channels, bank has {bank.m}"
-            )
-        if cfg.u_update == REDUCED17 and bank.m >= 2:
-            rest = cfg.gamma[1:]
-            if any(g != rest[0] for g in rest):
-                raise ConfigError(
-                    "reduced17 needs gamma_2 .. gamma_m all equal, got "
-                    f"{cfg.gamma}"
-                )
+        self.f = as_image(f)
+        _check_channels(bank, cfg)
+        if cfg.u_update == REDUCED17 and len(set(cfg.gamma[1:])) > 1:
+            raise ConfigError(f"reduced17 needs gamma_2 .. gamma_m all equal, got {cfg.gamma}")
         self.op = op
         self.bank = bank
         self.cfg = cfg

@@ -105,11 +105,21 @@ def test_pgm_rejects_truncated_raster(tmp_path):
         read_pgm(path)
 
 
-def test_write_pgm_rejects_a_3d_array(tmp_path):
+@pytest.mark.parametrize(
+    ("image", "message"),
+    [
+        (np.zeros((2, 3, 4)), "2-D"),
+        (np.zeros((0, 4)), "2-D"),
+        (np.array([[1.0, np.nan]]), "NaN or Inf"),
+    ],
+    ids=["3-d", "empty", "nan"],
+)
+def test_write_pgm_rejects_a_3d_array(tmp_path, image, message):
     path = tmp_path / "stack.pgm"
-    with pytest.raises(VTVError, match="2-D"):
-        write_pgm(path, np.zeros((2, 3, 4)))
+    with pytest.raises(VTVError, match=message):
+        write_pgm(path, image)
     assert not path.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_png_round_trip(tmp_path):

@@ -4,25 +4,38 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vtvrestore import (
     DegradationOp,
     DimensionMismatchError,
     FilterBank,
+    NoiseSpec,
     NonFiniteError,
     SingularSymbolError,
+    SolverConfig,
+    SplitBregman,
+    VTVError,
     analyze,
+    apply_degradation,
     bspline_bank,
     conv_adjoint,
     conv_circular,
+    energy,
+    gaussian_noise,
+    grad,
     half_symbol,
     kernel_symbol,
     motion_blur_kernel,
     psnr,
+    solve,
     solve_diagonal,
+    write_pgm,
 )
 from vtvrestore.frames import Sweep
-from vtvrestore.image import nonsingular
+from vtvrestore.image import as_image, nonsingular
 
 from conftest import conv_brute_force
 
@@ -176,8 +189,9 @@ def test_a_kernel_with_a_non_finite_tap_is_rejected(build, value):
         lambda u: conv_adjoint(u, np.ones((1, 3))),
         lambda u: DegradationOp.blur(np.ones((1, 3))).apply(u),
         lambda u: analyze(u, bspline_bank()),
+        grad,
     ],
-    ids=["conv", "adjoint", "blur", "analyze"],
+    ids=["conv", "adjoint", "blur", "analyze", "grad"],
 )
 def test_an_image_with_fewer_than_two_axes_is_a_dimension_mismatch(call, image):
     with pytest.raises(DimensionMismatchError, match=r"\(\.\.\., h, w\)"):
@@ -386,3 +400,138 @@ class TestPsnr:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             psnr(np.zeros((4, 4)), np.zeros((4, 5)))
+
+
+# -- the input contract: every name that takes one image checks it with
+# image.as_image
+
+_BANK = bspline_bank()
+_CFG = SolverConfig.head_rest(9, 2.0, 1.5, 12.0, 4.5, max_iter=2)
+_BLUR = DegradationOp.blur(motion_blur_kernel(3))
+_NOISE = NoiseSpec(sigma=2.0, seed=3)
+
+
+def _stepped(f):
+    sb = SplitBregman(f, DegradationOp.identity(), _BANK, _CFG)
+    sb.step()
+    return sb.u
+
+
+def _written(x, path):
+    write_pgm(path, x)
+    data = path.read_bytes()
+    path.unlink()
+    return data
+
+
+#: ``call(x, partner, path)`` for each name that takes one image ``x``;
+#: ``partner`` is a float64 image of ``x``'s shape where ``x`` is 2-D, and
+#: ``path`` a file name that does not exist.
+_IMAGE_CALLS = {
+    "solve": lambda x, p, path: solve(x, DegradationOp.identity(), _BANK, _CFG).u,
+    "SplitBregman": lambda x, p, path: _stepped(x),
+    "energy-u": lambda x, p, path: energy(x, p, _BLUR, _BANK, _CFG),
+    "energy-f": lambda x, p, path: energy(p, x, _BLUR, _BANK, _CFG),
+    "psnr-ref": lambda x, p, path: psnr(x, p),
+    "psnr-test": lambda x, p, path: psnr(p, x),
+    "FrameGradient.apply": lambda x, p, path: _BANK.frame_gradient.apply(x),
+    "gaussian_noise": lambda x, p, path: gaussian_noise(x, _NOISE),
+    "apply_degradation": lambda x, p, path: apply_degradation(x, _BLUR, _NOISE),
+    "write_pgm": lambda x, p, path: _written(x, path),
+    "FilterBank": lambda x, p, path: FilterBank([x]).kernels[0],
+}
+
+
+def _partner(x):
+    """A float64 image of ``x``'s shape where that is a non-empty 2-D one."""
+    shape = x.shape if isinstance(x, np.ndarray) and x.ndim == 2 and x.size else (3, 4)
+    return np.arange(float(np.prod(shape))).reshape(shape) % 7 * 30.0
+
+
+_FINITE = st.floats(-1e4, 1e4)
+
+
+def _float_arrays(shapes):
+    return hnp.arrays(np.float64, shapes, elements=_FINITE)
+
+
+@st.composite
+def _real_images(draw):
+    """A real, finite, non-empty 2-D image in one of the forms a caller passes."""
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    form = draw(st.sampled_from([np.bool_, np.int8, np.uint16, np.float32, np.float64, list]))
+    if form is list:
+        row = st.lists(st.integers(-1000, 1000) | _FINITE, min_size=w, max_size=w)
+        return draw(st.lists(row, min_size=h, max_size=h))
+    dtype = np.dtype(form)
+    elements = st.floats(-1e4, 1e4, width=8 * dtype.itemsize) if dtype.kind == "f" else None
+    return draw(hnp.arrays(form, (h, w), elements=elements))
+
+
+@st.composite
+def _non_finite_images(draw):
+    a = draw(_float_arrays(st.tuples(st.integers(1, 4), st.integers(1, 4))))
+    row, col = draw(st.integers(0, a.shape[0] - 1)), draw(st.integers(0, a.shape[1] - 1))
+    a[row, col] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return a
+
+
+_MALFORMED_IMAGES = st.one_of(
+    _float_arrays(st.just(())),
+    _float_arrays(st.tuples(st.integers(0, 5))),
+    _float_arrays(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))),
+    _float_arrays(st.tuples(st.just(0), st.integers(0, 4))),
+    _float_arrays(st.tuples(st.integers(1, 4), st.just(0))),
+    hnp.arrays(np.complex128, (2, 3), elements=st.complex_numbers(max_magnitude=1e4)),
+    _float_arrays(st.just((2, 3))).map(lambda a: a.astype(object)),
+    st.text(max_size=6),
+    st.lists(st.lists(_FINITE, max_size=4), min_size=2, max_size=4).filter(
+        lambda rows: len({len(r) for r in rows}) > 1
+    ),
+    _non_finite_images(),
+)
+
+_CONTRACT_FUZZ = settings(
+    max_examples=60, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@pytest.mark.parametrize("name", list(_IMAGE_CALLS))
+@_CONTRACT_FUZZ
+@given(x=_MALFORMED_IMAGES)
+@example(x=np.float64(1.0))
+@example(x=np.ones(5))
+@example(x=np.ones((2, 3, 4)))
+@example(x=np.ones((0, 4)))
+@example(x=np.ones((4, 0)))
+@example(x=np.ones((2, 2), dtype=complex))
+@example(x=np.ones((2, 2), dtype=object))
+@example(x="abc")
+@example(x=[[1.0, 2.0], [3.0]])
+@example(x=np.array([[1.0, np.nan]]))
+def test_a_malformed_image_is_a_vtv_error(tmp_path, name, x):
+    with pytest.raises(VTVError):
+        _IMAGE_CALLS[name](x, _partner(x), tmp_path / "image.pgm")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _outcome(call, x, partner, path):
+    """The bits of ``call``'s result, or the type of the VTVError it raised."""
+    try:
+        result = np.asarray(call(x, partner, path))
+    except VTVError as exc:
+        return type(exc)
+    return result.dtype, result.shape, result.tobytes()
+
+
+@pytest.mark.parametrize("name", list(_IMAGE_CALLS))
+@_CONTRACT_FUZZ
+@given(x=_real_images())
+@example(x=[[1, 2.5], [-3, 4]])
+@example(x=np.array([[True, False, True]]))
+def test_a_real_image_gives_the_result_of_its_float64_copy(tmp_path, name, x):
+    f = np.asarray(x, dtype=np.float64)
+    assert as_image(f) is f
+    call, partner, path = _IMAGE_CALLS[name], _partner(f), tmp_path / "image.pgm"
+    assert _outcome(call, x, partner, path) == _outcome(call, f, partner, path)

@@ -65,15 +65,31 @@ class TestSolverConfig:
         with pytest.raises(ConfigError):
             SolverConfig(lam=(1.0, 1.0), gamma=(1.0,))
 
-    def test_sign_constraints(self):
-        with pytest.raises(ConfigError):
-            SolverConfig(lam=(-1.0,), gamma=(1.0,))
-        with pytest.raises(ConfigError):
-            SolverConfig(lam=(1.0,), gamma=(0.0,))
-        with pytest.raises(ConfigError):
-            SolverConfig(lam=(1.0,), gamma=(1.0,), tol=0.0)
-        with pytest.raises(ConfigError):
-            SolverConfig(lam=(1.0,), gamma=(1.0,), max_iter=0)
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"lam": (-1.0,)},
+            {"gamma": (0.0,)},
+            {"tol": 0.0},
+            {"max_iter": 0},
+            # not real numbers
+            {"lam": 1 + 2j},
+            {"lam": "2"},
+            {"lam": None},
+            {"lam": [[1.0, 2.0]]},
+            {"gamma": [[1.0], [2.0, 3.0]]},
+            {"tol": "x"},
+        ],
+        ids=[
+            "lam-negative", "gamma-zero", "tol-zero", "max_iter-zero", "lam-complex",
+            "lam-string", "lam-none", "lam-2-d", "gamma-ragged", "tol-string",
+        ],
+    )
+    def test_sign_constraints(self, fields):
+        kwargs = {"lam": (1.0,), "gamma": (1.0,), **fields}
+        (name,) = fields
+        with pytest.raises(ConfigError, match=name):
+            SolverConfig(**kwargs)
 
     def test_variant_names(self):
         with pytest.raises(ConfigError):
