@@ -8,6 +8,7 @@ any platform.  :data:`RNG_DESCRIPTION` names the generator for run metadata.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,21 +20,27 @@ from .solver import DegradationOp
 RNG_DESCRIPTION = "numpy-pcg64-standard-normal"
 
 
+def _is_integer(value) -> bool:
+    """``value`` is an integer, numpy's included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Additive Gaussian noise: standard deviation in intensity units.
 
-    ``seed`` seeds ``numpy.random.default_rng``, which takes no negative seed.
+    ``sigma`` is a real number; ``seed``, an integer (not a bool), seeds
+    ``numpy.random.default_rng``, which takes no negative seed.
     """
 
     sigma: float
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ConfigError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not (isinstance(self.sigma, numbers.Real) and 0 <= self.sigma < math.inf):
+            raise ConfigError(f"sigma must be a finite nonnegative number, got {self.sigma!r}")
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 def gaussian_noise(u, spec: NoiseSpec) -> np.ndarray:
@@ -51,11 +58,12 @@ def gaussian_noise(u, spec: NoiseSpec) -> np.ndarray:
 def motion_blur_kernel(length: int) -> np.ndarray:
     """Horizontal motion-blur PSF: a 1 x length row of uniform taps.
 
-    ``length`` must be odd so the kernel has a center tap.  Length 1 gives
-    the identity kernel.  A length numpy cannot allocate is a ConfigError.
+    ``length`` must be an odd integer (not a bool) so the kernel has a
+    center tap.  Length 1 gives the identity kernel.  A length numpy cannot
+    allocate is a ConfigError.
     """
-    if length < 1 or length % 2 == 0:
-        raise ConfigError(f"blur length must be odd and >= 1, got {length}")
+    if not (_is_integer(length) and length >= 1 and length % 2 == 1):
+        raise ConfigError(f"blur length must be an odd integer >= 1, got {length!r}")
     try:
         return np.full((1, length), 1.0 / length)
     except (ValueError, OverflowError, MemoryError):

@@ -5,13 +5,37 @@ axis -3: ``p[..., 0, :, :]`` holds the x (column) forward differences and
 ``p[..., 1, :, :]`` the y (row) ones.  Multi-channel fields are stacks of
 shape ``(m, 2, h, w)``.  All differences wrap periodically, matching the
 circular-convolution framework.
+
+:func:`grad` takes an image or a stack of them, converted by
+:func:`~vtvrestore.image.as_stack`.  :func:`grad_adjoint`, :func:`vtv` and
+:func:`shrink_iso` take a field: an array of shape ``(..., 2, h, w)``,
+checked by one rule (see :func:`_field`) that keeps a float32 ndarray as it
+is and converts anything else with ``as_stack``; another shape, or what
+``as_stack`` rejects, is a
+:class:`~vtvrestore.errors.DimensionMismatchError`.  :func:`shrink` works
+element-wise on an array or a scalar.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionMismatchError
 from .image import as_stack
+
+
+def _field(p) -> np.ndarray:
+    """The one check of a gradient field ``p`` of shape ``(..., 2, h, w)``.
+
+    A float32 ndarray is returned as it is (a single-precision solve's
+    blocks pass through here); anything else goes through
+    :func:`~vtvrestore.image.as_stack`.  Another shape is a
+    :class:`~vtvrestore.errors.DimensionMismatchError`.
+    """
+    q = p if isinstance(p, np.ndarray) and p.dtype == np.float32 else as_stack(p, "field")
+    if q.ndim < 3 or q.shape[-3] != 2:
+        raise DimensionMismatchError(f"expected a field of shape (..., 2, h, w), got {q.shape}")
+    return q
 
 
 def grad(u) -> np.ndarray:
@@ -30,18 +54,13 @@ def grad(u) -> np.ndarray:
 def grad_adjoint(p) -> np.ndarray:
     """Adjoint of :func:`grad`: backward differences, the negated divergence.
 
-    Satisfies ``<grad(u), p> == <u, grad_adjoint(p)>`` exactly.
+    Satisfies ``<grad(u), p> == <u, grad_adjoint(p)>`` exactly.  Computes
+    at float64 whatever the field's dtype.
     """
-    q = np.asarray(p, dtype=np.float64)
+    q = _field(as_stack(p, "field"))
     px = q[..., 0, :, :]
     py = q[..., 1, :, :]
     return (np.roll(px, 1, axis=-1) - px) + (np.roll(py, 1, axis=-2) - py)
-
-
-def _floating(p) -> np.ndarray:
-    """``p`` as an array, float64 unless it is float32 already."""
-    q = np.asarray(p)
-    return q if q.dtype == np.float32 else np.asarray(q, dtype=np.float64)
 
 
 def vtv(p, weights=None, isotropic: bool = False) -> float:
@@ -53,20 +72,14 @@ def vtv(p, weights=None, isotropic: bool = False) -> float:
     as it is, with the sums accumulated in float64.  A TV past the float
     range is ``inf``.
     """
-    q = _floating(p)
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (q.shape[0],):
-            raise ValueError(f"need {q.shape[0]} weights, got shape {w.shape}")
+    q = _field(p)
+    w = np.ones(len(q)) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != (len(q),):
+        raise ValueError(f"need {len(q)} weights, got shape {w.shape}")
+    # a channel's per-pixel norm: the gradient magnitude, or |x| per component
+    norm = (lambda c: np.sqrt((c * c).sum(axis=0))) if isotropic else np.abs
     with np.errstate(over="ignore"):
-        if isotropic:
-            per_channel = np.array(
-                [np.sqrt((c * c).sum(axis=0)).sum(dtype=np.float64) for c in q]
-            )
-        else:
-            per_channel = np.array([np.abs(c).sum(dtype=np.float64) for c in q])
-        if weights is None:
-            return float(per_channel.sum())
+        per_channel = np.array([norm(c).sum(dtype=np.float64) for c in q])
         return float((w * per_channel).sum())
 
 
@@ -95,7 +108,7 @@ def shrink_iso(p, threshold, out=None) -> np.ndarray:
     magnitude array.  With ``out`` the result is written there and ``out``
     is returned.  A float32 field is shrunk in float32.
     """
-    q = _floating(p)
+    q = _field(p)
     px = q[..., 0, :, :]
     py = q[..., 1, :, :]
     mag = px * px

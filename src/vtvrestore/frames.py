@@ -24,7 +24,7 @@ import numpy as np
 
 from .diffops import grad
 from .errors import ChannelMismatchError, DimensionMismatchError
-from .image import as_image, as_kernel, conv_adjoint, conv_circular, kernel_symbol
+from .image import as_image, as_kernel, as_stack, conv_adjoint, conv_circular, kernel_symbol
 
 
 @dataclass(eq=False)
@@ -213,7 +213,7 @@ class FrameGradient:
 
         (A :class:`Sweep` with ``weights`` gives the weighted sum.)
         """
-        q = np.asarray(p, dtype=np.float64)
+        q = as_stack(p, "field")
         if q.ndim != 4 or q.shape[:2] != (self.m, 2):
             raise ChannelMismatchError(
                 f"expected an ({self.m}, 2, h, w) field, got shape {q.shape}"
@@ -243,7 +243,9 @@ class FrameGradient:
 class Sweep:
     """Passes of a :class:`FrameGradient` over the row blocks of one grid.
 
-    Holds all the stencil's scratch on an ``(h, w)`` grid, made once: one
+    Holds all the stencil's scratch on a non-empty ``(h, w)`` grid (any
+    other ``shape`` is a
+    :class:`~vtvrestore.errors.DimensionMismatchError`), made once: one
     wrap-padded copy of the image being swept; for each of its
     :attr:`workers`, a block's shifted planes, its ``(m, 2, rows, w)``
     output, the adjoint's planes on zero borders and their sum; the taps and
@@ -286,8 +288,8 @@ class Sweep:
     def __init__(
         self, stencil: FrameGradient, shape, weights=None, dtype=np.float64, workers: int = 1
     ):
-        if len(shape) != 2:
-            raise DimensionMismatchError(f"expected a 2-D image, got {tuple(shape)}")
+        if len(shape) != 2 or min(shape) < 1:
+            raise DimensionMismatchError(f"expected a non-empty 2-D grid, got {tuple(shape)}")
         h, w = self._shape = tuple(shape)
         (top, bottom), (left, right) = self._pad = stencil._pad
         rows = _block_rows(h, w)
@@ -531,10 +533,10 @@ def identity_bank() -> FilterBank:
 def analyze(u, bank: FilterBank) -> np.ndarray:
     """Feature stack of an image: channel i is ``conv_circular(u, K_i)``.
 
-    Returns an ``(m, h, w)`` array.
+    Returns an ``(m, h, w)`` array; an ``(..., h, w)`` stack of images (see
+    :func:`~vtvrestore.image.as_stack`) gives ``(m, ..., h, w)``.
     """
-    f = np.asarray(u, dtype=np.float64)
-    return np.stack([conv_circular(f, k) for k in bank.kernels])
+    return np.stack([conv_circular(u, k) for k in bank.kernels])
 
 
 def synthesize_adjoint(g, bank: FilterBank) -> np.ndarray:
@@ -542,7 +544,7 @@ def synthesize_adjoint(g, bank: FilterBank) -> np.ndarray:
 
     For a tight frame this inverts ``analyze`` exactly.
     """
-    stack = np.asarray(g, dtype=np.float64)
+    stack = as_stack(g, "stack")
     if stack.ndim != 3 or stack.shape[0] != bank.m:
         raise ChannelMismatchError(
             f"expected {bank.m} channels, got stack shape {stack.shape}"

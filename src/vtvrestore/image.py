@@ -4,8 +4,9 @@ FFT solves and the PSNR metric.
 Images are 2-D float64 arrays indexed ``(row, column)``.  Intensities follow
 the [0, 255] convention but are never clamped inside the library; clamping
 happens only on export (see :mod:`vtvrestore.fileio`).  Every entry point
-that takes one image from a caller checks it with :func:`as_image`; the
-spatial references take ``(..., h, w)`` stacks (see :func:`as_stack`).
+that takes an array from a caller converts it with :func:`as_stack`, the
+one decision of what a real ``(..., h, w)`` stack is; those that take one
+image check it with :func:`as_image`, built on it.
 
 A kernel is a small 2-D array with odd side lengths whose center tap sits at
 the middle index: a ``(2*ry+1, 2*rx+1)`` array stores tap ``K(p, q)`` at
@@ -29,24 +30,41 @@ from .errors import DimensionMismatchError, NonFiniteError, SingularSymbolError
 _EPS_DENOM = 1e-12
 
 
-def as_image(x, shape=None, name="image") -> np.ndarray:
-    """The one check of an image a caller passes in; returns it as float64.
+def as_stack(x, name="image") -> np.ndarray:
+    """The one conversion of an array a caller passes in; returns it as float64.
 
-    ``x`` must be a non-empty 2-D array (or nested sequence) of bool,
-    integer or floating values, of ``shape`` where one is given; anything
-    else is a :class:`~vtvrestore.errors.DimensionMismatchError`, and a NaN
-    or Inf entry a :class:`~vtvrestore.errors.NonFiniteError`.  A float64
-    ndarray is returned itself, not a copy.  ``name`` names ``x`` in the
-    error.
+    ``x`` must be an array (or nested sequence) of bool, integer or floating
+    values with at least two axes: one image or a stack of images,
+    ``(..., h, w)``, empty grids included.  Anything else, fewer axes,
+    complex or object values, a string or a ragged list, is a
+    :class:`~vtvrestore.errors.DimensionMismatchError`.  A float64 ndarray
+    is returned itself, not a copy.  Only the dtype and the shape are read.
+    ``name`` names ``x`` in the error.
     """
-    expected = f"expected a non-empty real 2-D {name} of shape {shape or '(h, w)'}"
+    expected = f"expected a real {name} of shape (..., h, w)"
     try:
         a = np.asarray(x)
     except ValueError as exc:  # a ragged nested sequence
         raise DimensionMismatchError(f"{expected}: {exc}") from None
-    if a.dtype.kind not in "biuf" or a.ndim != 2 or a.size == 0 or a.shape != (shape or a.shape):
+    if a.dtype.kind not in "biuf" or a.ndim < 2:
         raise DimensionMismatchError(f"{expected}, got {a.dtype} of shape {a.shape}")
-    a = np.asarray(a, dtype=np.float64)
+    return a.astype(np.float64, copy=False)
+
+
+def as_image(x, shape=None, name="image") -> np.ndarray:
+    """The one check of an image a caller passes in; returns it as float64.
+
+    ``x`` is converted by :func:`as_stack` and must also be a non-empty 2-D
+    image, of ``shape`` where one is given; anything else is a
+    :class:`~vtvrestore.errors.DimensionMismatchError`, and a NaN or Inf
+    entry a :class:`~vtvrestore.errors.NonFiniteError`.  A float64 ndarray
+    is returned itself, not a copy.  ``name`` names ``x`` in the error.
+    """
+    a = as_stack(x, name)
+    if a.ndim != 2 or a.size == 0 or a.shape != (shape or a.shape):
+        raise DimensionMismatchError(
+            f"expected a non-empty real 2-D {name} of shape {shape or '(h, w)'}, got {a.shape}"
+        )
     if not np.isfinite(a).all():
         raise NonFiniteError(f"{name} contains NaN or Inf")
     return a
@@ -61,15 +79,6 @@ def as_kernel(taps) -> np.ndarray:
     if k.shape[0] % 2 == 0 or k.shape[1] % 2 == 0:
         raise DimensionMismatchError(f"kernel must have odd side lengths, got shape {k.shape}")
     return k
-
-
-def as_stack(x) -> np.ndarray:
-    """``x`` as a float64 array of one image or a stack of images, ``(..., h, w)``;
-    fewer than two axes is a :class:`~vtvrestore.errors.DimensionMismatchError`."""
-    f = np.asarray(x, dtype=np.float64)
-    if f.ndim < 2:
-        raise DimensionMismatchError(f"expected an image of shape (..., h, w), got {f.shape}")
-    return f
 
 
 def conv_circular(image, kernel) -> np.ndarray:
@@ -210,8 +219,9 @@ def solve_diagonal(numerator, inverse, spectrum, out=None, split=_whole) -> np.n
     ``inverse``'s shape, which it overwrites, so no other complex array is
     made.  numpy divides a complex ``a + bi`` by a real ``c`` as
     ``(a * (1/c), b * (1/c))``, so the result is bit for bit the same, but
-    for the sign of a zero.  Returns a new array, or writes the result into
-    the float64 array ``out`` of ``numerator``'s shape and returns ``out``.
+    for the sign of a zero.  ``numerator`` is a non-empty 2-D array (see
+    :func:`as_stack`).  Returns a new array, or writes the result into the
+    float64 array ``out`` of ``numerator``'s shape and returns ``out``.
 
     The solve is three passes: ``rfft`` over the rows; per range of columns,
     ``fft`` down them, the multiply and ``ifft`` back; ``irfft`` over the
@@ -222,11 +232,11 @@ def solve_diagonal(numerator, inverse, spectrum, out=None, split=_whole) -> np.n
     the calling thread.  Every 1-D transform is the same however the passes
     are split, so no result depends on it.
     """
-    num = np.asarray(numerator, dtype=np.float64)
+    num = as_stack(numerator, "numerator")
     inverse = np.asarray(inverse)
-    if num.ndim != 2 or inverse.shape != (num.shape[0], num.shape[1] // 2 + 1):
+    if num.ndim != 2 or num.size == 0 or inverse.shape != (num.shape[0], num.shape[1] // 2 + 1):
         raise DimensionMismatchError(
-            f"half symbol shape {inverse.shape} does not fit numerator shape {num.shape}"
+            f"numerator {num.shape} is empty, not 2-D or unfit for half symbol {inverse.shape}"
         )
     h, w = num.shape
     if out is None:

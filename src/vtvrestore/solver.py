@@ -112,6 +112,7 @@ from .frames import FilterBank, Sweep, analyze
 from .image import (
     as_image,
     as_kernel,
+    as_stack,
     conv_adjoint,
     conv_circular,
     half_symbol,
@@ -146,8 +147,9 @@ class DegradationOp:
 
     Holds no per-image state: :meth:`gram_symbol` computes the symbol of
     ``A*A`` afresh for any grid, and a solve reads it once, to build its
-    denominator.  The identity's :meth:`apply` and :meth:`adjoint` return
-    their argument itself (as float64), not a copy.
+    denominator.  :meth:`apply` and :meth:`adjoint` take an image or a stack
+    of them (see :func:`~vtvrestore.image.as_stack`); the identity's return
+    a float64 ndarray itself, not a copy.
     """
 
     def __init__(self, psf=None):
@@ -164,13 +166,13 @@ class DegradationOp:
     def apply(self, u) -> np.ndarray:
         """A u."""
         if self.psf is None:
-            return np.asarray(u, dtype=np.float64)
+            return as_stack(u)
         return conv_circular(u, self.psf)
 
     def adjoint(self, u) -> np.ndarray:
         """A* u."""
         if self.psf is None:
-            return np.asarray(u, dtype=np.float64)
+            return as_stack(u)
         return conv_adjoint(u, self.psf)
 
     def gram_symbol(self, shape):

@@ -27,6 +27,7 @@ class TestGaussianNoise:
         a = gaussian_noise(u, NoiseSpec(sigma=25.5, seed=123))
         b = gaussian_noise(u, NoiseSpec(sigma=25.5, seed=123))
         assert np.array_equal(a, b)
+        assert np.array_equal(a, gaussian_noise(u, NoiseSpec(sigma=25.5, seed=np.int64(123))))
         c = gaussian_noise(u, NoiseSpec(sigma=25.5, seed=124))
         assert not np.array_equal(a, c)
 
@@ -41,13 +42,17 @@ class TestGaussianNoise:
             noisy = gaussian_noise(phantom256, NoiseSpec(sigma=25.5, seed=seed))
             assert abs(psnr(phantom256, noisy) - 20.0) < 0.15
 
-    def test_negative_sigma_rejected(self):
+    @pytest.mark.parametrize("sigma", [-1.0, "1", None], ids=["negative", "str", "None"])
+    def test_negative_sigma_rejected(self, sigma):
         with pytest.raises(ConfigError):
-            NoiseSpec(sigma=-1.0)
+            NoiseSpec(sigma=sigma)
 
-    def test_negative_seed_rejected(self):
+    @pytest.mark.parametrize(
+        "seed", [-1, "3", 1.5, True], ids=["negative", "str", "float", "bool"]
+    )
+    def test_negative_seed_rejected(self, seed):
         with pytest.raises(ConfigError, match="seed"):
-            NoiseSpec(sigma=1.0, seed=-1)
+            NoiseSpec(sigma=1.0, seed=seed)
 
 
 class TestMotionBlurKernel:
@@ -73,11 +78,12 @@ class TestMotionBlurKernel:
         assert abs(gram[0, 0] - 1.0) < 1e-14
         assert np.max(gram) <= 1.0 + 1e-12
 
-    def test_even_length_rejected(self):
+    @pytest.mark.parametrize(
+        "length", [8, 0, 3.0, "3", True], ids=["even", "zero", "float", "str", "bool"]
+    )
+    def test_even_length_rejected(self, length):
         with pytest.raises(ConfigError):
-            motion_blur_kernel(8)
-        with pytest.raises(ConfigError):
-            motion_blur_kernel(0)
+            motion_blur_kernel(length)
 
 
 class TestApplyDegradation:

@@ -271,8 +271,9 @@ def test_normal_kernel_symbol_is_the_per_channel_product(bank_name, shape):
             DimensionMismatchError,
         ),
         (lambda stencil: stencil.adjoint(np.zeros((stencil.m, 3, 4, 4))), ChannelMismatchError),
+        (lambda stencil: stencil.adjoint(np.zeros((stencil.m, 2, 0, 3))), DimensionMismatchError),
     ],
-    ids=["sweep-3-d-grid", "run-other-shape", "adjoint-three-components"],
+    ids=["sweep-3-d-grid", "run-other-shape", "adjoint-three-components", "adjoint-empty-grid"],
 )
 def test_a_misshapen_argument_is_rejected(bank, call, error):
     with pytest.raises(error):

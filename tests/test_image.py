@@ -26,16 +26,20 @@ from vtvrestore import (
     energy,
     gaussian_noise,
     grad,
+    grad_adjoint,
     half_symbol,
     kernel_symbol,
     motion_blur_kernel,
     psnr,
+    shrink_iso,
     solve,
     solve_diagonal,
+    synthesize_adjoint,
+    vtv,
     write_pgm,
 )
 from vtvrestore.frames import Sweep
-from vtvrestore.image import as_image, nonsingular
+from vtvrestore.image import as_image, as_stack, nonsingular
 
 from conftest import conv_brute_force
 
@@ -309,6 +313,8 @@ class TestSolveDiagonal:
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
             solve_diagonal(np.ones((4, 4)), np.ones((4, 5)), np.empty((4, 5), dtype=complex))
+        with pytest.raises(DimensionMismatchError, match="empty"):
+            solve_diagonal(np.ones((0, 4)), np.ones((0, 3)), np.empty((0, 3), dtype=complex))
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (37, 500), (16, 12), (15, 13)])
     def test_in_place_solve_is_irfft2_bit_for_bit(self, shape):
@@ -442,6 +448,36 @@ _IMAGE_CALLS = {
 }
 
 
+_KERNEL = np.random.default_rng(36).standard_normal((3, 5))
+
+
+def _solve_half(x, shape):
+    """:func:`solve_diagonal` of ``x`` by a half symbol of 2 on an ``shape`` grid."""
+    half = (shape[0], shape[1] // 2 + 1)
+    return solve_diagonal(x, np.full(half, 0.5), np.empty(half, dtype=complex))
+
+
+#: ``(leading, call(x, shape))`` for each name that takes a stack or a
+#: gradient field ``x``: a valid ``x`` has shape ``leading + (h, w)``, and
+#: ``shape`` is its ``(h, w)`` where it has one.
+_STACK_CALLS = {
+    "conv_circular": ((2,), lambda x, shape: conv_circular(x, _KERNEL)),
+    "conv_adjoint": ((2,), lambda x, shape: conv_adjoint(x, _KERNEL)),
+    "analyze": ((), lambda x, shape: analyze(x, _BANK)),
+    "grad": ((3,), lambda x, shape: grad(x)),
+    "synthesize_adjoint": ((_BANK.m,), lambda x, shape: synthesize_adjoint(x, _BANK)),
+    "solve_diagonal": ((), _solve_half),
+    "DegradationOp.identity().apply": ((2,), lambda x, shape: DegradationOp.identity().apply(x)),
+    "grad_adjoint": ((3, 2), lambda x, shape: grad_adjoint(x)),
+    "FrameGradient.adjoint": ((_BANK.m, 2), lambda x, shape: _BANK.frame_gradient.adjoint(x)),
+    "vtv": ((3, 2), lambda x, shape: vtv(x, weights=[1.0, 0.5, 2.0])),
+    "vtv-iso": ((3, 2), lambda x, shape: vtv(x, isotropic=True)),
+    "shrink_iso": ((2, 2), lambda x, shape: shrink_iso(x, 1.5)),
+}
+#: The names that take a gradient field, ``(..., 2, h, w)``.
+_FIELD_CALLS = ["grad_adjoint", "FrameGradient.adjoint", "vtv", "vtv-iso", "shrink_iso"]
+
+
 def _partner(x):
     """A float64 image of ``x``'s shape where that is a non-empty 2-D one."""
     shape = x.shape if isinstance(x, np.ndarray) and x.ndim == 2 and x.size else (3, 4)
@@ -468,6 +504,11 @@ def _real_images(draw):
     return draw(hnp.arrays(form, (h, w), elements=elements))
 
 
+_RAGGED_LISTS = st.lists(st.lists(_FINITE, max_size=4), min_size=2, max_size=4).filter(
+    lambda rows: len({len(r) for r in rows}) > 1
+)
+
+
 @st.composite
 def _non_finite_images(draw):
     a = draw(_float_arrays(st.tuples(st.integers(1, 4), st.integers(1, 4))))
@@ -485,9 +526,7 @@ _MALFORMED_IMAGES = st.one_of(
     hnp.arrays(np.complex128, (2, 3), elements=st.complex_numbers(max_magnitude=1e4)),
     _float_arrays(st.just((2, 3))).map(lambda a: a.astype(object)),
     st.text(max_size=6),
-    st.lists(st.lists(_FINITE, max_size=4), min_size=2, max_size=4).filter(
-        lambda rows: len({len(r) for r in rows}) > 1
-    ),
+    _RAGGED_LISTS,
     _non_finite_images(),
 )
 
@@ -535,3 +574,83 @@ def test_a_real_image_gives_the_result_of_its_float64_copy(tmp_path, name, x):
     assert as_image(f) is f
     call, partner, path = _IMAGE_CALLS[name], _partner(f), tmp_path / "image.pgm"
     assert _outcome(call, x, partner, path) == _outcome(call, f, partner, path)
+
+
+# -- the stack and field contract: every name that takes a stack of images
+# or a gradient field converts it with image.as_stack
+
+_SOME_SHAPES = st.lists(st.integers(1, 3), min_size=2, max_size=4).map(tuple)
+
+_MALFORMED_STACKS = st.one_of(
+    _float_arrays(st.just(())),
+    _float_arrays(st.tuples(st.integers(0, 5))),
+    hnp.arrays(np.complex128, _SOME_SHAPES, elements=st.complex_numbers(max_magnitude=1e4)),
+    _float_arrays(_SOME_SHAPES).map(lambda a: a.astype(object)),
+    st.text(max_size=6),
+    _RAGGED_LISTS,
+    _RAGGED_LISTS.map(lambda rows: [rows, rows]),
+)
+
+#: Arrays that are stacks but not fields: 2-D, or three components on axis -3.
+_MALFORMED_FIELDS = st.one_of(
+    _float_arrays(st.tuples(st.integers(1, 4), st.integers(1, 4))),
+    _float_arrays(_SOME_SHAPES.map(lambda shape: shape[:-2] + (3,) + shape[-2:])),
+)
+
+
+def _malformed_call(name, x):
+    call = _STACK_CALLS[name][1]
+    shape = x.shape[-2:] if isinstance(x, np.ndarray) and x.ndim >= 2 else (3, 4)
+    with pytest.raises(VTVError):
+        call(x, shape)
+
+
+@pytest.mark.parametrize("name", list(_STACK_CALLS))
+@_CONTRACT_FUZZ
+@given(x=_MALFORMED_STACKS)
+@example(x=np.float64(1.0))
+@example(x=np.ones(5))
+@example(x=np.ones((2, 2, 4, 4), dtype=complex))
+@example(x=np.ones((2, 2, 4, 4), dtype=object))
+@example(x="abc")
+@example(x=[[1.0, 2.0], [3.0]])
+def test_a_malformed_stack_is_a_vtv_error(name, x):
+    _malformed_call(name, x)
+
+
+@pytest.mark.parametrize("name", _FIELD_CALLS)
+@_CONTRACT_FUZZ
+@given(x=_MALFORMED_FIELDS)
+@example(x=np.ones((4, 4)))
+@example(x=np.ones((9, 3, 4, 4)))
+def test_a_malformed_field_is_a_vtv_error(name, x):
+    _malformed_call(name, x)
+
+
+@st.composite
+def _real_stacks(draw, leading):
+    """A real, finite ``leading + (h, w)`` stack in one of the forms a caller passes."""
+    shape = leading + (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    form = draw(st.sampled_from([np.bool_, np.int8, np.uint16, np.float64, list]))
+    if form is list:
+        values = st.integers(-1000, 1000) | _FINITE
+        return draw(hnp.arrays(object, shape, elements=values)).tolist()
+    return draw(hnp.arrays(form, shape, elements=_FINITE if form is np.float64 else None))
+
+
+def _result(call, x, shape):
+    """The dtype, shape and bits of ``call``'s result."""
+    result = np.asarray(call(x, shape))
+    return result.dtype, result.shape, result.tobytes()
+
+
+@pytest.mark.parametrize("name", list(_STACK_CALLS))
+@_CONTRACT_FUZZ
+@given(data=st.data())
+def test_a_real_stack_gives_the_result_of_its_float64_copy(name, data):
+    leading, call = _STACK_CALLS[name]
+    x = data.draw(_real_stacks(leading), label="x")
+    f = np.asarray(x, dtype=np.float64)
+    assert as_stack(f) is f
+    assert DegradationOp.identity().adjoint(f) is f
+    assert _result(call, x, f.shape[-2:]) == _result(call, f, f.shape[-2:])
