@@ -13,15 +13,16 @@ checked by one rule (see :func:`_field`) that keeps a float32 ndarray as it
 is and converts anything else with ``as_stack``; another shape, or what
 ``as_stack`` rejects, is a
 :class:`~vtvrestore.errors.DimensionMismatchError`.  :func:`shrink` works
-element-wise on an array or a scalar.
+element-wise on an array or a scalar, and it and :func:`vtv`'s weights take
+real numbers (see :func:`~vtvrestore.image.as_reals`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .image import as_stack
+from .errors import DimensionMismatchError, NonFiniteError
+from .image import as_reals, as_stack
 
 
 def _field(p) -> np.ndarray:
@@ -68,14 +69,18 @@ def vtv(p, weights=None, isotropic: bool = False) -> float:
 
     A channel's TV is the l1 sum over both components (anisotropic) or the
     sum of per-pixel gradient magnitudes (isotropic).  Sums the per-channel
-    TV with weight ``weights[i]`` (ones if omitted).  A float32 stack is read
+    TV with weight ``weights[i]`` (ones if omitted): real numbers, one per
+    channel (another count is a ``ValueError``), and finite (a NaN or Inf is
+    a :class:`~vtvrestore.errors.NonFiniteError`).  A float32 stack is read
     as it is, with the sums accumulated in float64.  A TV past the float
     range is ``inf``.
     """
     q = _field(p)
-    w = np.ones(len(q)) if weights is None else np.asarray(weights, dtype=np.float64)
+    w = np.ones(len(q)) if weights is None else as_reals(weights, "weights")
     if w.shape != (len(q),):
         raise ValueError(f"need {len(q)} weights, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise NonFiniteError(f"weights contain NaN or Inf, got {w.tolist()}")
     # a channel's per-pixel norm: the gradient magnitude, or |x| per component
     norm = (lambda c: np.sqrt((c * c).sum(axis=0))) if isotropic else np.abs
     with np.errstate(over="ignore"):
@@ -88,11 +93,12 @@ def shrink(v, threshold) -> np.ndarray:
 
     The exact minimizer of ``T*|d| + (d - v)^2 / 2`` per component for
     ``T >= 0``, with ``sgn(0) = 0``.  ``threshold`` broadcasts, so
-    per-channel values can be passed as a ``(m, 1, 1, 1)`` array.  Returns
-    a new array.
+    per-channel values can be passed as a ``(m, 1, 1, 1)`` array.  Both
+    are real numbers of any shape, 0-D included (see
+    :func:`~vtvrestore.image.as_reals`).  Returns a new array.
     """
-    x = np.asarray(v, dtype=np.float64)
-    t = np.asarray(threshold, dtype=np.float64)
+    x = as_reals(v, "values")
+    t = as_reals(threshold, "threshold")
     out = np.empty(np.broadcast_shapes(x.shape, t.shape))
     # x - clip(x, -T, T) rounds exactly as sgn(x) * (|x| - T) outside the
     # dead zone and is zero inside it: two passes, no full-size temporary.

@@ -6,7 +6,9 @@ the [0, 255] convention but are never clamped inside the library; clamping
 happens only on export (see :mod:`vtvrestore.fileio`).  Every entry point
 that takes an array from a caller converts it with :func:`as_stack`, the
 one decision of what a real ``(..., h, w)`` stack is; those that take one
-image check it with :func:`as_image`, built on it.
+image check it with :func:`as_image`, built on it.  Both rest on
+:func:`as_reals`, the one rule of what real numbers are, which also
+converts the solver's weights and the shrinkage's values and thresholds.
 
 A kernel is a small 2-D array with odd side lengths whose center tap sits at
 the middle index: a ``(2*ry+1, 2*rx+1)`` array stores tap ``K(p, q)`` at
@@ -30,25 +32,39 @@ from .errors import DimensionMismatchError, NonFiniteError, SingularSymbolError
 _EPS_DENOM = 1e-12
 
 
-def as_stack(x, name="image") -> np.ndarray:
-    """The one conversion of an array a caller passes in; returns it as float64.
+def as_reals(x, name="value", error=DimensionMismatchError) -> np.ndarray:
+    """The one conversion of real numbers a caller passes in; returns them as float64.
 
-    ``x`` must be an array (or nested sequence) of bool, integer or floating
-    values with at least two axes: one image or a stack of images,
-    ``(..., h, w)``, empty grids included.  Anything else, fewer axes,
-    complex or object values, a string or a ragged list, is a
-    :class:`~vtvrestore.errors.DimensionMismatchError`.  A float64 ndarray
-    is returned itself, not a copy.  Only the dtype and the shape are read.
-    ``name`` names ``x`` in the error.
+    ``x`` must be a number, or an array (or nested sequence) of them, of
+    bool, integer or floating type, of any shape, 0-D included.  Anything
+    else, complex or object values, a string or a ragged list, is an
+    ``error``.  A float64 ndarray is returned itself, not a copy.  Only the
+    dtype and the shape are read.  ``name`` names ``x`` in the error.
     """
-    expected = f"expected a real {name} of shape (..., h, w)"
     try:
         a = np.asarray(x)
     except ValueError as exc:  # a ragged nested sequence
-        raise DimensionMismatchError(f"{expected}: {exc}") from None
-    if a.dtype.kind not in "biuf" or a.ndim < 2:
-        raise DimensionMismatchError(f"{expected}, got {a.dtype} of shape {a.shape}")
+        raise error(f"expected real numbers for {name}: {exc}") from None
+    if a.dtype.kind not in "biuf":
+        raise error(f"expected real numbers for {name}, got {a.dtype} of shape {a.shape}")
     return a.astype(np.float64, copy=False)
+
+
+def as_stack(x, name="image") -> np.ndarray:
+    """The one conversion of an array a caller passes in; returns it as float64.
+
+    ``x`` must be real numbers (see :func:`as_reals`) with at least two
+    axes: one image or a stack of images, ``(..., h, w)``, empty grids
+    included.  Anything else is a
+    :class:`~vtvrestore.errors.DimensionMismatchError`.  A float64 ndarray
+    is returned itself, not a copy.  ``name`` names ``x`` in the error.
+    """
+    a = as_reals(x, name)
+    if a.ndim < 2:
+        raise DimensionMismatchError(
+            f"expected a real {name} of shape (..., h, w), got {a.dtype} of shape {a.shape}"
+        )
+    return a
 
 
 def as_image(x, shape=None, name="image") -> np.ndarray:

@@ -42,9 +42,12 @@ against, the u-update's KKT residual among them.
 ``(m, 2, h, w)`` stack, the multipliers ``b``; a
 :class:`~vtvrestore.frames.Sweep`, which holds the block buffers and the
 wrap-padded accumulator whose ``(h, w)`` view is the ``numerator`` of the
-next u-update; a pair of iterates; and one complex buffer the size of the
-half spectrum, in which the FFT solve runs and which
-:meth:`~SplitBregman.advance` then reuses for ``u_new - u``.  The
+next u-update; and a pair of iterates.  One work buffer, the sweep's,
+holds two things in the same bytes, which are never live at the same
+time: the complex half spectrum, in which the FFT solve runs and which
+:meth:`~SplitBregman.advance` then reuses for ``u_new - u``, live from the
+solve's ``rfft`` pass to that difference's norm; and the sweep's padded
+image and block buffers, live only inside the sweep that follows.  The
 observation ``f`` is read, never written, and not copied: ``u`` starts as
 ``f`` itself, and ``A* f``, which every numerator adds, is ``f`` itself for
 the identity, so a caller must not change ``f`` during the solve.  The
@@ -96,7 +99,6 @@ say which ran.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -112,6 +114,7 @@ from .frames import FilterBank, Sweep, analyze
 from .image import (
     as_image,
     as_kernel,
+    as_reals,
     as_stack,
     conv_adjoint,
     conv_circular,
@@ -187,13 +190,12 @@ class DegradationOp:
 
 
 def _reals(name: str, value) -> tuple:
-    """``value``, a real number or a flat sequence of them, as a tuple of floats."""
-    with contextlib.suppress(TypeError, ValueError):  # not real numbers, or a ragged sequence
-        # a "same_kind" cast to float64 takes bool, integer and floating values
-        values = np.atleast_1d(value).astype(np.float64, casting="same_kind")
-        if values.ndim == 1:
-            return tuple(values.tolist())
-    raise ConfigError(f"{name} must be a real number or a flat sequence of them, got {value!r}")
+    """``value``, a real number or a flat sequence of them (see
+    :func:`~vtvrestore.image.as_reals`), as a tuple of floats."""
+    values = np.atleast_1d(as_reals(value, name, ConfigError))
+    if values.ndim != 1:
+        raise ConfigError(f"{name} must be a real number or a flat sequence of them, got {value!r}")
+    return tuple(values.tolist())
 
 
 @dataclass
@@ -366,13 +368,15 @@ class SplitBregman:
         #: The reciprocal of the denominator's half symbol, which the FFT
         #: solve multiplies by: inverted in place once it is nonsingular.
         self._denominator = np.reciprocal(nonsingular(denominator), out=denominator)
-        #: Complex scratch of the denominator's shape: the FFT solve runs in
-        #: it, and :meth:`advance` reuses it once the solve is spent.
-        self._spectrum = np.empty(denominator.shape, dtype=np.complex128)
-
         #: The stencil's :class:`~vtvrestore.frames.Sweep` over this grid:
         #: the block buffers and the accumulator the numerator is summed in.
-        self._sweep = Sweep(stencil, (h, w), cfg.gamma, dtype, cfg.workers)
+        #: Its scratch, live only inside a sweep, also holds the spectrum.
+        self._sweep = Sweep(stencil, (h, w), cfg.gamma, dtype, cfg.workers, 16 * denominator.size)
+        #: Complex scratch of the denominator's shape, the head of the sweep's
+        #: buffer: the FFT solve runs in it, and :meth:`advance` reuses it for
+        #: ``u_new - u``.  It is live from the solve's ``rfft`` pass to that
+        #: difference's norm, never during a sweep.
+        self._spectrum = self._sweep.lent.view(np.complex128).reshape(denominator.shape)
         #: The two arrays :meth:`step` writes iterates into.
         self._iterates = (np.empty((h, w)), np.empty((h, w)))
 
@@ -414,8 +418,9 @@ class SplitBregman:
         nothing, when ``||u_new - u||`` is not finite: ``u_new`` holds a NaN
         or Inf, or lies so far from ``u`` that the difference overflows.
         """
-        # u_new - u in a contiguous (h, w) view of the spent spectrum buffer;
-        # a fresh difference image would raise the solve's peak by one image
+        # u_new - u in a contiguous (h, w) view of the spent spectrum buffer,
+        # which the sweep below then overwrites; a fresh difference image
+        # would raise the solve's peak by one image
         change = self._spectrum.view(np.float64).ravel()[: self.u.size].reshape(self.u.shape)
         u, split = self.u, self._sweep.split
         with np.errstate(over="ignore", invalid="ignore"):

@@ -1,13 +1,15 @@
 """The design rules of the roadmap that a test can check.
 
 Every public name has a caller in the program (the package's modules or
-the benchmark), and no tracked file is one that ``.gitignore`` names, such
-as a build artefact.
+the benchmark), no tracked file is one that ``.gitignore`` names, such
+as a build artefact, and the modules a run does not need stay unloaded.
 """
 
 import ast
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,36 @@ def test_no_tracked_file_is_one_gitignore_names():
         cwd=ROOT, capture_output=True, text=True, check=True,
     ).stdout
     assert ignored == ""
+
+
+#: Modules the package imports only where it needs them: each costs peak RSS
+#: and start-up time in every CLI process.
+_LAZY = ("multiprocessing", "concurrent.futures", "logging", "numpy.random")
+
+_SOLVE = """
+import numpy as np
+from vtvrestore import DegradationOp, SolverConfig, bspline_bank, solve
+f = np.add.outer(np.arange(64.0), np.arange(512.0)) % 7  # four 16-row blocks
+cfg = SolverConfig.head_rest(9, 2.0, 1.5, 12.0, 4.5, max_iter=2, workers={workers})
+assert solve(f, DegradationOp.identity(), bspline_bank(), cfg).threads == {workers}
+"""
+
+
+@pytest.mark.parametrize(
+    ("code", "loaded"),
+    [
+        ("import vtvrestore.cli", set()),
+        # a one-worker sweep starts no thread pool
+        (_SOLVE.format(workers=1), set()),
+        (_SOLVE.format(workers=2), {"concurrent.futures", "logging"}),
+    ],
+    ids=["import-cli", "one-worker-solve", "two-worker-solve"],
+)
+def test_a_fresh_interpreter_loads_only_the_modules_it_runs(code, loaded):
+    report = "import sys; print(*(m for m in %r if m in sys.modules))" % (_LAZY,)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    ).stdout
+    assert set(out.split()) == loaded

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from vtvrestore import (
+    NonFiniteError,
+    VTVError,
     conv_circular,
     grad,
     grad_adjoint,
@@ -93,15 +95,27 @@ class TestSeminorms:
         direct_iso = np.sqrt(p[0] ** 2 + p[1] ** 2).sum()
         assert abs(vtv(p[None], isotropic=True) - direct_iso) < 1e-12 * (1 + direct_iso)
 
-    def test_vtv_weights(self):
+    @pytest.mark.parametrize(
+        ("bad", "error"),
+        [
+            ([1.0, 2.0], ValueError),
+            (["a", "b", "c"], VTVError),
+            ([1j, 1, 1], VTVError),
+            ([[1.0], [2.0, 3.0], [4.0]], VTVError),
+            ([np.nan, 1.0, 1.0], NonFiniteError),
+            ([1.0, -np.inf, 1.0], NonFiniteError),
+        ],
+        ids=["count", "strings", "complex", "ragged", "nan", "inf"],
+    )
+    def test_vtv_weights(self, bad, error):
         rng = np.random.default_rng(5)
         p = rng.standard_normal((3, 2, 6, 6))
         w = np.array([2.0, 0.5, 1.25])
         direct = sum(w[i] * np.abs(p[i]).sum() for i in range(3))
         assert abs(vtv(p, weights=w) - direct) < 1e-10
         assert abs(vtv(p) - np.abs(p).sum()) < 1e-10
-        with pytest.raises(ValueError):
-            vtv(p, weights=[1.0, 2.0])
+        with pytest.raises(error):
+            vtv(p, weights=bad)
 
     def test_float32_stack_is_summed_in_float64_without_a_copy(self):
         rng = np.random.default_rng(7)
@@ -131,11 +145,20 @@ class TestSeminorms:
 
 
 class TestShrink:
-    def test_scalar_algebra(self):
+    # values and thresholds that are not real numbers
+    @pytest.mark.parametrize(
+        ("value", "threshold"),
+        [(np.ones(3, complex), 1.0), ("abc", 1.0), (np.ones(3), "x"), (np.ones(3), 1j)],
+        ids=["complex-value", "string-value", "string-threshold", "complex-threshold"],
+    )
+    def test_scalar_algebra(self, value, threshold):
         assert shrink(np.array(3.0), 1.0) == 2.0
         assert shrink(np.array(-3.0), 1.0) == -2.0
         assert shrink(np.array(0.5), 1.0) == 0.0
         assert shrink(np.array(0.0), 1.0) == 0.0
+        assert shrink(3, np.float32(1.0)).shape == ()  # 0-D values of any real type
+        with pytest.raises(VTVError):
+            shrink(value, threshold)
 
     def test_zero_threshold_is_identity(self):
         rng = np.random.default_rng(7)

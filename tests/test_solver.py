@@ -237,12 +237,13 @@ def test_step_and_energy_allocate_no_feature_stack(bank, shrinkage):
 
 def test_split_bregman_keeps_only_its_state(bank):
     # construction builds the whole solve, and nothing else outlives it: the
-    # (m, 2, h, w) stack b, the complex spectrum buffer, the half-spectrum
-    # denominator, the iterate pair and the sweep's accumulator, padded
-    # image, per-worker scratch and taps.  f is read in place, u starts as
-    # f, A*f is f for the identity, the numerator is a view of the
-    # accumulator and no operator symbol outlives the construction; the
-    # threads wait for the first step.
+    # (m, 2, h, w) stack b, the half-spectrum denominator, the iterate pair,
+    # the sweep's accumulator and taps, and one work buffer, which holds the
+    # complex spectrum buffer and, in the same bytes, the sweep's padded
+    # image and per-worker scratch, and is counted once.  f is read in
+    # place, u starts as f, A*f is f for the identity, the numerator is a
+    # view of the accumulator and no operator symbol outlives the
+    # construction; the threads wait for the first step.
     f = np.random.default_rng(5).uniform(0, 255, (256, 256))
     op = DegradationOp.identity()
     bank.frame_gradient  # built once per bank, not per solve
@@ -257,11 +258,15 @@ def test_split_bregman_keeps_only_its_state(bank):
             tracemalloc.stop()
         sweep = sb._sweep
         assert sweep.workers == workers and threading.active_count() == baseline
-        state = [sb.b, sb._spectrum, sb._denominator, *sb._iterates]
-        state += [sweep._acc, sweep._padded, sweep._taps, sweep._weighted]
-        state += [a for s in sweep._scratch for a in s]
+        state = [sb.b, sb._denominator, *sb._iterates]
+        state += [sweep._acc, sweep._buffer, sweep._taps, sweep._weighted]
         expected = sum(a.nbytes for a in state)
         assert expected <= kept <= expected + 16 * 1024, (workers, kept, expected)
+        # the buffer is the larger of the spectrum and the scratch, not their sum
+        scratch = [sweep._padded] + [a for s in sweep._scratch for a in s]
+        assert all(a.base is sweep._buffer for a in [sb._spectrum, *scratch])
+        assert np.shares_memory(sb._spectrum, sweep._padded)
+        assert sweep._buffer.nbytes == max(sb._spectrum.nbytes, sum(a.nbytes for a in scratch))
         assert sb.u is sb.f and np.shares_memory(sb.f, f)
         assert np.shares_memory(sb.numerator, sweep._acc)
         assert not np.shares_memory(sb.numerator, f)
@@ -746,6 +751,49 @@ def test_full13_denoise_defaults_land_at_the_gamma_free_minimiser(bank):
     assert distance(run(8.0, 4.0, 1e-9), minimiser) < 1e-6
     at_defaults = run(defaults["gamma1"], defaults["gamma_rest"], defaults["tol"])
     assert distance(at_defaults, minimiser) < 1e-3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("precision", [DOUBLE, SINGLE])
+@pytest.mark.parametrize("shrinkage", [ANISO, ISO])
+@pytest.mark.parametrize("variant", [REDUCED17, FULL13])
+def test_the_solve_commutes_with_transpose_shift_and_scale(
+    bank, monkeypatch, variant, shrinkage, precision, workers
+):
+    # The model's exact invariances, on the CLI's denoise weights:
+    # - transpose: the B-spline bank is closed under it, its channels
+    #   permuted, and the head/rest weights respect that;
+    # - a circular shift;
+    # - (f, lam) -> (4 f, 4 lam) with gamma fixed, which scales every value
+    #   of the solve by a power of two, so exactly.
+    # Blocks of 8 rows (6 on the transpose) give each phase several, so two
+    # workers run, and the transpose blocks the grid along its other axis.
+    # The first two change the rounding (the sweep subtracts the first
+    # pixel, and the blocks split the grid elsewhere), not the iterations.
+    monkeypatch.setattr(frames, "BLOCK_PIXELS", 640)
+    f = gaussian_noise(make_phantom(96)[:, :80], NoiseSpec(sigma=20.0, seed=3))
+    d = cli.TASK_DEFAULTS[("denoise", variant)]
+    op = DegradationOp.identity()
+
+    def run(image, scale=1.0):
+        cfg = SolverConfig.head_rest(
+            9, scale * d["lambda1"], scale * d["lambda_rest"], d["gamma1"], d["gamma_rest"],
+            tol=d["tol"], u_update=variant, shrinkage=shrinkage, precision=precision,
+            workers=workers,
+        )
+        res = solve(image, op, bank, cfg)
+        assert res.threads == workers and res.precision == precision
+        return res
+
+    base = run(f)
+    bound = 1e-13 if precision == DOUBLE else 1e-6
+    for image, undo in [(f.T, np.transpose), (np.roll(f, (5, -7), (0, 1)), None)]:
+        res = run(image)
+        u = undo(res.u) if undo else np.roll(res.u, (-5, 7), (0, 1))
+        assert res.iterations == base.iterations
+        assert np.linalg.norm(u - base.u) <= bound * np.linalg.norm(base.u)
+    scaled = run(4 * f, 4.0)
+    assert np.array_equal(scaled.u, 4 * base.u) and scaled.trace == base.trace
 
 
 def reference_split_bregman(f, op, bank, cfg, n_iter):
