@@ -7,6 +7,7 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     NonFiniteError,
+    NotRealError,
     SingularSymbolError,
     VTVError,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "ISO",
     "NoiseSpec",
     "NonFiniteError",
+    "NotRealError",
     "REDUCED17",
     "SINGLE",
     "SingularSymbolError",

@@ -10,11 +10,12 @@ circular-convolution framework.
 :func:`~vtvrestore.image.as_stack`.  :func:`grad_adjoint`, :func:`vtv` and
 :func:`shrink_iso` take a field: an array of shape ``(..., 2, h, w)``,
 checked by one rule (see :func:`_field`) that keeps a float32 ndarray as it
-is and converts anything else with ``as_stack``; another shape, or what
-``as_stack`` rejects, is a
-:class:`~vtvrestore.errors.DimensionMismatchError`.  :func:`shrink` works
-element-wise on an array or a scalar, and it and :func:`vtv`'s weights take
-real numbers (see :func:`~vtvrestore.image.as_reals`).
+is and converts anything else with ``as_stack``; another shape is a
+:class:`~vtvrestore.errors.DimensionMismatchError`, and values that are
+not real numbers a :class:`~vtvrestore.errors.NotRealError`.
+:func:`shrink` works element-wise on an array or a scalar, and it and
+:func:`vtv`'s weights take real numbers (see
+:func:`~vtvrestore.image.as_reals`).
 """
 
 from __future__ import annotations

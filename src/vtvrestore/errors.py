@@ -9,6 +9,11 @@ class DimensionMismatchError(VTVError):
     """Operands have incompatible shapes."""
 
 
+class NotRealError(VTVError):
+    """A value is not real numbers: complex, object or string values, or a
+    ragged sequence."""
+
+
 class ChannelMismatchError(VTVError):
     """A feature stack does not match the filter bank's channel count."""
 

@@ -257,12 +257,13 @@ class Sweep:
     into the accumulator.
 
     The padded image and the workers' buffers are views of one byte buffer,
-    ``lend`` bytes long where that is more.  Its first ``lend`` bytes are
-    :attr:`lent` to the caller, for work of its own between runs: a solver
+    each starting on a 64-byte offset, and the buffer is at least as long as
+    the grid's complex half spectrum, ``(h, w // 2 + 1)`` complex128.  Its
+    head is :attr:`spectrum`, which a caller may use between runs: a solver
     runs its FFT there, so that scratch which is never live at the same time
     is held once.  Nothing the scratch holds outlives a run but the zero
     borders, so before its first block a run zeroes again the bordered
-    planes that share bytes with :attr:`lent`.
+    planes that share bytes with :attr:`spectrum`.
 
     :meth:`run` zeroes the accumulator, fills the padded copy of ``u`` once,
     then hands a body the stencil's output one block at a time, while it is
@@ -294,7 +295,7 @@ class Sweep:
     """
 
     def __init__(
-        self, stencil: FrameGradient, shape, weights=None, dtype=np.float64, workers=1, lend=0
+        self, stencil: FrameGradient, shape, weights=None, dtype=np.float64, workers: int = 1
     ):
         if len(shape) != 2 or min(shape) < 1:
             raise DimensionMismatchError(f"expected a non-empty 2-D grid, got {tuple(shape)}")
@@ -312,7 +313,7 @@ class Sweep:
         self._span = stencil._span
         # The padded image, then per worker a block's planes, its output, the
         # adjoint's planes on zero borders (see _add) and their sum, one after
-        # another in one zeroed buffer.
+        # another in one zeroed buffer, each on a 64-byte offset.
         layout = [(top + h + bottom, left + w + right)] + [
             (p * q, rows * w),
             (stencil.m, 2, rows, w),
@@ -321,12 +322,14 @@ class Sweep:
         ] * self.workers
         offsets, itemsize = [0], np.dtype(dtype).itemsize
         for dims in layout:
-            offsets.append(offsets[-1] + math.prod(dims) * itemsize)
-        #: The scratch's bytes: at least ``lend`` of them.
-        self._buffer = np.zeros(max(offsets[-1], lend), np.uint8)
-        #: The buffer's first ``lend`` bytes, which a caller may use between
-        #: runs (a solver's FFT, say): a run overwrites them.
-        self.lent = self._buffer[:lend]
+            offsets.append(-(-(offsets[-1] + math.prod(dims) * itemsize) // 64) * 64)
+        half = (h, w // 2 + 1)
+        #: The scratch's bytes: at least the half spectrum's.
+        self._buffer = np.zeros(max(offsets[-1], 16 * math.prod(half)), np.uint8)
+        #: The buffer's head as the grid's ``(h, w // 2 + 1)`` complex half
+        #: spectrum, which a caller may use between runs (a solver's FFT,
+        #: say): a run overwrites it.
+        self.spectrum = np.ndarray(half, np.complex128, self._buffer)
         arrays = [np.ndarray(dims, dtype, self._buffer, at) for dims, at in zip(layout, offsets)]
         #: The image being swept, less its first pixel, wrap-padded by the
         #: stencil's pads at ``dtype``: every block's windows are views of it.
@@ -334,9 +337,11 @@ class Sweep:
         #: Per worker: a block's planes, its output, the adjoint's planes on
         #: zero borders and their sum.
         self._scratch = [tuple(arrays[k : k + 4]) for k in range(1, len(arrays), 4)]
-        #: The zero-bordered planes that share bytes with :attr:`lent`, which
-        #: :meth:`run` zeroes again before its first block.
-        self._lent_zeros = [s[2] for s in self._scratch if np.shares_memory(s[2], self.lent)]
+        #: The zero-bordered planes that share bytes with :attr:`spectrum`,
+        #: which :meth:`run` zeroes again before its first block.
+        self._spectrum_zeros = [
+            s[2] for s in self._scratch if np.shares_memory(s[2], self.spectrum)
+        ]
         self._taps = stencil.taps.astype(dtype)
         row_weights = np.repeat(np.ones(stencil.m) if weights is None else weights, 2)
         self._weighted = np.ascontiguousarray((stencil.taps * row_weights[:, None]).T, dtype)
@@ -361,7 +366,7 @@ class Sweep:
         buffers.  ``u`` is read once, before the first block.  The
         accumulator starts at zero and, once the last block has ended, holds
         the sum of every ``add`` of this run in :attr:`total`.  Whatever a
-        caller left in :attr:`lent` is overwritten.
+        caller left in :attr:`spectrum` is overwritten.
 
         A body may run on a worker thread, under the caller's numpy error
         state and a ufunc buffer of :data:`_SUM_BUFFER` elements, so it may
@@ -371,7 +376,7 @@ class Sweep:
         and the threads are ended.
         """
         self.split(lambda r0, r1: self._acc[r0:r1].fill(0.0), self._acc.shape[0])
-        for zeros in self._lent_zeros:
+        for zeros in self._spectrum_zeros:
             zeros.fill(0)
         padded = None
         if u is not None:

@@ -26,27 +26,28 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteError, SingularSymbolError
+from .errors import DimensionMismatchError, NonFiniteError, NotRealError, SingularSymbolError
 
 #: Frequency bins with modulus below this floor make a solve singular.
 _EPS_DENOM = 1e-12
 
 
-def as_reals(x, name="value", error=DimensionMismatchError) -> np.ndarray:
+def as_reals(x, name="value") -> np.ndarray:
     """The one conversion of real numbers a caller passes in; returns them as float64.
 
     ``x`` must be a number, or an array (or nested sequence) of them, of
     bool, integer or floating type, of any shape, 0-D included.  Anything
-    else, complex or object values, a string or a ragged list, is an
-    ``error``.  A float64 ndarray is returned itself, not a copy.  Only the
-    dtype and the shape are read.  ``name`` names ``x`` in the error.
+    else, complex or object values, a string or a ragged list, is a
+    :class:`~vtvrestore.errors.NotRealError`.  A float64 ndarray is
+    returned itself, not a copy.  Only the dtype and the shape are read.
+    ``name`` names ``x`` in the error.
     """
     try:
         a = np.asarray(x)
     except ValueError as exc:  # a ragged nested sequence
-        raise error(f"expected real numbers for {name}: {exc}") from None
+        raise NotRealError(f"expected real numbers for {name}: {exc}") from None
     if a.dtype.kind not in "biuf":
-        raise error(f"expected real numbers for {name}, got {a.dtype} of shape {a.shape}")
+        raise NotRealError(f"expected real numbers for {name}, got {a.dtype} of shape {a.shape}")
     return a.astype(np.float64, copy=False)
 
 
@@ -55,7 +56,7 @@ def as_stack(x, name="image") -> np.ndarray:
 
     ``x`` must be real numbers (see :func:`as_reals`) with at least two
     axes: one image or a stack of images, ``(..., h, w)``, empty grids
-    included.  Anything else is a
+    included.  Fewer axes are a
     :class:`~vtvrestore.errors.DimensionMismatchError`.  A float64 ndarray
     is returned itself, not a copy.  ``name`` names ``x`` in the error.
     """
@@ -71,7 +72,7 @@ def as_image(x, shape=None, name="image") -> np.ndarray:
     """The one check of an image a caller passes in; returns it as float64.
 
     ``x`` is converted by :func:`as_stack` and must also be a non-empty 2-D
-    image, of ``shape`` where one is given; anything else is a
+    image, of ``shape`` where one is given; another shape is a
     :class:`~vtvrestore.errors.DimensionMismatchError`, and a NaN or Inf
     entry a :class:`~vtvrestore.errors.NonFiniteError`.  A float64 ndarray
     is returned itself, not a copy.  ``name`` names ``x`` in the error.

@@ -99,6 +99,7 @@ say which ran.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -109,7 +110,7 @@ from . import diffops
 # grad, grad_adjoint and analyze have no caller here: they stay as the names
 # perfbench/traced.py wraps, until the benchmark's spans are redone
 from .diffops import grad, grad_adjoint
-from .errors import ConfigError, NonFiniteError
+from .errors import ConfigError, NonFiniteError, NotRealError
 from .frames import FilterBank, Sweep, analyze
 from .image import (
     as_image,
@@ -192,10 +193,11 @@ class DegradationOp:
 def _reals(name: str, value) -> tuple:
     """``value``, a real number or a flat sequence of them (see
     :func:`~vtvrestore.image.as_reals`), as a tuple of floats."""
-    values = np.atleast_1d(as_reals(value, name, ConfigError))
-    if values.ndim != 1:
-        raise ConfigError(f"{name} must be a real number or a flat sequence of them, got {value!r}")
-    return tuple(values.tolist())
+    with contextlib.suppress(NotRealError):
+        values = np.atleast_1d(as_reals(value, name))
+        if values.ndim == 1:
+            return tuple(values.tolist())
+    raise ConfigError(f"{name} must be a real number or a flat sequence of them, got {value!r}")
 
 
 @dataclass
@@ -371,12 +373,12 @@ class SplitBregman:
         #: The stencil's :class:`~vtvrestore.frames.Sweep` over this grid:
         #: the block buffers and the accumulator the numerator is summed in.
         #: Its scratch, live only inside a sweep, also holds the spectrum.
-        self._sweep = Sweep(stencil, (h, w), cfg.gamma, dtype, cfg.workers, 16 * denominator.size)
+        self._sweep = Sweep(stencil, (h, w), cfg.gamma, dtype, cfg.workers)
         #: Complex scratch of the denominator's shape, the head of the sweep's
         #: buffer: the FFT solve runs in it, and :meth:`advance` reuses it for
         #: ``u_new - u``.  It is live from the solve's ``rfft`` pass to that
         #: difference's norm, never during a sweep.
-        self._spectrum = self._sweep.lent.view(np.complex128).reshape(denominator.shape)
+        self._spectrum = self._sweep.spectrum
         #: The two arrays :meth:`step` writes iterates into.
         self._iterates = (np.empty((h, w)), np.empty((h, w)))
 

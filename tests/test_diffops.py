@@ -7,7 +7,7 @@ import pytest
 
 from vtvrestore import (
     NonFiniteError,
-    VTVError,
+    NotRealError,
     conv_circular,
     grad,
     grad_adjoint,
@@ -99,9 +99,9 @@ class TestSeminorms:
         ("bad", "error"),
         [
             ([1.0, 2.0], ValueError),
-            (["a", "b", "c"], VTVError),
-            ([1j, 1, 1], VTVError),
-            ([[1.0], [2.0, 3.0], [4.0]], VTVError),
+            (["a", "b", "c"], NotRealError),
+            ([1j, 1, 1], NotRealError),
+            ([[1.0], [2.0, 3.0], [4.0]], NotRealError),
             ([np.nan, 1.0, 1.0], NonFiniteError),
             ([1.0, -np.inf, 1.0], NonFiniteError),
         ],
@@ -157,7 +157,7 @@ class TestShrink:
         assert shrink(np.array(0.5), 1.0) == 0.0
         assert shrink(np.array(0.0), 1.0) == 0.0
         assert shrink(3, np.float32(1.0)).shape == ()  # 0-D values of any real type
-        with pytest.raises(VTVError):
+        with pytest.raises(NotRealError):
             shrink(value, threshold)
 
     def test_zero_threshold_is_identity(self):

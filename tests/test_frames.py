@@ -375,13 +375,10 @@ def test_each_run_of_a_sweep_is_one_whole_sum(bank, workers):
 
 # With 3-row blocks, a (160, 48) grid's half spectrum reaches into the first
 # worker's zero-bordered planes at single; a (48, 160) grid's, and either at
-# double, ends before them.  Lending every byte overlaps them all.
-@pytest.mark.parametrize("lent", ["spectrum", "all"])
+# double, ends before them.
 @pytest.mark.parametrize("shape", [(160, 48), (48, 160)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_bytes_lent_and_overwritten_between_runs_change_no_result(
-    monkeypatch, bank, dtype, shape, lent
-):
+def test_a_spectrum_overwritten_between_runs_changes_no_result(monkeypatch, bank, dtype, shape):
     monkeypatch.setattr(frames, "BLOCK_PIXELS", 3 * shape[1])
     rng = np.random.default_rng(37)
     u = 255 * rng.random(shape)
@@ -389,12 +386,11 @@ def test_bytes_lent_and_overwritten_between_runs_change_no_result(
     gamma = rng.uniform(0.5, 3.0, bank.m)
     stencil = bank.frame_gradient
     private = frames.Sweep(stencil, shape, gamma, dtype, workers=2)
-    spectrum = 16 * shape[0] * (shape[1] // 2 + 1)
-    lend = spectrum if lent == "spectrum" else private._buffer.nbytes
-    shared = frames.Sweep(stencil, shape, gamma, dtype, workers=2, lend=lend)
-    assert shared.workers == 2 and shared.lent.nbytes == lend
-    overlaps = any(np.shares_memory(shared.lent, s[2]) for s in shared._scratch)
-    assert overlaps == (lent == "all" or (dtype == np.float32 and shape == (160, 48)))
+    shared = frames.Sweep(stencil, shape, gamma, dtype, workers=2)
+    assert shared.workers == 2 and shared.spectrum.shape == (shape[0], shape[1] // 2 + 1)
+    assert np.shares_memory(shared.spectrum, shared._padded)
+    overlaps = any(np.shares_memory(shared.spectrum, s[2]) for s in shared._scratch)
+    assert overlaps == (dtype == np.float32 and shape == (160, 48))
 
     def forward_and_back(rows, g, add):
         add(g)
@@ -408,7 +404,7 @@ def test_bytes_lent_and_overwritten_between_runs_change_no_result(
 
     with shared, private:
         for body, image in [(forward_and_back, u), (back, None)] * 2:
-            shared.lent.fill(0xFF)  # NaN in either dtype
+            shared.spectrum.view(np.uint8).fill(0xFF)  # NaN in either dtype
             assert bits(shared.run(body, image)) == bits(private.run(body, image))
             assert shared.total.tobytes() == private.total.tobytes()
 

@@ -262,11 +262,16 @@ def test_split_bregman_keeps_only_its_state(bank):
         state += [sweep._acc, sweep._buffer, sweep._taps, sweep._weighted]
         expected = sum(a.nbytes for a in state)
         assert expected <= kept <= expected + 16 * 1024, (workers, kept, expected)
-        # the buffer is the larger of the spectrum and the scratch, not their sum
+        # the buffer is the larger of the spectrum and the scratch, not their
+        # sum; each scratch array starts on a 64-byte offset
         scratch = [sweep._padded] + [a for s in sweep._scratch for a in s]
         assert all(a.base is sweep._buffer for a in [sb._spectrum, *scratch])
+        assert sb._spectrum is sweep.spectrum
         assert np.shares_memory(sb._spectrum, sweep._padded)
-        assert sweep._buffer.nbytes == max(sb._spectrum.nbytes, sum(a.nbytes for a in scratch))
+        assert all((a.ctypes.data - sweep._buffer.ctypes.data) % 64 == 0 for a in scratch)
+        packed = sum(a.nbytes for a in scratch)
+        assert max(sb._spectrum.nbytes, packed) <= sweep._buffer.nbytes
+        assert sweep._buffer.nbytes < max(sb._spectrum.nbytes, packed + 64 * len(scratch))
         assert sb.u is sb.f and np.shares_memory(sb.f, f)
         assert np.shares_memory(sb.numerator, sweep._acc)
         assert not np.shares_memory(sb.numerator, f)
