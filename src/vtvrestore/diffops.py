@@ -13,9 +13,9 @@ checked by one rule (see :func:`_field`) that keeps a float32 ndarray as it
 is and converts anything else with ``as_stack``; another shape is a
 :class:`~vtvrestore.errors.DimensionMismatchError`, and values that are
 not real numbers a :class:`~vtvrestore.errors.NotRealError`.
-:func:`shrink` works element-wise on an array or a scalar, and it and
-:func:`vtv`'s weights take real numbers (see
-:func:`~vtvrestore.image.as_reals`).
+:func:`shrink` works element-wise on an array or a scalar, and it,
+:func:`vtv`'s weights and :func:`shrink_iso`'s threshold take real numbers
+(see :func:`~vtvrestore.image.as_reals`).
 """
 
 from __future__ import annotations
@@ -111,11 +111,16 @@ def shrink_iso(p, threshold, out=None) -> np.ndarray:
     """Isotropic shrinkage: soft-threshold the per-pixel gradient magnitude.
 
     Shrinks the length of each ``(gx, gy)`` vector by ``threshold``, keeping
-    its direction.  ``threshold`` broadcasts against the ``(..., h, w)``
-    magnitude array.  With ``out`` the result is written there and ``out``
-    is returned.  A float32 field is shrunk in float32.
+    its direction.  ``threshold`` is real numbers (see
+    :func:`~vtvrestore.image.as_reals`) that broadcast against the
+    ``(..., h, w)`` magnitude array.  With ``out`` the result is written
+    there and ``out`` is returned.  A float32 field is shrunk in float32,
+    its threshold cast to float32; an ndarray threshold of the field's
+    dtype is used as it is (a single-precision solve's blocks pass one).
     """
     q = _field(p)
+    if not (isinstance(threshold, np.ndarray) and threshold.dtype == q.dtype):
+        threshold = as_reals(threshold, "threshold").astype(q.dtype)
     px = q[..., 0, :, :]
     py = q[..., 1, :, :]
     mag = px * px

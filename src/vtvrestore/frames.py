@@ -250,9 +250,10 @@ class Sweep:
     :attr:`workers`, a block's shifted planes, its ``(m, 2, rows, w)``
     output, the adjoint's planes on zero borders and their sum; the taps and
     the ``weights``-weighted transposed taps of the adjoint (default weights
-    one), all of ``dtype``, float64 or float32; and one float64 wrap-padded
-    accumulator.  But for the padded image and the accumulator, their size
-    is set by :data:`BLOCK_PIXELS` and the worker count, not by ``h``.
+    one), all of ``dtype``, float64 or float32; and its own float64
+    wrap-padded accumulator, ``(top + h + bottom, left + w + right)`` for
+    the stencil's pads.  But for the padded image and the accumulator, their
+    size is set by :data:`BLOCK_PIXELS` and the worker count, not by ``h``.
     A block's adjoint planes are summed at ``dtype``, and the sum is added
     into the accumulator.
 
@@ -265,16 +266,18 @@ class Sweep:
     borders, so before its first block a run zeroes again the bordered
     planes that share bytes with :attr:`spectrum`.
 
-    :meth:`run` zeroes the accumulator, fills the padded copy of ``u`` once,
-    then hands a body the stencil's output one block at a time, while it is
-    still in cache, with a function that applies the weighted transposed
-    taps to a block of a field and scatter-adds the planes, with the
-    opposite shifts, into the accumulator.  After the last
-    block it adds the accumulator's pad back modulo ``h`` and ``w``, which
-    is exact on any grid, 1x1 included, so each run leaves one whole sum in
-    :attr:`total`.  So a caller can apply the stencil, finish each block in
-    place and sum the adjoint of what it makes of it in one pass, never
-    storing the field; sweeping the grid again allocates no image.
+    :meth:`run` zeroes an accumulator, the sweep's own or one of its shape
+    that the caller names, fills the padded copy of ``u`` once, then hands a
+    body the stencil's output one block at a time, while it is still in
+    cache, with a function that applies the weighted transposed taps to a
+    block of a field and scatter-adds the planes, with the opposite shifts,
+    into the accumulator.  After the last block it adds the accumulator's
+    pad back modulo ``h`` and ``w``, which is exact on any grid, 1x1
+    included, so each run leaves one whole sum in the accumulator's
+    ``(h, w)`` interior: :attr:`total`, for the sweep's own.  So a caller
+    can apply the stencil, finish each block in place and sum the adjoint
+    of what it makes of it in one pass, never storing the field; sweeping
+    the grid again allocates no image.
 
     The blocks run in two phases, the even-indexed ones and then the odd
     ones, and each phase is split over the workers, one thread each.  A
@@ -346,15 +349,17 @@ class Sweep:
         row_weights = np.repeat(np.ones(stencil.m) if weights is None else weights, 2)
         self._weighted = np.ascontiguousarray((stencil.taps * row_weights[:, None]).T, dtype)
         self._acc = np.zeros((top + h + bottom, left + w + right))
-        #: The ``(h, w)`` sum of the last :meth:`run`'s adjoint, a view of the
-        #: accumulator: the next run overwrites it.
-        self.total = self._acc[top : top + h, left : left + w]
+        #: The index of the ``(h, w)`` image in an accumulator, past its pads.
+        self._interior = np.s_[top : top + h, left : left + w]
+        #: The ``(h, w)`` sum of the last :meth:`run` into the sweep's own
+        #: accumulator, a view of it: the next such run overwrites it.
+        self.total = self._acc[self._interior]
         #: The pool of ``workers - 1`` threads, made by the first :meth:`split`
         #: that needs it, and the process that made it.
         self._executor = None
         self._executor_pid = None
 
-    def run(self, body, u=None) -> list:
+    def run(self, body, u=None, acc=None) -> list:
         """``[body(rows, g, add) for each row block]``, in block order.
 
         ``rows`` is the block's slice of rows.  ``g`` is
@@ -364,9 +369,12 @@ class Sweep:
         ``block``, rows ``rows`` of an ``(m, 2, h, w)`` field, into the
         accumulator; it reads ``block`` and overwrites the worker's adjoint
         buffers.  ``u`` is read once, before the first block.  The
-        accumulator starts at zero and, once the last block has ended, holds
-        the sum of every ``add`` of this run in :attr:`total`.  Whatever a
-        caller left in :attr:`spectrum` is overwritten.
+        accumulator is ``acc``, a float64 array of the shape of the sweep's
+        own, or by default that one; ``u`` must not share bytes with it.  It
+        starts at zero and, once the last block has ended, holds the sum of
+        every ``add`` of this run in its ``(h, w)`` interior, which for the
+        sweep's own is :attr:`total`.  Whatever a caller left in
+        :attr:`spectrum` is overwritten.
 
         A body may run on a worker thread, under the caller's numpy error
         state and a ufunc buffer of :data:`_SUM_BUFFER` elements, so it may
@@ -375,7 +383,8 @@ class Sweep:
         once every block of its phase has ended, the first in worker order,
         and the threads are ended.
         """
-        self.split(lambda r0, r1: self._acc[r0:r1].fill(0.0), self._acc.shape[0])
+        acc = self._acc if acc is None else acc
+        self.split(lambda r0, r1: acc[r0:r1].fill(0.0), acc.shape[0])
         for zeros in self._spectrum_zeros:
             zeros.fill(0)
         padded = None
@@ -390,7 +399,7 @@ class Sweep:
             for k in blocks:
                 rows = self._rows[k]
                 g = None if padded is None else self._forward(scratch, padded, rows)
-                results[k] = body(rows, g, functools.partial(self._add, scratch, rows))
+                results[k] = body(rows, g, functools.partial(self._add, scratch, rows, acc))
 
         for phase in (0, 1):
             blocks = range(phase, len(self._rows), 2)
@@ -400,7 +409,7 @@ class Sweep:
                 min(self.workers, len(blocks)),
             )
         (top, _), (left, _) = self._pad
-        _fold(self._acc, top, left, *self._shape)
+        _fold(acc, top, left, *self._shape)
         return results
 
     def split(self, fn, n: int) -> None:
@@ -504,8 +513,9 @@ class Sweep:
         )
         return g
 
-    def _add(self, scratch, rows: slice, block) -> None:
-        """Add the weighted adjoint of ``block``, rows ``rows`` of the field.
+    def _add(self, scratch, rows: slice, acc, block) -> None:
+        """Add the weighted adjoint of ``block``, rows ``rows`` of the field,
+        into the accumulator ``acc``.
 
         Plane (dy, dx) at pixel (r, c) adds onto pixel (r - dy, c - dx).  So
         that this is one sum, not one add per plane, the matrix product
@@ -530,7 +540,7 @@ class Sweep:
             bordered[:, :, p - 1 + n : n + 2 * (p - 1)] = 0
         total = sums[: n + p - 1]
         np.add.reduce(_gathered(bordered, n), axis=(0, 1), out=total)
-        self._acc[rows.start : rows.stop + p - 1] += total
+        acc[rows.start : rows.stop + p - 1] += total
 
 
 def bspline_bank() -> FilterBank:

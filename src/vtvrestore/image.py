@@ -239,6 +239,14 @@ def solve_diagonal(numerator, inverse, spectrum, out=None, split=_whole) -> np.n
     for the sign of a zero.  ``numerator`` is a non-empty 2-D array (see
     :func:`as_stack`).  Returns a new array, or writes the result into the
     float64 array ``out`` of ``numerator``'s shape and returns ``out``.
+    ``out`` may share bytes with ``numerator``: the first pass reads all of
+    it before ``out`` is written.
+
+    After the first pass, the row transforms' DC column is checked: a DC
+    bin is a row's sum, built from additions only, so it is NaN or Inf
+    exactly when the row holds a NaN or Inf or its sum overflows.  Then the
+    solve raises :class:`~vtvrestore.errors.NonFiniteError` before ``out``
+    is written.  A finite numerator whose solve overflows is not caught.
 
     The solve is three passes: ``rfft`` over the rows; per range of columns,
     ``fft`` down them, the multiply and ``ifft`` back; ``irfft`` over the
@@ -265,7 +273,10 @@ def solve_diagonal(numerator, inverse, spectrum, out=None, split=_whole) -> np.n
         block *= inverse[:, c0:c1]
         np.fft.ifft(block, axis=0, out=block)
 
-    split(lambda r0, r1: np.fft.rfft(num[r0:r1], axis=-1, out=spectrum[r0:r1]), h)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
+        split(lambda r0, r1: np.fft.rfft(num[r0:r1], axis=-1, out=spectrum[r0:r1]), h)
+    if not np.isfinite(spectrum[:, 0]).all():
+        raise NonFiniteError("iterate contains NaN or Inf: a numerator row's sum is not finite")
     split(columns, w // 2 + 1)
     split(lambda r0, r1: np.fft.irfft(spectrum[r0:r1], n=w, axis=-1, out=out[r0:r1]), h)
     return out

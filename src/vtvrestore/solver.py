@@ -40,9 +40,18 @@ against, the u-update's KKT residual among them.
 
 :class:`SplitBregman` builds its whole state when it is constructed: one
 ``(m, 2, h, w)`` stack, the multipliers ``b``; a
-:class:`~vtvrestore.frames.Sweep`, which holds the block buffers and the
-wrap-padded accumulator whose ``(h, w)`` view is the ``numerator`` of the
-next u-update; and a pair of iterates.  One work buffer, the sweep's,
+:class:`~vtvrestore.frames.Sweep`, which holds the block buffers and a
+wrap-padded accumulator; and one more float64 image of the accumulator's
+shape, ``(h + 3, w + 3)`` for the B-spline bank.  The two padded images
+hold the numerator and the iterate between them: the ``numerator`` of the
+next u-update is the ``(h, w)`` interior of one, and from the first step
+on ``u`` is the contiguous ``(h, w)`` head of the other.  The FFT solve's
+first pass reads the whole numerator, so :meth:`~SplitBregman.step` writes
+``u_new`` into the head of the image that holds it; once
+``||u_new - u||`` is taken the old ``u`` is dead, and the sweep sums the
+next numerator into its image.  A numerator that holds a NaN or Inf is
+caught after that first pass, before anything is written (see
+:func:`~vtvrestore.image.solve_diagonal`).  One work buffer, the sweep's,
 holds two things in the same bytes, which are never live at the same
 time: the complex half spectrum, in which the FFT solve runs and which
 :meth:`~SplitBregman.advance` then reuses for ``u_new - u``, live from the
@@ -55,20 +64,23 @@ splits ``d`` are never stored:
 :meth:`~SplitBregman.advance` checks that ``||u_new - u||`` is finite,
 then makes one sweep over row blocks and, while a block of the stencil's
 output is still in cache, shrinks it, updates ``b`` and adds the block's
-``d - b`` to the next numerator, all in one loop.  It overwrites ``b`` and
-``numerator`` **in place**: a caller that keeps either across a step must
-copy it.  The u-update is one FFT solve; it returns a fresh array and
-never touches ``b`` or the numerator.  :meth:`~SplitBregman.advance` is
+``d - b`` to the next numerator, all in one loop.  It overwrites ``b`` **in
+place** and sums the next numerator over an image it reuses: a caller that
+keeps ``b``, ``numerator`` or ``u`` across a step must copy it.  The
+u-update is one FFT solve into a fresh array, or into ``out``; it never
+writes ``b`` or the numerator but through ``out``.
+:meth:`~SplitBregman.advance` is
 also the one place an iteration is recorded: it appends the relative change
 to ``SplitBregman.trace`` and, with ``record_trace``, the new iterate's
 energy to ``SplitBregman.energy_trace``, whose TV part the same sweep sums,
 so a traced iteration runs the stencil once.  :meth:`~SplitBregman.step` is
-one FFT solve into whichever iterate array is not ``u``, and one sweep, so
-an untraced step allocates no image; :func:`solve` is a loop over it.
+one FFT solve into the head of the numerator's image and one sweep into
+the other image, so an untraced step allocates no image; :func:`solve` is
+a loop over it.
 
 ``SolverConfig.workers`` runs each sweep on that many threads: the even
 row blocks, then the odd ones, each phase split over the workers, which
-write disjoint rows of ``b`` and of the accumulator (see
+write disjoint rows of ``b`` and of the image summed into (see
 :class:`~vtvrestore.frames.Sweep`).  The rest of a step's image-sized work
 runs on the same workers, through :meth:`~vtvrestore.frames.Sweep.split`:
 the FFT solve's three passes (``rfft`` over row ranges; ``fft``, the
@@ -88,8 +100,8 @@ a profiler does) is only ever called by the calling thread.
 block buffers, taps and gamma-weighted transposed taps are float32: the
 sweep reads and writes half the bytes and its matrix products run in single
 precision.  The adjoint's planes of a block are summed in float32 too, and
-the sum is added into the float64 accumulator.  The iterate ``u``, the
-numerator the accumulator holds, the denominator, the FFT solve and
+the sum is added into a float64 image.  The iterate ``u`` and the
+numerator, which the two images hold, the denominator, the FFT solve and
 ``rel_err`` stay float64, as do the references :func:`energy` and
 ``FrameGradient.apply``/``adjoint``.  A single solve whose observation,
 gamma-weighted taps or thresholds exceed :data:`SINGLE_BOUND` runs at
@@ -268,6 +280,9 @@ class SolverConfig:
 class SolveResult:
     """Final iterate plus per-iteration bookkeeping.
 
+    ``u`` is the solver's last iterate, a C-contiguous ``(h, w)`` view of
+    one of its padded images (see :class:`SplitBregman`).
+
     ``trace`` and ``energy_trace`` are the solve's :attr:`SplitBregman.trace`
     and :attr:`SplitBregman.energy_trace`: ``trace[j]`` is the relative
     change after u-update ``j+1``, one entry per iteration, and
@@ -371,23 +386,28 @@ class SplitBregman:
         #: solve multiplies by: inverted in place once it is nonsingular.
         self._denominator = np.reciprocal(nonsingular(denominator), out=denominator)
         #: The stencil's :class:`~vtvrestore.frames.Sweep` over this grid:
-        #: the block buffers and the accumulator the numerator is summed in.
-        #: Its scratch, live only inside a sweep, also holds the spectrum.
+        #: the block buffers and the first of the two images below.  Its
+        #: scratch, live only inside a sweep, also holds the spectrum.
         self._sweep = Sweep(stencil, (h, w), cfg.gamma, dtype, cfg.workers)
         #: Complex scratch of the denominator's shape, the head of the sweep's
         #: buffer: the FFT solve runs in it, and :meth:`advance` reuses it for
         #: ``u_new - u``.  It is live from the solve's ``rfft`` pass to that
         #: difference's norm, never during a sweep.
         self._spectrum = self._sweep.spectrum
-        #: The two arrays :meth:`step` writes iterates into.
-        self._iterates = (np.empty((h, w)), np.empty((h, w)))
+        #: Two padded float64 images of the accumulator's shape, the sweep's
+        #: own first.  One holds the numerator in its ``(h, w)`` interior;
+        #: from the first step on, the other holds ``u`` in its contiguous
+        #: ``(h, w)`` head (see :meth:`step`).
+        self._images = (self._sweep._acc, np.zeros_like(self._sweep._acc))
 
         self._atf = op.adjoint(self.f)
         self.u = self.f
         self.b = np.zeros((m, 2, h, w), dtype)
         #: ``A* f + sum_i gamma_i F_i* G* (d_i - b_i)``, the right-hand side of
-        #: the next u-update, as the sweep's :attr:`~vtvrestore.frames.Sweep.total`:
-        #: ``A* f`` while ``d = b = 0``.  Overwritten in place by :meth:`advance`.
+        #: the next u-update, the interior of one of the two images, first the
+        #: sweep's :attr:`~vtvrestore.frames.Sweep.total`: ``A* f`` while
+        #: ``d = b = 0``.  :meth:`advance` sums the next one into the image
+        #: that does not hold ``u_new``, and :meth:`step` spends it.
         self.numerator = self._sweep.total
         self.numerator += self._atf
         #: One entry per iterate :meth:`advance` installed since construction:
@@ -401,7 +421,10 @@ class SplitBregman:
         """Next u from the current numerator, per the configured variant.
 
         Returns a new array, or fills the float64 image ``out`` and returns
-        it; ``b`` and the numerator are left untouched.
+        it.  ``b`` is left untouched, and so is the numerator unless ``out``
+        shares its bytes, as :meth:`step`'s does: the solve reads all of it
+        before it writes ``out``.  A numerator that holds a NaN or Inf raises
+        :class:`~vtvrestore.errors.NonFiniteError` before ``out`` is written.
         """
         return solve_diagonal(
             self.numerator, self._denominator, self._spectrum, out, self._sweep.split
@@ -412,13 +435,17 @@ class SplitBregman:
     def advance(self, u_new) -> float:
         """Run the d and b updates for ``u_new``, install it, return rel. err.
 
-        One sweep over row blocks overwrites ``b`` and the numerator in
-        place.  Appends the relative change to :attr:`trace` and, when
-        ``cfg.record_trace`` is set, ``u_new``'s energy (the sweep's TV
+        One sweep over row blocks overwrites ``b`` in place and sums the
+        next numerator into whichever of the two images does not hold
+        ``u_new``, over the old ``u`` or numerator there; ``u_new`` is
+        never written.  Appends the relative change to :attr:`trace` and,
+        when ``cfg.record_trace`` is set, ``u_new``'s energy (the sweep's TV
         terms plus the fidelity) to :attr:`energy_trace`.  Raises
         :class:`~vtvrestore.errors.NonFiniteError`, changing and recording
         nothing, when ``||u_new - u||`` is not finite: ``u_new`` holds a NaN
         or Inf, or lies so far from ``u`` that the difference overflows.
+        An exception raised inside the sweep (a ``MemoryError`` on a
+        worker, say) leaves ``b``, the numerator and ``u`` partly written.
         """
         # u_new - u in a contiguous (h, w) view of the spent spectrum buffer,
         # which the sweep below then overwrites; a fresh difference image
@@ -453,24 +480,37 @@ class SplitBregman:
             add(v)
             return regularization
 
-        terms = self._sweep.run(update, u_new)
-        numerator, atf = self.numerator, self._atf
+        # the image that does not hold u_new: its numerator was spent, or its
+        # head held the old u, dead once the change's norm is taken
+        acc = self._images[np.may_share_memory(u_new, self._images[0])]
+        terms = self._sweep.run(update, u_new, acc)
+        numerator, atf = acc[self._sweep._interior], self._atf
         split(lambda r0, r1: np.add(numerator[r0:r1], atf[r0:r1], out=numerator[r0:r1]), len(u))
         if traced:
             self.energy_trace.append(sum(terms) + _fidelity(u_new, self.f, self.op))
         self.trace.append(rel)
-        self.u = u_new
+        self.u, self.numerator = u_new, numerator
         return rel
 
     def step(self) -> float:
         """One full iteration; returns the relative change of u.
 
-        The next iterate is written into whichever of the two iterate arrays
-        is not ``u``, never into ``f`` or an array a caller passed to
-        :meth:`advance`; a caller that keeps ``u`` across two steps must copy
-        it.
+        The next iterate is written into the contiguous ``(h, w)`` head of
+        the image that holds the numerator, which the FFT solve's first pass
+        has read whole, so it is never written into ``f`` or an array a
+        caller passed to :meth:`advance`.  The sweep then sums the next
+        numerator into the other image, over the old ``u``: a caller that
+        keeps ``u`` across a step must copy it.
+
+        A numerator that holds a NaN or Inf is caught by the FFT solve
+        before it writes (see :func:`~vtvrestore.image.solve_diagonal`), so
+        the :class:`~vtvrestore.errors.NonFiniteError` leaves the state as
+        it was.  A finite numerator whose solve overflows, past about
+        1e308, raises in :meth:`advance` instead: ``u``, ``b`` and the
+        traces are kept, but the numerator is spent.
         """
-        return self.advance(self.u_update(out=self._iterates[self.u is self._iterates[0]]))
+        image = self._images[np.may_share_memory(self.numerator, self._images[1])]
+        return self.advance(self.u_update(out=image.ravel()[: self.u.size].reshape(self.u.shape)))
 
     def close(self) -> None:
         """End the sweep's worker threads; a later step starts them again."""

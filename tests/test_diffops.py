@@ -220,13 +220,25 @@ class TestShrinkIso:
     def test_zero_vector_stays_zero(self):
         assert np.array_equal(shrink_iso(np.zeros((2, 3, 3)), 0.5), np.zeros((2, 3, 3)))
 
-    def test_float32_field_is_shrunk_in_float32(self):
+    # thresholds that are not real numbers
+    @pytest.mark.parametrize(
+        "bad",
+        [1j, "x", [[0.1], [0.5, 1.0], [1.0]], np.ones((3, 1, 1), np.complex64)],
+        ids=["complex", "string", "ragged", "complex-array"],
+    )
+    def test_float32_field_is_shrunk_in_float32(self, bad):
         rng = np.random.default_rng(13)
         v = rng.standard_normal((3, 2, 5, 4))
         t = np.array([0.1, 0.5, 1.0]).reshape(3, 1, 1)
         narrow = shrink_iso(v.astype(np.float32), t.astype(np.float32))
         assert narrow.dtype == np.float32
         assert np.max(np.abs(narrow - shrink_iso(v, t))) <= 1e-6
+        # a threshold of another type is cast to the field's dtype
+        assert np.array_equal(shrink_iso(v.astype(np.float32), t), narrow)
+        assert np.array_equal(shrink_iso(v, t.tolist()), shrink_iso(v, t))
+        for field in (v, v.astype(np.float32)):
+            with pytest.raises(NotRealError):
+                shrink_iso(field, bad)
 
     def test_below_threshold_clipped(self):
         p = np.full((2, 2, 2), 0.1)

@@ -347,6 +347,29 @@ class TestSolveDiagonal:
             assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes(), workers
 
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("row", [0, 36, 30], ids=["first-row", "last-row", "second-range"])
+    @pytest.mark.parametrize(
+        "entries",
+        [(np.nan,), (np.inf,), (-np.inf,), (1e308, 1e308)],
+        ids=["nan", "inf", "minus-inf", "overflowing-sum"],
+    )
+    def test_a_non_finite_row_raises_before_out_is_written(self, bank, entries, row, workers):
+        # a row's DC bin is its sum, so the check after the rfft pass sees a
+        # NaN or Inf anywhere in the row, or a sum that overflows; with two
+        # workers rows 18-36 are the second range
+        rng = np.random.default_rng(17)
+        num = rng.standard_normal((37, 500))
+        num[row, 123 : 123 + len(entries)] = entries
+        inverse = 1 / rng.uniform(0.5, 2.0, (37, 251))
+        out = np.full(num.shape, 7.5)
+        with Sweep(bank.frame_gradient, (37, 1024), workers=workers) as sweep:
+            assert sweep.workers == workers
+            with pytest.raises(NonFiniteError, match="iterate contains NaN or Inf"):
+                solve_diagonal(num, inverse, np.empty(inverse.shape, complex), out, sweep.split)
+        assert (out == 7.5).all()
+
+
 class TestHalfSymbol:
     @pytest.mark.parametrize(
         "shape", [(1, 1), (1, 9), (9, 1), (37, 500), (12, 10), (12, 11), (5, 3), (2, 2)]
