@@ -51,7 +51,7 @@ TASK_DEFAULTS = {
 #: config-file key and the flag ``--<key with dashes>``.  A ``None`` default
 #: is either unset or comes from :data:`TASK_DEFAULTS`.
 SETTINGS = {
-    "input": (list, None, "clean source image path(s) (.pgm/.png)"),
+    "input": (list, None, "clean source image path(s) (.pgm)"),
     "ref": (str, None, "PSNR reference (defaults to the input image)"),
     "out": (str, "out", "output directory (created if absent; default ./out)"),
     "variant": ((FULL13, REDUCED17), REDUCED17, "u-update variant (default reduced17)"),

@@ -1,8 +1,7 @@
 """Grayscale image and trace file I/O.
 
-Binary PGM (P5, maxval 255) is read and written natively and round-trips
-integer-valued images bit-exactly.  PNG input is optional and needs Pillow
-(install the ``png`` extra); images are only written as PGM.
+Images are binary PGM (P5, maxval 255), read and written natively; a
+round trip keeps integer-valued images bit-exactly.
 
 Export clamps intensities to [0, 255] and rounds half away from zero;
 the solver itself never clamps.  Every file is written whole or not at all
@@ -17,12 +16,16 @@ import os
 import numpy as np
 
 from .errors import VTVError
-from .image import as_image
+from .image import as_image, as_reals
 
 
 def quantize(image) -> np.ndarray:
-    """Clamp to [0, 255] and round half away from zero; returns uint8."""
-    x = np.clip(np.asarray(image, dtype=np.float64), 0.0, 255.0)
+    """Clamp to [0, 255] and round half away from zero; returns uint8.
+
+    ``image`` is real numbers of any shape (see
+    :func:`~vtvrestore.image.as_reals`).
+    """
+    x = np.clip(as_reals(image, "image"), 0.0, 255.0)
     return np.floor(x + 0.5).astype(np.uint8)
 
 
@@ -103,8 +106,15 @@ def _pgm_header_tokens(data: bytes, count: int):
     return tokens, i + 1
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM (P5) file into a float64 image."""
+def read_image(path) -> np.ndarray:
+    """Read a binary PGM (P5, maxval 255) file into a float64 image.
+
+    Any other extension than ``.pgm``, and any file that is not such a PGM,
+    raises :class:`~vtvrestore.errors.VTVError`.
+    """
+    ext = os.path.splitext(str(path))[1].lower()
+    if ext != ".pgm":
+        raise VTVError(f"unsupported image format {ext!r} (use .pgm)")
     with open(path, "rb") as fh:
         data = fh.read()
     tokens, offset = _pgm_header_tokens(data, 4)
@@ -128,30 +138,3 @@ def read_pgm(path) -> np.ndarray:
     if len(raster) != w * h:
         raise VTVError("truncated PGM raster")
     return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).astype(np.float64)
-
-
-def read_png(path) -> np.ndarray:
-    """Read a PNG file into a float64 grayscale image (requires Pillow)."""
-    pil = _require_pillow()
-    with pil.open(path) as img:
-        return np.asarray(img.convert("L"), dtype=np.float64)
-
-
-def _require_pillow():
-    try:
-        from PIL import Image as pil_image
-    except ImportError as exc:  # pragma: no cover
-        raise VTVError(
-            "PNG support needs Pillow; install the 'png' extra or use PGM"
-        ) from exc
-    return pil_image
-
-
-def read_image(path) -> np.ndarray:
-    """Read a grayscale image, dispatching on the file extension."""
-    ext = os.path.splitext(str(path))[1].lower()
-    if ext == ".pgm":
-        return read_pgm(path)
-    if ext == ".png":
-        return read_png(path)
-    raise VTVError(f"unsupported image format {ext!r} (use .pgm or .png)")

@@ -383,16 +383,14 @@ class Sweep:
         once every block of its phase has ended, the first in worker order,
         and the threads are ended.
         """
+        f = None if u is None else as_stack(u)
+        if f is not None and f.shape != self._shape:
+            raise DimensionMismatchError(f"expected a {self._shape} image, got {f.shape}")
         acc = self._acc if acc is None else acc
         self.split(lambda r0, r1: acc[r0:r1].fill(0.0), acc.shape[0])
         for zeros in self._spectrum_zeros:
             zeros.fill(0)
-        padded = None
-        if u is not None:
-            f = np.asarray(u, dtype=np.float64)
-            if f.shape != self._shape:
-                raise DimensionMismatchError(f"expected a {self._shape} image, got {f.shape}")
-            padded = self._pad_image(f)
+        padded = None if f is None else self._pad_image(f)
         results = [None] * len(self._rows)
 
         def work(blocks, scratch):

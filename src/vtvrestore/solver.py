@@ -122,7 +122,7 @@ from . import diffops
 # grad, grad_adjoint and analyze have no caller here: they stay as the names
 # perfbench/traced.py wraps, until the benchmark's spans are redone
 from .diffops import grad, grad_adjoint
-from .errors import ConfigError, NonFiniteError, NotRealError
+from .errors import ConfigError, DimensionMismatchError, NonFiniteError, NotRealError
 from .frames import FilterBank, Sweep, analyze
 from .image import (
     as_image,
@@ -440,13 +440,23 @@ class SplitBregman:
         ``u_new``, over the old ``u`` or numerator there; ``u_new`` is
         never written.  Appends the relative change to :attr:`trace` and,
         when ``cfg.record_trace`` is set, ``u_new``'s energy (the sweep's TV
-        terms plus the fidelity) to :attr:`energy_trace`.  Raises
-        :class:`~vtvrestore.errors.NonFiniteError`, changing and recording
-        nothing, when ``||u_new - u||`` is not finite: ``u_new`` holds a NaN
-        or Inf, or lies so far from ``u`` that the difference overflows.
-        An exception raised inside the sweep (a ``MemoryError`` on a
+        terms plus the fidelity) to :attr:`energy_trace`.
+
+        ``u_new`` is converted by :func:`~vtvrestore.image.as_stack` (a
+        float64 array is used as it is) and must have ``u``'s shape; other
+        values raise :class:`~vtvrestore.errors.NotRealError` or
+        :class:`~vtvrestore.errors.DimensionMismatchError`.  Raises
+        :class:`~vtvrestore.errors.NonFiniteError` when ``||u_new - u||`` is
+        not finite: ``u_new`` holds a NaN or Inf, or lies so far from ``u``
+        that the difference overflows.  These errors change and record
+        nothing.  An exception raised inside the sweep (a ``MemoryError`` on a
         worker, say) leaves ``b``, the numerator and ``u`` partly written.
         """
+        u_new = as_stack(u_new, "iterate")
+        if u_new.shape != self.u.shape:
+            raise DimensionMismatchError(
+                f"expected an iterate of shape {self.u.shape}, got {u_new.shape}"
+            )
         # u_new - u in a contiguous (h, w) view of the spent spectrum buffer,
         # which the sweep below then overwrites; a fresh difference image
         # would raise the solve's peak by one image

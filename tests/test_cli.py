@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vtvrestore import cli, frames, quantize, write_pgm
+from vtvrestore import cli, frames, write_pgm
 from vtvrestore.cli import SETTINGS, build_parser, main
 
 from conftest import make_phantom
@@ -324,15 +324,14 @@ class TestDeblur:
 
 
 class TestInputVariants:
-    def test_png_input_with_explicit_ref_and_iso_shrinkage(self, tmp_path):
-        pil_image = pytest.importorskip("PIL.Image")
+    def test_explicit_ref_and_iso_shrinkage(self, tmp_path):
         img = make_phantom(64)
-        png = tmp_path / "scene.png"
+        scene = tmp_path / "scene.pgm"
         ref = tmp_path / "scene_ref.pgm"
-        pil_image.fromarray(quantize(img)).save(png)
+        write_pgm(scene, img)
         write_pgm(ref, img)
         code, stdout = run_cli(
-            "denoise", "--input", str(png), "--ref", str(ref),
+            "denoise", "--input", str(scene), "--ref", str(ref),
             "--out", str(tmp_path / "o"), "--seed", "2", "--shrinkage", "iso",
         )
         assert code == 0
@@ -441,19 +440,26 @@ class TestConfigAndErrors:
         self.assert_one_line_error(capsys, code)
 
     @pytest.mark.parametrize(
-        "jobs, header",
+        "jobs, name, header",
         [
-            (jobs, header)
+            (jobs, "bad.pgm", header)
             for header in (b"P5\nabc 4\n255\n", b"P5\n" + b"1" * 5000 + b" 4\n255\n")
             for jobs in ("1", "2")
         ]
-        + [("1", b"P5\n0 0\n255\n"), ("1", b"P5\n4 4\n65535\n" + bytes(32))],
-        ids=["1", "2", "1-5000-digit-width", "2-5000-digit-width", "1-0x0", "1-maxval-65535"],
+        + [
+            ("1", "bad.pgm", b"P5\n0 0\n255\n"),
+            ("1", "bad.pgm", b"P5\n4 4\n65535\n" + bytes(32)),
+            ("1", "bad.png", b"\x89PNG\r\n\x1a\n"),
+        ],
+        ids=[
+            "1", "2", "1-5000-digit-width", "2-5000-digit-width", "1-0x0", "1-maxval-65535",
+            "1-png",
+        ],
     )
     def test_bad_image_in_a_batch_keeps_the_other_rows(
-        self, small_pgm, tmp_path, capsys, jobs, header
+        self, small_pgm, tmp_path, capsys, jobs, name, header
     ):
-        bad = tmp_path / "bad.pgm"
+        bad = tmp_path / name
         bad.write_bytes(header)
         out = tmp_path / "o"
         code, stdout = run_cli(
@@ -463,7 +469,8 @@ class TestConfigAndErrors:
         assert code == 1
         assert len(err) == 1 and err[0].startswith(f"vtv-restore: error: {bad}: ")
         assert [row["image"] for row in parse_metrics(stdout)] == ["small"]
-        assert (out / "small_restored.pgm").is_file()
+        artifacts = ("restored.pgm", "degraded.pgm", "run.json")
+        assert all((out / f"small_{kind}").is_file() for kind in artifacts)
         assert not (out / "bad_restored.pgm").exists()
 
     def test_image_that_runs_out_of_memory_keeps_the_other_rows(
@@ -501,7 +508,7 @@ class TestConfigAndErrors:
         strict=True,
         raises=AssertionError,
         reason="multiprocessing.Pool waits forever for the task of a worker "
-        "killed by a signal (ROADMAP item 2)",
+        "killed by a signal (ROADMAP item 3)",
     )
     def test_a_killed_image_worker_keeps_the_other_rows(self, tmp_path):
         images = [tmp_path / f"{name}.pgm" for name in "abcd"]

@@ -14,6 +14,7 @@ from vtvrestore import (
     ChannelMismatchError,
     DimensionMismatchError,
     FilterBank,
+    NotRealError,
     analyze,
     bspline_bank,
     conv_adjoint,
@@ -270,10 +271,19 @@ def test_normal_kernel_symbol_is_the_per_channel_product(bank_name, shape):
             lambda stencil: frames.Sweep(stencil, (4, 4)).run(lambda *_: None, np.zeros((4, 5))),
             DimensionMismatchError,
         ),
+        (
+            lambda stencil: frames.Sweep(stencil, (4, 4)).run(
+                lambda *_: None, np.ones((4, 4), complex)
+            ),
+            NotRealError,
+        ),
         (lambda stencil: stencil.adjoint(np.zeros((stencil.m, 3, 4, 4))), ChannelMismatchError),
         (lambda stencil: stencil.adjoint(np.zeros((stencil.m, 2, 0, 3))), DimensionMismatchError),
     ],
-    ids=["sweep-3-d-grid", "run-other-shape", "adjoint-three-components", "adjoint-empty-grid"],
+    ids=[
+        "sweep-3-d-grid", "run-other-shape", "run-complex",
+        "adjoint-three-components", "adjoint-empty-grid",
+    ],
 )
 def test_a_misshapen_argument_is_rejected(bank, call, error):
     with pytest.raises(error):

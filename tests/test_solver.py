@@ -29,6 +29,7 @@ from vtvrestore import (
     FilterBank,
     NoiseSpec,
     NonFiniteError,
+    NotRealError,
     SingularSymbolError,
     SolverConfig,
     SplitBregman,
@@ -386,11 +387,13 @@ def test_recycled_iterate_gives_the_same_iterates_as_fresh_ones(bank):
     f = rng.uniform(0, 255, (24, 20))
     stepped = SplitBregman(f, DegradationOp.identity(), bank, denoise_cfg(tol=1e-30))
     by_hand = SplitBregman(f, DegradationOp.identity(), bank, denoise_cfg(tol=1e-30))
-    for _ in range(6):
+    for k in range(6):
         rel = stepped.step()
         u_new = by_hand.u_update()
-        assert by_hand.advance(u_new) == rel
-        assert np.array_equal(stepped.u, u_new)
+        # a nested list of reals is installed as its float64 array
+        assert by_hand.advance(u_new.tolist() if k % 2 else u_new) == rel
+        assert np.array_equal(stepped.u, u_new) and by_hand.u.dtype == np.float64
+    assert by_hand.step() == stepped.step()
     passed = stepped.u_update()
     kept = passed.copy()
     stepped.advance(passed)
@@ -721,21 +724,36 @@ class TestSolve:
         with pytest.raises(NonFiniteError):
             solve(f, DegradationOp.identity(), bank, denoise_cfg())
 
-    @pytest.mark.parametrize("case", ["step-nan-numerator", "advance-nan", "advance-inf"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "step-nan-numerator", "advance-nan", "advance-inf",
+            "advance-complex", "advance-string", "advance-3x3",
+        ],
+    )
     def test_divergent_iterate_raises_and_keeps_the_state(self, bank, case):
         rng = np.random.default_rng(9)
         f = rng.uniform(0, 255, (12, 12))
         sb = SplitBregman(f, DegradationOp.identity(), bank, denoise_cfg())
         sb.step()
+        error, match = NonFiniteError, "iterate contains NaN or Inf"
         if case == "step-nan-numerator":
             sb.numerator[4, 5] = np.nan
             run = sb.step
         else:
             u_new = sb.u_update()
-            u_new[4, 5] = np.nan if case == "advance-nan" else np.inf
+            if case in ("advance-nan", "advance-inf"):
+                u_new[4, 5] = np.nan if case == "advance-nan" else np.inf
+            else:
+                # not a real iterate of u's shape at all
+                u_new, error, match = {
+                    "advance-complex": (u_new + 1j, NotRealError, "real numbers for iterate"),
+                    "advance-string": ("abc", NotRealError, "real numbers for iterate"),
+                    "advance-3x3": (np.ones((3, 3)), DimensionMismatchError, r"\(12, 12\)"),
+                }[case]
             run = functools.partial(sb.advance, u_new)
         b, numerator, u, trace = sb.b.copy(), sb.numerator.copy(), sb.u.copy(), list(sb.trace)
-        with pytest.raises(NonFiniteError, match="iterate contains NaN or Inf"):
+        with pytest.raises(error, match=match):
             run()
         assert np.array_equal(sb.b, b) and np.array_equal(sb.u, u)
         assert np.array_equal(sb.numerator, numerator, equal_nan=True)
