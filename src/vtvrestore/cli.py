@@ -24,7 +24,7 @@ from .errors import ConfigError, DimensionMismatchError, VTVError
 from .fileio import atomic_open, quantize, read_image, write_pgm, write_trace_csv
 from .frames import analyze, bspline_bank
 from .image import psnr
-from .solver import ANISO, FULL13, ISO, REDUCED17, SINGLE, DegradationOp, SolverConfig, solve
+from .solver import ANISO, FULL13, ISO, REDUCED17, DegradationOp, SolverConfig, solve
 
 #: Restoration defaults per (task, variant); flags and config files override.
 TASK_DEFAULTS = {
@@ -346,9 +346,6 @@ def _run_restoration(task: str, args: argparse.Namespace) -> int:
         u_update=settings["variant"],
         shrinkage=settings["shrinkage"],
         record_trace=settings["trace"],
-        # float32 splitting state: iteration counts and PSNRs as at double
-        # (README, "Precision"); a solve past the float32 bound runs at double
-        precision=SINGLE,
         workers=_sweep_workers(processes),
     )
     run = {"task": task, "settings": settings, "bank": bank, "op": op, "cfg": cfg}
@@ -356,6 +353,14 @@ def _run_restoration(task: str, args: argparse.Namespace) -> int:
         dict(run, input=path, noise=NoiseSpec(sigma=settings["sigma"], seed=settings["seed"] + i))
         for i, path in enumerate(settings["input"])
     ]
+    try:
+        # numpy loads its noise generator lazily; loading it before any output
+        # exists makes a failure (a memory limit can cause one) end the run
+        # in one line, where in the noise it would be a traceback
+        import numpy.random  # noqa: F401
+    except ImportError as exc:
+        print(f"vtv-restore: error: cannot load numpy.random: {exc}", file=sys.stderr)
+        return 1
     Path(settings["out"]).mkdir(parents=True, exist_ok=True)
 
     if processes > 1:

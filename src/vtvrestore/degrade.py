@@ -14,15 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .image import as_image
+from .image import as_image, is_integer
 from .solver import DegradationOp
 
 RNG_DESCRIPTION = "numpy-pcg64-standard-normal"
-
-
-def _is_integer(value) -> bool:
-    """``value`` is an integer, numpy's included, and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -39,7 +34,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not (isinstance(self.sigma, numbers.Real) and 0 <= self.sigma < math.inf):
             raise ConfigError(f"sigma must be a finite nonnegative number, got {self.sigma!r}")
-        if not (_is_integer(self.seed) and self.seed >= 0):
+        if not (is_integer(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
@@ -62,7 +57,7 @@ def motion_blur_kernel(length: int) -> np.ndarray:
     center tap.  Length 1 gives the identity kernel.  A length numpy cannot
     allocate is a ConfigError.
     """
-    if not (_is_integer(length) and length >= 1 and length % 2 == 1):
+    if not (is_integer(length) and length >= 1 and length % 2 == 1):
         raise ConfigError(f"blur length must be an odd integer >= 1, got {length!r}")
     try:
         return np.full((1, length), 1.0 / length)

@@ -9,6 +9,7 @@ one decision of what a real ``(..., h, w)`` stack is; those that take one
 image check it with :func:`as_image`, built on it.  Both rest on
 :func:`as_reals`, the one rule of what real numbers are, which also
 converts the solver's weights and the shrinkage's values and thresholds.
+:func:`is_integer` is the one rule of what an integer setting is.
 
 A kernel is a small 2-D array with odd side lengths whose center tap sits at
 the middle index: a ``(2*ry+1, 2*rx+1)`` array stores tap ``K(p, q)`` at
@@ -23,6 +24,7 @@ inverting reproduces the circular convolution.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -49,6 +51,11 @@ def as_reals(x, name="value") -> np.ndarray:
     if a.dtype.kind not in "biuf":
         raise NotRealError(f"expected real numbers for {name}, got {a.dtype} of shape {a.shape}")
     return a.astype(np.float64, copy=False)
+
+
+def is_integer(value) -> bool:
+    """``value`` is an integer, numpy's included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def as_stack(x, name="image") -> np.ndarray:

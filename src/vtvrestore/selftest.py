@@ -12,7 +12,7 @@ import numpy as np
 from .diffops import grad, grad_adjoint, shrink
 from .frames import FilterBank, analyze, bspline_bank, identity_bank, synthesize_adjoint, verify_uep
 from .image import conv_adjoint, conv_circular
-from .solver import FULL13, DegradationOp, SolverConfig, SplitBregman
+from .solver import DOUBLE, FULL13, DegradationOp, SolverConfig, SplitBregman
 
 
 def _check_uep(bank: FilterBank):
@@ -93,7 +93,7 @@ def _check_rof_reduction(rng):
     f = np.clip(100.0 + 40.0 * rng.standard_normal((16, 16)), 0, 255)
     lam, gamma, n_iter = 15.0, 5.0, 12
     oracle = rof_iterates(f, lam, gamma, n_iter)
-    cfg = SolverConfig(lam=(lam,), gamma=(gamma,), u_update=FULL13, tol=1e-30)
+    cfg = SolverConfig(lam=(lam,), gamma=(gamma,), u_update=FULL13, tol=1e-30, precision=DOUBLE)
     sb = SplitBregman(f, DegradationOp.identity(), identity_bank(), cfg)
     worst = 0.0
     for expected in oracle:

@@ -95,18 +95,20 @@ block's body reaches :mod:`~vtvrestore.diffops` through its module, never
 through a name of this one, so a wrapper put on a name of this module (as
 a profiler does) is only ever called by the calling thread.
 
-``SolverConfig.precision`` sets the dtype of the splitting state.  At
-``"single"``, ``b``, the thresholds and the sweep's padded copy of ``u``,
-block buffers, taps and gamma-weighted transposed taps are float32: the
-sweep reads and writes half the bytes and its matrix products run in single
-precision.  The adjoint's planes of a block are summed in float32 too, and
-the sum is added into a float64 image.  The iterate ``u`` and the
-numerator, which the two images hold, the denominator, the FFT solve and
-``rel_err`` stay float64, as do the references :func:`energy` and
-``FrameGradient.apply``/``adjoint``.  A single solve whose observation,
+``SolverConfig.precision`` sets the dtype of the splitting state, single by
+default.  At ``"single"``, ``b``, the thresholds and the sweep's padded
+copy of ``u``, block buffers, taps and gamma-weighted transposed taps are
+float32: the sweep reads and writes half the bytes and its matrix products
+run in single precision.  The adjoint's planes of a block are summed in
+float32 too, and the sum is added into a float64 image.  The iterate ``u``
+and the numerator, which the two images hold, the denominator, the FFT
+solve and ``rel_err`` stay float64, as do the references :func:`energy`
+and ``FrameGradient.apply``/``adjoint``.  A single solve whose observation,
 gamma-weighted taps or thresholds exceed :data:`SINGLE_BOUND` runs at
 double; :attr:`SplitBregman.precision` and :attr:`SolveResult.precision`
-say which ran.
+say which ran.  Otherwise ``"double"`` runs only where a caller asks for
+it: one that matches iterates against a float64 oracle, as the selftest's
+ROF check does.
 """
 
 from __future__ import annotations
@@ -132,6 +134,7 @@ from .image import (
     conv_adjoint,
     conv_circular,
     half_symbol,
+    is_integer,
     nonsingular,
     solve_diagonal,
 )
@@ -219,7 +222,9 @@ class SolverConfig:
     ``lam`` weights the per-channel TV terms; ``gamma`` are the splitting
     penalties (also the u-update damping).  Lengths must equal the bank's
     channel count.  ``precision`` is the dtype of the splitting state:
-    ``"double"`` (float64) or ``"single"`` (float32; see the module notes).
+    ``"single"`` (float32, the default; see the module notes) or
+    ``"double"`` (float64), for a caller that matches iterates against a
+    float64 oracle.
     ``workers`` is the number of threads each sweep over the row blocks and
     each FFT solve run on (see :class:`~vtvrestore.frames.Sweep`); no result
     depends on it.
@@ -232,7 +237,7 @@ class SolverConfig:
     u_update: str = REDUCED17
     shrinkage: str = ANISO
     record_trace: bool = False
-    precision: str = DOUBLE
+    precision: str = SINGLE
     workers: int = 1
 
     def __post_init__(self):
@@ -255,8 +260,10 @@ class SolverConfig:
             raise ConfigError(f"unknown precision {self.precision!r}")
         for name in ("max_iter", "workers"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, int) and value >= 1):
+            if not (is_integer(value) and value >= 1):
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+            # a Python int: json cannot write numpy's into a run record
+            setattr(self, name, int(value))
 
     @classmethod
     def head_rest(
@@ -298,7 +305,7 @@ class SolveResult:
     trace: list = field(default_factory=list)
     energy_trace: list = field(default_factory=list)
     converged: bool = False
-    precision: str = DOUBLE
+    precision: str = SINGLE
     threads: int = 1
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from vtvrestore import (
+    DOUBLE,
     FULL13,
     REDUCED17,
     DegradationOp,
@@ -180,7 +181,7 @@ def test_criterion_6_rof_reduction():
     f = np.clip(100.0 + 40.0 * rng.standard_normal((32, 32)), 0, 255)
     lam, gamma = 15.0, 5.0
     oracle = rof_iterates(f, lam, gamma, 30)
-    cfg = SolverConfig(lam=(lam,), gamma=(gamma,), u_update=FULL13, tol=1e-30)
+    cfg = SolverConfig(lam=(lam,), gamma=(gamma,), u_update=FULL13, tol=1e-30, precision=DOUBLE)
     sb = SplitBregman(f, DegradationOp.identity(), identity_bank(), cfg)
     worst = 0.0
     for expected in oracle:
@@ -192,7 +193,9 @@ def test_criterion_6_rof_reduction():
     base[3:, 2:6] = 160.0
     f8 = gaussian_noise(base, NoiseSpec(20.0, 12))
     lam8 = 12.0
-    cfg8 = SolverConfig(lam=(lam8,), gamma=(6.0,), u_update=FULL13, tol=1e-12, max_iter=6000)
+    cfg8 = SolverConfig(
+        lam=(lam8,), gamma=(6.0,), u_update=FULL13, tol=1e-12, max_iter=6000, precision=DOUBLE
+    )
     res = solve(f8, DegradationOp.identity(), identity_bank(), cfg8)
     u_oracle = smoothed_tv_minimizer(f8, lam8)
 
@@ -304,7 +307,7 @@ def test_criterion_11_determinism(bank, phantom256, noisy, denoise_result):
 
 #: The paper's claim, checked on an input neither model was tuned on: each
 #: model runs at the fixed ``lambda`` it scored best at on the 192x192 (seed
-#: 3) and 160x160 (seed 5) phantoms (ROADMAP item 3), near its minimiser,
+#: 3) and 160x160 (seed 5) phantoms (ROADMAP item 6), near its minimiser,
 #: where ``gamma`` (10 for TV, the CLI's ``full13`` denoise defaults for VTV)
 #: only sets how fast it gets there.
 CLAIM_SIZE = 128

@@ -122,12 +122,6 @@ def test_setup_probe_runs_on_a_small_image(task, tmp_path):
     assert report["cold_step_ms"] > 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the set-up probe builds its solver at the library default, double, "
-    "while the CLI solves at single",
-)
 def test_setup_probe_builds_the_solver_the_cli_runs(monkeypatch, tmp_path, capsys):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import setup_child

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vtvrestore import cli, frames, write_pgm
+from vtvrestore import SolveResult, SolverConfig, cli, frames, write_pgm
 from vtvrestore.cli import SETTINGS, build_parser, main
 
 from conftest import make_phantom
@@ -500,6 +500,26 @@ class TestConfigAndErrors:
         assert (out / "small_restored.pgm").is_file() and (out / "small_degraded.pgm").is_file()
         assert not (out / "other_restored.pgm").exists()
 
+    def test_a_failed_noise_generator_import_is_one_error_line_before_any_output(
+        self, small_pgm, tmp_path, capsys, monkeypatch
+    ):
+        # as in a fresh interpreter under a small RLIMIT_AS: numpy.random is
+        # not loaded yet, and loading it fails
+        class Refuse:
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy.random":
+                    raise ImportError("failed to map segment from shared object")
+
+        np.random  # loaded, so that the patches below take it away and put it back
+        monkeypatch.delitem(sys.modules, "numpy.random")
+        monkeypatch.delattr(np, "random")
+        monkeypatch.setattr(sys, "meta_path", [Refuse(), *sys.meta_path])
+        out = tmp_path / "o"
+        code, stdout = run_cli("denoise", "--input", small_pgm, "--out", str(out))
+        assert "failed to map segment" in self.assert_one_line_error(capsys, code)
+        assert stdout == ""
+        assert not out.exists()
+
     @pytest.mark.skipif(
         multiprocessing.get_all_start_methods()[0] != "fork",
         reason="the patched worker reaches the pool only by fork",
@@ -740,6 +760,26 @@ def test_sweep_threads_share_the_cpus_only_over_a_one_thread_blas(
         monkeypatch.setenv(key, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     assert cli._sweep_workers(processes) == workers
+
+
+@pytest.mark.parametrize(("task", "variant"), list(cli.TASK_DEFAULTS))
+def test_the_cli_solves_with_the_library_defaults(small_pgm, tmp_path, monkeypatch, task, variant):
+    # only the table's weights and tol are the CLI's own; workers is the one
+    # field it derives from the machine, and every other field is the library's
+    solved = []
+
+    def record(f, op, bank, cfg):
+        solved.append(cfg)
+        return SolveResult(u=f, iterations=1, converged=True)
+
+    monkeypatch.setattr(cli, "solve", record)
+    code, _ = run_cli(task, "--input", small_pgm, "--out", str(tmp_path), "--variant", variant)
+    (cfg,) = solved
+    d = cli.TASK_DEFAULTS[(task, variant)]
+    assert code == 0 and cfg == SolverConfig.head_rest(
+        9, d["lambda1"], d["lambda_rest"], d["gamma1"], d["gamma_rest"],
+        tol=d["tol"], u_update=variant, workers=cfg.workers,
+    )
 
 
 class TestCrossVariantParityLimits:

@@ -63,3 +63,19 @@ def test_every_kind_of_difference_is_reported(compare, tmp_path):
     # a trace value within the relative tolerance is no difference
     loose = compare.diff_outputs(a["out"], b["out"], rtol=1e-9)
     assert not any(p.startswith("x_trace.csv") for p in loose)
+
+
+def test_a_differing_selftest_line_is_reported(compare):
+    passed = "PASS uep-identity (max deviation 6.661e-16)\n"
+    rof = "PASS rof-reduction (worst per-iterate deviation 5.684e-14)\n"
+    a = {"code": 0, "stdout": passed + rof}
+    assert compare.diff_selftests(a, dict(a)) == []
+    failed = rof.replace("PASS", "FAIL").replace("5.684e-14", "2.318e-05")
+    problems = compare.diff_selftests(a, {"code": 3, "stdout": passed + failed})
+    assert problems == [
+        "exit code 0 against 3",
+        f"stdout rows differ: {[passed, rof]} against {[passed, failed]}",
+    ]
+    # byte for byte: one changed digit is a difference
+    digit = {"code": 0, "stdout": passed + rof.replace("5.684", "5.685")}
+    assert compare.diff_selftests(a, digit) != []

@@ -109,13 +109,24 @@ class TestSolverConfig:
         with pytest.raises(ConfigError):
             SolverConfig(lam=(1.0,), gamma=(1.0,), shrinkage="huber")
 
-    @pytest.mark.parametrize("workers", [0, -1, 2.0, "2", True])
+    @pytest.mark.parametrize("workers", [0, -1, 2.0, "2", True, np.int32(0), np.int32(2)])
     def test_workers_must_be_a_positive_integer(self, workers):
+        if isinstance(workers, np.integer) and workers >= 1:  # accepted, as a Python int
+            cfg = SolverConfig.head_rest(9, 2.0, 1.5, 12.0, 4.5, workers=workers)
+            assert type(cfg.workers) is int and cfg.workers == 2
+            return
         with pytest.raises(ConfigError, match="workers"):
             SolverConfig(lam=(1.0,), gamma=(1.0,), workers=workers)
 
-    @pytest.mark.parametrize("max_iter", [-1, 2.5, 2.0, "2", True])
+    @pytest.mark.parametrize(
+        "max_iter", [-1, 2.5, 2.0, "2", True, np.bool_(True), np.int64(0), np.int64(5)]
+    )
     def test_max_iter_must_be_a_positive_integer(self, max_iter):
+        if isinstance(max_iter, np.integer) and max_iter >= 1:
+            # accepted, and stored as an int a run record can write
+            cfg = SolverConfig.head_rest(9, 2.0, 1.5, 12.0, 4.5, max_iter=max_iter)
+            assert json.dumps(cfg.max_iter) == "5"
+            return
         with pytest.raises(ConfigError, match="max_iter"):
             SolverConfig(lam=(1.0,), gamma=(1.0,), max_iter=max_iter)
 
@@ -231,7 +242,7 @@ def test_step_and_energy_allocate_no_feature_stack(bank, shrinkage):
     # evaluation each stay below the size of one more
     rng = np.random.default_rng(4)
     f = rng.uniform(0, 255, (256, 256))
-    cfg = denoise_cfg(shrinkage=shrinkage)
+    cfg = denoise_cfg(shrinkage=shrinkage, precision=DOUBLE)
     sb = SplitBregman(f, DegradationOp.identity(), bank, cfg)
     sb.step()
     stack_bytes = sb.b.nbytes
@@ -800,7 +811,9 @@ class TestSolve:
         f = np.clip(100 + 40 * rng.standard_normal((16, 16)), 0, 255)
         lam, gamma = 15.0, 5.0
         oracle = rof_iterates(f, lam, gamma, 15)
-        cfg = SolverConfig(lam=(lam,), gamma=(gamma,), u_update=FULL13, tol=1e-30)
+        cfg = SolverConfig(
+            lam=(lam,), gamma=(gamma,), u_update=FULL13, tol=1e-30, precision=DOUBLE
+        )
         sb = SplitBregman(f, DegradationOp.identity(), identity_bank(), cfg)
         for expected in oracle:
             got = sb.u_update()
@@ -852,7 +865,7 @@ def test_full13_denoise_defaults_land_at_the_gamma_free_minimiser(bank):
     def run(gamma1, gamma_rest, tol):
         cfg = SolverConfig.head_rest(
             9, defaults["lambda1"], defaults["lambda_rest"], gamma1, gamma_rest,
-            u_update=FULL13, tol=tol, max_iter=2000,
+            u_update=FULL13, tol=tol, max_iter=2000, precision=DOUBLE,
         )
         res = solve(f, op, bank, cfg)
         assert res.converged
@@ -961,7 +974,7 @@ class TestFusedTrajectory:
         rng = np.random.default_rng(16)
         f = rng.uniform(0, 255, (20, 17)) + 25.5 * rng.standard_normal((20, 17))
         op = DegradationOp.blur(motion_blur_kernel(3))
-        cfg = denoise_cfg(u_update=variant, shrinkage=shrinkage, tol=1e-30)
+        cfg = denoise_cfg(u_update=variant, shrinkage=shrinkage, tol=1e-30, precision=DOUBLE)
         sb = SplitBregman(f, op, bank, cfg)
         for expected, expected_rel in reference_split_bregman(f, op, bank, cfg, 15):
             num_before, b_before = sb.numerator.copy(), sb.b.copy()
@@ -982,7 +995,9 @@ class TestFusedTrajectory:
         rng = np.random.default_rng(17)
         f = rng.uniform(0, 255, (24, 24)) + 25.5 * rng.standard_normal((24, 24))
         op = DegradationOp.identity()
-        cfg = denoise_cfg(u_update=variant, shrinkage=shrinkage, tol=1e-3, max_iter=150)
+        cfg = denoise_cfg(
+            u_update=variant, shrinkage=shrinkage, tol=1e-3, max_iter=150, precision=DOUBLE
+        )
         steps = reference_split_bregman(f, op, bank, cfg, cfg.max_iter)
         res = solve(f, op, bank, cfg)
         assert res.iterations == len(steps) < cfg.max_iter
@@ -1071,9 +1086,8 @@ class TestSinglePrecision:
     @pytest.mark.parametrize("variant", [FULL13, REDUCED17])
     def test_cli_defaults_take_the_same_iterations_as_double(self, bank, variant, shrinkage, blur):
         f, op, cfg = cli_default_problem(variant, blur, shrinkage=shrinkage, record_trace=True)
-        double = solve(f, op, bank, cfg)
-        cfg.precision = SINGLE
         single = solve(f, op, bank, cfg)
+        double = solve(f, op, bank, dataclasses.replace(cfg, precision=DOUBLE))
         assert (double.precision, single.precision) == (DOUBLE, SINGLE)
         assert single.converged and single.iterations == double.iterations
         assert single.u.dtype == np.float64
@@ -1083,8 +1097,8 @@ class TestSinglePrecision:
 
     def test_state_is_float32_with_half_the_bytes(self, bank):
         f, op, cfg = cli_default_problem(REDUCED17, 9)
-        double = SplitBregman(f, op, bank, cfg)
-        single = SplitBregman(f, op, bank, dataclasses.replace(cfg, precision=SINGLE))
+        single = SplitBregman(f, op, bank, cfg)
+        double = SplitBregman(f, op, bank, dataclasses.replace(cfg, precision=DOUBLE))
         assert single.precision == SINGLE and double.precision == DOUBLE
         assert single.b.dtype == np.float32 and double.b.dtype == np.float64
         assert 2 * single.b.nbytes == double.b.nbytes

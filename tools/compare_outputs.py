@@ -16,6 +16,9 @@ first on ``PARENT``, then on ``CHANGE``, and the two runs are compared:
 * every ``*_run.json`` without its timings and paths;
 * the stdout rows without their ``seconds`` column, and the exit codes.
 
+Then it runs ``vtv-restore selftest`` once on each checkout, the same way,
+and compares its stdout byte for byte and its exit code.
+
 It prints one line per difference and a summary per call, and exits 0 when
 nothing differs, 1 when something does and 2 when a checkout is not one.
 The runs are written under a temporary directory, removed at the end, or
@@ -130,26 +133,43 @@ def _rows(stdout: str) -> list:
     return lines
 
 
-def diff_runs(a: dict, b: dict, rtol: float = 0.0) -> list:
-    """The differences between two runs of one call: ``{"code", "stdout",
-    "out"}`` each, ``out`` the output directory."""
+def _diff_exits(a: dict, b: dict, rows) -> list:
+    """How two runs' exit codes and ``rows(stdout)`` differ."""
     problems = []
     if a["code"] != b["code"]:
         problems.append(f"exit code {a['code']} against {b['code']}")
-    if _rows(a["stdout"]) != _rows(b["stdout"]):
-        problems.append(f"stdout rows differ: {_rows(a['stdout'])} against {_rows(b['stdout'])}")
-    return problems + diff_outputs(a["out"], b["out"], rtol)
+    if rows(a["stdout"]) != rows(b["stdout"]):
+        problems.append(f"stdout rows differ: {rows(a['stdout'])} against {rows(b['stdout'])}")
+    return problems
+
+
+def diff_runs(a: dict, b: dict, rtol: float = 0.0) -> list:
+    """The differences between two runs of one call: ``{"code", "stdout",
+    "out"}`` each, ``out`` the output directory."""
+    return _diff_exits(a, b, _rows) + diff_outputs(a["out"], b["out"], rtol)
+
+
+def diff_selftests(a: dict, b: dict) -> list:
+    """The differences between two ``selftest`` runs, ``{"code", "stdout"}``
+    each: the stdout byte for byte."""
+    return _diff_exits(a, b, lambda stdout: stdout.splitlines(keepends=True))
+
+
+def _run_cli(checkout: Path, args: list, cwd: Path) -> dict:
+    """``vtv-restore ARGS`` on ``checkout``'s program, in a fresh interpreter
+    with one BLAS thread."""
+    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(checkout / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_ENTRY, *args],
+        env=env, cwd=cwd, capture_output=True, text=True, timeout=CALL_TIMEOUT_S,
+    )
+    return {"code": proc.returncode, "stdout": proc.stdout}
 
 
 def run_call(checkout: Path, call: Workload, inputs: list, out: Path, seed: int) -> dict:
     """Run ``call`` on ``checkout``'s program, writing under ``out``."""
     out.mkdir(parents=True)
-    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(checkout / "src")}
-    proc = subprocess.run(
-        [sys.executable, "-c", CLI_ENTRY, *call.cli_args(inputs, out, seed, call.jobs)],
-        env=env, cwd=out, capture_output=True, text=True, timeout=CALL_TIMEOUT_S,
-    )
-    return {"code": proc.returncode, "stdout": proc.stdout, "out": out}
+    return {**_run_cli(checkout, call.cli_args(inputs, out, seed, call.jobs), out), "out": out}
 
 
 def main(argv=None) -> int:
@@ -180,6 +200,12 @@ def main(argv=None) -> int:
             print(f"{call.name}: {len(problems)} differences in {files} files, "
                   f"exit code {runs[0]['code']}")
             differences += len(problems)
+        selftests = [_run_cli(checkout, ["selftest"], work) for checkout in checkouts]
+        problems = diff_selftests(*selftests)
+        for problem in problems:
+            print(f"selftest: {problem}")
+        print(f"selftest: {len(problems)} differences, exit code {selftests[0]['code']}")
+        differences += len(problems)
     finally:
         if args.keep is None:
             shutil.rmtree(work, ignore_errors=True)
