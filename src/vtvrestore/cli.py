@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -216,7 +217,8 @@ def _process_one(job: dict) -> dict:
     """Degrade, restore and write all artifacts for one input image.
 
     ``job`` holds the run's objects (``task``, ``settings``, ``bank``,
-    ``op``, ``cfg``) and the image's ``input`` path and ``noise``.
+    ``op``, ``cfg``, ``processes``) and the image's ``input`` path and
+    ``noise``.  The image solves on :func:`_sweep_workers` threads.
     """
     task, settings, bank, cfg = job["task"], job["settings"], job["bank"], job["cfg"]
     op, noise = job["op"], job["noise"]
@@ -236,6 +238,7 @@ def _process_one(job: dict) -> dict:
     ref = ref.astype(np.uint8)
     del clean
 
+    cfg = replace(cfg, workers=_sweep_workers(job["processes"], degraded.size))
     start, cpu_start = time.perf_counter(), time.process_time()
     result = solve(degraded, op, bank, cfg)
     seconds = time.perf_counter() - start
@@ -314,14 +317,23 @@ def _blas_threads() -> int | None:
     return None
 
 
-def _sweep_workers(processes: int) -> int:
-    """Sweep threads per solve when ``processes`` solves run at once.
+#: An image with fewer pixels solves on one sweep worker.  At 256² (65,536
+#: pixels) the thread pool's start-up and a hand-off of about 50-80 us per
+#: split pass cost more than a second worker saves; from 384² (147,456) up,
+#: two workers ran faster where a second CPU was free.
+SWEEP_GRAIN = 1 << 17
+
+
+def _sweep_workers(processes: int, pixels: int) -> int:
+    """Sweep threads for an image of ``pixels`` when ``processes`` solves
+    run at once.
 
     The CPUs this process may use, shared among the processes, where BLAS is
-    pinned to one thread (:func:`_blas_threads` is 1); else 1, since sweep
-    threads over a multi-threaded BLAS ran slower than one.
+    pinned to one thread (:func:`_blas_threads` is 1) and the image has at
+    least :data:`SWEEP_GRAIN` pixels; else 1, since sweep threads over a
+    multi-threaded BLAS, or on a small image, ran slower than one.
     """
-    if _blas_threads() != 1:
+    if _blas_threads() != 1 or pixels < SWEEP_GRAIN:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, (cpus or 1) // processes)
@@ -346,9 +358,9 @@ def _run_restoration(task: str, args: argparse.Namespace) -> int:
         u_update=settings["variant"],
         shrinkage=settings["shrinkage"],
         record_trace=settings["trace"],
-        workers=_sweep_workers(processes),
     )
-    run = {"task": task, "settings": settings, "bank": bank, "op": op, "cfg": cfg}
+    run = {"task": task, "settings": settings, "bank": bank, "op": op, "cfg": cfg,
+           "processes": processes}
     jobs = [
         dict(run, input=path, noise=NoiseSpec(sigma=settings["sigma"], seed=settings["seed"] + i))
         for i, path in enumerate(settings["input"])

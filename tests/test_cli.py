@@ -139,8 +139,8 @@ class TestDenoise:
         assert meta["metrics"]["converged"] is True
         assert meta["metrics"]["iterations"] == row["iters"]
         assert meta["precision"] == "single"
-        # the 256x256 grid has 8 row blocks, 4 a phase
-        assert meta["metrics"]["threads"] == min(cli._sweep_workers(1), 4)
+        # 256x256 is below the grain: one sweep worker on any machine
+        assert meta["metrics"]["threads"] == 1
 
     def test_run_json_records_the_solve_cpu_time(self, denoise_run):
         _, _, out = denoise_run
@@ -188,6 +188,7 @@ class TestDenoise:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(frames, "BLOCK_PIXELS", 4 * 64)  # 16 blocks of 4 rows
+        monkeypatch.setattr(cli, "SWEEP_GRAIN", 64 * 64)  # the 64x64 image is not below it
         code, stdout = run_cli(
             "denoise", "--input", small_pgm, "--out", str(tmp_path), "--sigma", "1e300",
             "--max-iter", "2", "--trace",
@@ -520,6 +521,31 @@ class TestConfigAndErrors:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_file_size_limit_ends_in_one_line_per_image(self, tmp_path, jobs):
+        resource = pytest.importorskip("resource")
+        # the 256x256 image's files fit under the limit, the 512x512 PGM does not
+        small, big = tmp_path / "small.pgm", tmp_path / "big.pgm"
+        write_pgm(small, make_phantom(256))
+        write_pgm(big, make_phantom(512))
+        out = tmp_path / "o"
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
+                   PYTHONDONTWRITEBYTECODE="1")
+        child = subprocess.run(
+            [sys.executable, "-c", "import sys; from vtvrestore.cli import main; sys.exit(main())",
+             "denoise", "--input", str(small), str(big), "--out", str(out),
+             "--max-iter", "2", "--jobs", jobs],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000)),
+        )
+        assert child.returncode == 1
+        assert child.stderr.splitlines() == [f"vtv-restore: error: {big}: [Errno 27] File too large"]
+        assert [row["image"] for row in parse_metrics(child.stdout)] == ["small"]
+        # no temporary or partial file of either image is left
+        assert sorted(p.name for p in out.iterdir()) == [
+            "small_degraded.pgm", "small_restored.pgm", "small_run.json",
+        ]
+
     @pytest.mark.skipif(
         multiprocessing.get_all_start_methods()[0] != "fork",
         reason="the patched worker reaches the pool only by fork",
@@ -705,13 +731,14 @@ class TestConfigAndErrors:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("task", ["denoise", "deblur"])
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(config=st.fixed_dictionaries({}, optional={
         key: _json_values | _setting_values(kind) for key, (kind, _, _) in SETTINGS.items()
     }))
     @example(config={"sigma": 10**400})  # past the float range
     @example(config={"sigma": 1e300})  # noise whose squared error overflows
-    def test_fuzzed_config_gives_a_result_or_error_lines(self, fuzz_dirs, config):
+    def test_fuzzed_config_gives_a_result_or_error_lines(self, fuzz_dirs, task, config):
         # the path flags win over the config, so no fuzzed path is read or written
         image, out = fuzz_dirs
         cfg_path = out / "cfg.json"
@@ -719,7 +746,7 @@ class TestConfigAndErrors:
         err = io.StringIO()
         with redirect_stderr(err):
             code, _ = run_cli(
-                "denoise", "--input", image, "--ref", image, "--out", str(out),
+                task, "--input", image, "--ref", image, "--out", str(out),
                 "--max-iter", "2", "--config", str(cfg_path),
             )
         assert code in (0, 1, 2)
@@ -759,7 +786,11 @@ def test_sweep_threads_share_the_cpus_only_over_a_one_thread_blas(
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    assert cli._sweep_workers(processes) == workers
+    assert cli._sweep_workers(processes, cli.SWEEP_GRAIN) == workers
+    assert cli._sweep_workers(processes, 1024 * 1024) == workers
+    # an image below the grain, 256x256 among them, solves on one thread
+    assert cli._sweep_workers(processes, cli.SWEEP_GRAIN - 1) == 1
+    assert cli._sweep_workers(processes, 256 * 256) == 1
 
 
 @pytest.mark.parametrize(("task", "variant"), list(cli.TASK_DEFAULTS))

@@ -63,6 +63,24 @@ assert solve(f, DegradationOp.identity(), bspline_bank(), cfg).threads == {worke
 """
 
 
+#: A CLI denoise of a ``{size}``-pixel square image over a one-thread BLAS on
+#: two CPUs, as the CLI reads them, that solves on ``{threads}`` threads.
+_CLI_DENOISE = """
+import contextlib, io, json, os, tempfile
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.sched_getaffinity = lambda pid: {{0, 1}}
+import numpy as np
+from vtvrestore import write_pgm
+from vtvrestore.cli import main
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    image = os.path.join(out, "im.pgm")
+    write_pgm(image, np.add.outer(np.arange({size}), np.arange({size})) % 256)
+    assert main(["denoise", "--input", image, "--out", out, "--max-iter", "2"]) == 2
+    with open(os.path.join(out, "im_run.json")) as fh:
+        assert json.load(fh)["metrics"]["threads"] == {threads}
+"""
+
+
 @pytest.mark.parametrize(
     ("code", "loaded"),
     [
@@ -70,8 +88,13 @@ assert solve(f, DegradationOp.identity(), bspline_bank(), cfg).threads == {worke
         # a one-worker sweep starts no thread pool
         (_SOLVE.format(workers=1), set()),
         (_SOLVE.format(workers=2), {"concurrent.futures", "logging"}),
+        # an image below the CLI's grain solves on one worker
+        (_CLI_DENOISE.format(size=256, threads=1), {"numpy.random"}),
+        (_CLI_DENOISE.format(size=512, threads=2),
+         {"numpy.random", "concurrent.futures", "logging"}),
     ],
-    ids=["import-cli", "one-worker-solve", "two-worker-solve"],
+    ids=["import-cli", "one-worker-solve", "two-worker-solve", "cli-denoise-256",
+         "cli-denoise-512"],
 )
 def test_a_fresh_interpreter_loads_only_the_modules_it_runs(code, loaded):
     report = "import sys; print(*(m for m in %r if m in sys.modules))" % (_LAZY,)
