@@ -2,7 +2,7 @@
 
 import importlib.util
 import json
-import math
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -82,34 +82,33 @@ def test_ties_are_not_wins_and_a_missing_value_drops_its_pair(pairs):
     assert empty["pairs"] == 0 and empty["claim"] is False
 
 
-def test_resolve_sizes_a_run_from_its_within_run_spread(pairs):
-    run = [9.0, 9.5, 10.0, 10.0, 10.0, 10.5, 11.0]
-    q1, q3 = pairs.quartiles(run)
-    spread = (q3 - q1) / 10.0 / 1.349
-    # the third run is 20% slower throughout: the same relative spread
-    report = pairs.resolve([run, run, [v * 1.2 for v in run]])
-    assert report["within_run"] == pytest.approx(spread)
-    assert report["invocations"] == math.ceil(2 * (2 * math.sqrt(math.pi / 2) * spread / 0.1) ** 2)
-    assert report["invocations_per_run"] == [7, 7, 7]
-    # the run medians are 10, 10 and 12: drift between runs that no run length averages out
-    assert report["between_runs"] == pytest.approx(pairs.quartiles([10.0, 10.0, 12.0])[1] / 10 - 1)
-    # twice the spread needs four times the invocations, give or take the rounding up
-    wide = pairs.resolve([[10 + 2 * (v - 10) for v in run]])["invocations"]
-    assert 4 * report["invocations"] - 4 <= wide <= 4 * report["invocations"]
-    assert pairs.resolve([[1.0]])["invocations"] is None
+def test_a_spread_wider_than_the_bound_is_unresolved(pairs):
+    # the parent's IQR over its median is 0.5: wider than a 0.25 bound
+    parent = [2.0, 3.0, 4.0, 5.0, 6.0, 4.0, 3.0, 5.0, 4.0, 4.0]
+    q1, q3 = pairs.quartiles(parent)
+    assert (q3 - q1) / 4.0 > 0.25
+    same = pairs.compare_metric(parent, list(parent), "lower", 0.25)
+    assert same["unresolved"] is True and same["worse_than_bound"] is False
+    # a change that beats every parent run is resolved however wide the spread
+    faster = pairs.compare_metric(parent, [1.0 + v / 10 for v in parent], "lower", 0.25)
+    assert faster["unresolved"] is False and faster["claim"] is True
+    higher = pairs.compare_metric(parent, [7.0] * 10, "higher", 0.25)
+    assert higher["unresolved"] is False
+    # a narrow parent resolves a change within the bound
+    assert pairs.compare_metric(PARENT, PARENT[::-1], "lower", 0.25)["unresolved"] is False
+    assert pairs.compare_metric([None], [1.0], "lower", 0.1)["unresolved"] is False
 
 
-def _run(iter_ms, psnr, invocations):
+def _run(iter_ms, psnr):
     return {"correct": True, "attempted": 11, "failed": 0,
-            "metrics": {"iter_ms": iter_ms, "psnr_db": psnr},
-            "invocation_iter_ms": invocations}
+            "metrics": {"iter_ms": iter_ms, "psnr_db": psnr}}
 
 
 def test_the_summary_is_one_json_record(pairs):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {
-        "parent": [_run(v, 20.53, [v, v + 0.2, v - 0.2]) for v in PARENT],
-        "change": [_run(v - 1.1, 20.53, [v - 1.1] * 3) for v in PARENT],
+        "parent": [_run(v, 20.53) for v in PARENT],
+        "change": [_run(v - 1.1, 20.53) for v in PARENT],
     }
     summary = json.loads(json.dumps(pairs.summarize(runs, spec, {"workload": "w", "pairs": 10})))
     assert summary["workload"] == "w" and summary["runs"] == runs
@@ -119,7 +118,55 @@ def test_the_summary_is_one_json_record(pairs):
     psnr = summary["metrics"]["psnr_db"]
     assert psnr["wins"] == 0 and psnr["relative_change"] == 0 and not psnr["worse_than_bound"]
     assert summary["metrics"]["wall_s"]["pairs"] == 0
-    assert summary["resolve"]["invocations_per_run"] == [3] * 10
+    assert set(summary) == {"workload", "pairs", "runs", "metrics"}
+
+
+def _fake_run(outcome):
+    def run(cmd, **kwargs):
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return subprocess.CompletedProcess(cmd, outcome[0], stdout=outcome[1], stderr="boom")
+    return run
+
+
+@pytest.mark.parametrize(
+    "outcome",
+    [
+        subprocess.TimeoutExpired(["run.py"], 900),
+        (1, ""),  # a non-zero exit
+        (0, ""),  # no result line
+        (0, "not json\n"),
+        (0, '{"correct": true}\n'),  # a result without its counts
+    ],
+    ids=["timeout", "exit-1", "no-output", "not-json", "no-counts"],
+)
+def test_a_run_that_gives_no_result_fails_its_side(pairs, monkeypatch, outcome):
+    monkeypatch.setattr(pairs.subprocess, "run", _fake_run(outcome))
+    run = pairs.run_side(ROOT, "full13-256", 11, 1.0)
+    assert run["correct"] is False and run["metrics"] == {} and run["error"]
+
+
+def test_a_stuck_run_still_writes_the_summary(pairs, monkeypatch, tmp_path):
+    # the first run of each pair times out, the second gives a result
+    calls = []
+    result = json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                         "metrics": {"iter_ms": {"value": 4.0}}})
+
+    def run(cmd, **kwargs):
+        calls.append(kwargs["cwd"])
+        if len(calls) % 2:
+            raise subprocess.TimeoutExpired(cmd, 900)
+        return subprocess.CompletedProcess(cmd, 0, stdout=result + "\n", stderr="")
+
+    monkeypatch.setattr(pairs.subprocess, "run", run)
+    out = tmp_path / "pairs.json"
+    code = pairs.main([str(ROOT), str(ROOT), "--workload", "full13-256", "--pairs", "2",
+                       "--out", str(out)])
+    summary = json.loads(out.read_text())
+    assert code == 1 and len(calls) == 4
+    assert [r["correct"] for r in summary["runs"]["parent"]] == [False, True]
+    assert [r["correct"] for r in summary["runs"]["change"]] == [True, False]
+    assert summary["metrics"]["iter_ms"]["pairs"] == 0
 
 
 def test_a_directory_that_is_not_a_checkout_is_refused(pairs, tmp_path, capsys):

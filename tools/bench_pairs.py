@@ -13,16 +13,19 @@ pairs, the change in odd ones.
 
 The summary is one JSON object, written to ``--out`` or stdout:
 
-* ``runs``: per side, each run's end-to-end metrics, its ``correct``,
-  ``attempted`` and ``failed`` counts and its per-invocation ``iter_ms``;
+* ``runs``: per side, each run's end-to-end metrics and its ``correct``,
+  ``attempted`` and ``failed`` counts; a run that exits non-zero, prints no
+  result or outlasts :data:`RUN_TIMEOUT_S` reads ``correct: false`` with
+  no metrics and an ``error``;
 * ``metrics``: per end-to-end metric of the change's ``BENCHMARK.json``,
   the per-pair values of both sides, their medians, the parent's quartiles
   and IQR, the change's wins (pairs in which it is strictly better), the
   relative change of the median, whether that change is worse than the
-  metric's bound, and ``claim``: at least 9 wins in 10 pairs and a median
-  gain larger than the parent's IQR;
-* ``resolve``: how many invocations the parent's own ``iter_ms`` spread says
-  one run needs to resolve a 10% change (see :func:`resolve`).
+  metric's bound, ``unresolved`` (the parent's IQR over its median is wider
+  than the bound, so a change within the bound cannot be told from none,
+  unless every change run is better than every parent run), and ``claim``:
+  at least 9 wins in 10 pairs and a median gain larger than the parent's
+  IQR.
 
 Quartiles are the "exclusive" ones of :func:`statistics.quantiles`, the
 wider of its two methods on few samples.  It prints one line per pair on
@@ -41,13 +44,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-#: The share of pairs the change must win for a claim, and the change a
-#: run's invocation count is sized to resolve.
+#: The share of pairs the change must win for a claim.
 CLAIM_WINS = 0.9
-RESOLVE_CHANGE = 0.10
-#: The spread of a sample median against that of one sample, for normal
-#: noise: ``sqrt(pi / 2)``.
-MEDIAN_EFFICIENCY = math.sqrt(math.pi / 2)
 #: A run that takes longer than this is a failure of its side.
 RUN_TIMEOUT_S = 900
 SIDES = ("parent", "change")
@@ -77,11 +75,13 @@ def compare_metric(parent: list, change: list, better: str, bound: float) -> dic
     summary = {"better": better, "bound": bound, "parent": parent, "change": change,
                "pairs": len(pairs)}
     if not pairs:
-        return {**summary, "claim": False, "worse_than_bound": False}
+        return {**summary, "claim": False, "worse_than_bound": False, "unresolved": False}
     p_med, c_med = statistics.median(ps), statistics.median(cs)
     q1, q3 = quartiles(ps)
     wins = sum(1 for p, c in pairs if sign * (p - c) > 0)
     relative = (c_med - p_med) / p_med if p_med else math.nan
+    spread = (q3 - q1) / abs(p_med) if p_med else math.nan
+    dominates = max(sign * c for c in cs) < min(sign * p for p in ps)
     return {
         **summary,
         "parent_median": p_med,
@@ -91,42 +91,8 @@ def compare_metric(parent: list, change: list, better: str, bound: float) -> dic
         "wins": wins,
         "relative_change": relative,
         "worse_than_bound": sign * relative > bound,
+        "unresolved": spread > bound and not dominates,
         "claim": claim_holds(wins, len(pairs), sign * (p_med - c_med), q3 - q1),
-    }
-
-
-def resolve(runs: list, change: float = RESOLVE_CHANGE) -> dict:
-    """How many invocations one run needs to resolve a relative ``change``,
-    from ``runs``: each run's per-invocation values, all of one code.
-
-    The within-run spread ``s`` is the median over runs of each run's IQR
-    over its median, divided by 1.349 (a normal IQR in standard
-    deviations).  Two run medians of ``n`` invocations each differ by
-    about ``sqrt(2) * 1.2533 * s / sqrt(n)``; ``invocations`` is the least
-    ``n`` at which ``change`` is two of those.  ``between_runs`` is the
-    IQR of the run medians over their median: where it stays above
-    ``change`` with runs of ``invocations`` or more, the spread is drift
-    between runs, not sampling noise, and more invocations per run do not
-    resolve the change.
-    """
-    runs = [r for r in runs if len(r) >= 2]
-    if not runs:
-        return {"change": change, "within_run": math.nan, "invocations": None,
-                "between_runs": math.nan, "invocations_per_run": []}
-    spreads = []
-    for values in runs:
-        q1, q3 = quartiles(values)
-        spreads.append((q3 - q1) / statistics.median(values) / 1.349)
-    within = statistics.median(spreads)
-    invocations = max(1, math.ceil(2 * (2 * MEDIAN_EFFICIENCY * within / change) ** 2))
-    medians = [statistics.median(r) for r in runs]
-    q1, q3 = quartiles(medians)
-    return {
-        "change": change,
-        "within_run": within,
-        "invocations": invocations,
-        "between_runs": (q3 - q1) / statistics.median(medians),
-        "invocations_per_run": [len(r) for r in runs],
     }
 
 
@@ -141,36 +107,34 @@ def summarize(runs: dict, spec: list, meta: dict) -> dict:
             *[[run["metrics"].get(name) for run in runs[side]] for side in SIDES],
             entry["better"], entry["bound"],
         )}
-    return {
-        **meta,
-        "runs": runs,
-        "metrics": metrics,
-        "resolve": resolve([run["invocation_iter_ms"] for run in runs["parent"]]),
-    }
+    return {**meta, "runs": runs, "metrics": metrics}
 
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py --trace 0`` run on ``checkout``'s program."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
-    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=checkout, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return {"correct": False, "metrics": {}, "error": f"no result in {RUN_TIMEOUT_S} s"}
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        return {"correct": False, "metrics": {}, "invocation_iter_ms": [],
-                "error": proc.stderr.strip()[-300:]}
-    result = json.loads(lines[-1])
-    record_path = checkout / "perfbench" / "_work" / workload / f"result-seed{seed}-trace0.json"
-    record = json.loads(record_path.read_text(encoding="utf-8"))["record"]
-    return {
-        "correct": result["correct"],
-        "attempted": result["attempted"],
-        "failed": result["failed"],
-        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-        "invocation_iter_ms": [s["iter_ms"] for s in record["invocations"] if "iter_ms" in s],
-    }
+    try:
+        if proc.returncode != 0 or not lines:
+            raise ValueError(f"exit code {proc.returncode}")
+        result = json.loads(lines[-1])
+        return {
+            "correct": result["correct"],
+            "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        }
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        return {"correct": False, "metrics": {},
+                "error": f"{exc}: {proc.stderr.strip()[-300:]}"}
 
 
 def main(argv=None) -> int:
