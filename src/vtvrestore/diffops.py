@@ -83,7 +83,9 @@ def vtv(p, weights=None, isotropic: bool = False) -> float:
     if not np.isfinite(w).all():
         raise NonFiniteError(f"weights contain NaN or Inf, got {w.tolist()}")
     # a channel's per-pixel norm: the gradient magnitude, or |x| per component
-    norm = (lambda c: np.sqrt((c * c).sum(axis=0))) if isotropic else np.abs
+    # in C order, so that a channel sums in one order whatever its strides
+    norm = ((lambda c: np.sqrt((c * c).sum(axis=0))) if isotropic
+            else (lambda c: np.abs(c, order="C")))
     with np.errstate(over="ignore"):
         per_channel = np.array([norm(c).sum(dtype=np.float64) for c in q])
         return float((w * per_channel).sum())

@@ -247,8 +247,9 @@ class Sweep:
     other ``shape`` is a
     :class:`~vtvrestore.errors.DimensionMismatchError`), made once: one
     wrap-padded copy of the image being swept; for each of its
-    :attr:`workers`, a block's shifted planes, its ``(m, 2, rows, w)``
-    output, the adjoint's planes on zero borders and their sum; the taps and
+    :attr:`workers`, a block's ``(rows, p * q, w)`` shifted planes (for
+    the pads' ``(p, q)`` grid of offsets), its ``(rows, m, 2, w)`` output,
+    the adjoint's planes on zero borders and their sum; the taps and
     the ``weights``-weighted transposed taps of the adjoint (default weights
     one), all of ``dtype``, float64 or float32; and its own float64
     wrap-padded accumulator, ``(top + h + bottom, left + w + right)`` for
@@ -278,6 +279,13 @@ class Sweep:
     can apply the stencil, finish each block in place and sum the adjoint
     of what it makes of it in one pass, never storing the field; sweeping
     the grid again allocates no image.
+
+    The planes and the output are stored row by row, so the forward's
+    per-row matrix product reads a row's planes and writes its ``(2m, w)``
+    output as contiguous matrices, and the adjoint's reads that output so.
+    Stored plane by plane instead, their rows lie ``rows * w`` elements
+    apart, 32 KiB for a float32 block of 8K pixels, and rows a power of two
+    apart alias in cache.
 
     The blocks run in two phases, the even-indexed ones and then the odd
     ones, and each phase is split over the workers, one thread each.  A
@@ -318,8 +326,8 @@ class Sweep:
         # adjoint's planes on zero borders (see _add) and their sum, one after
         # another in one zeroed buffer, each on a 64-byte offset.
         layout = [(top + h + bottom, left + w + right)] + [
-            (p * q, rows * w),
-            (stencil.m, 2, rows, w),
+            (rows, p * q, w),
+            (rows, stencil.m, 2, w),
             (p, q, rows + 2 * (p - 1), w + 2 * (q - 1)),
             (rows + p - 1, w + q - 1),
         ] * self.workers
@@ -363,18 +371,19 @@ class Sweep:
         """``[body(rows, g, add) for each row block]``, in block order.
 
         ``rows`` is the block's slice of rows.  ``g`` is
-        ``grad(analyze(u))[:, :, rows]`` at the sweep's dtype, in a buffer the
-        worker's next block overwrites, or None without ``u``; the body may
-        finish it in place.  ``add(block)`` adds the weighted adjoint of
-        ``block``, rows ``rows`` of an ``(m, 2, h, w)`` field, into the
-        accumulator; it reads ``block`` and overwrites the worker's adjoint
-        buffers.  ``u`` is read once, before the first block.  The
-        accumulator is ``acc``, a float64 array of the shape of the sweep's
-        own, or by default that one; ``u`` must not share bytes with it.  It
-        starts at zero and, once the last block has ended, holds the sum of
-        every ``add`` of this run in its ``(h, w)`` interior, which for the
-        sweep's own is :attr:`total`.  Whatever a caller left in
-        :attr:`spectrum` is overwritten.
+        ``grad(analyze(u))[:, :, rows]`` at the sweep's dtype, an
+        ``(m, 2, n, w)`` view of the worker's row-major ``(n, m, 2, w)``
+        block buffer, which its next block overwrites, or None without
+        ``u``; the body may finish it in place.  ``add(block)`` adds the
+        weighted adjoint of ``block``, rows ``rows`` of an ``(m, 2, h, w)``
+        field, into the accumulator; it reads ``block`` and overwrites the
+        worker's adjoint buffers.  ``u`` is read once, before the first
+        block.  The accumulator is ``acc``, a float64 array of the shape of
+        the sweep's own, or by default that one; ``u`` must not share bytes
+        with it.  It starts at zero and, once the last block has ended,
+        holds the sum of every ``add`` of this run in its ``(h, w)``
+        interior, which for the sweep's own is :attr:`total`.  Whatever a
+        caller left in :attr:`spectrum` is overwritten.
 
         A body may run on a worker thread, under the caller's numpy error
         state and a ufunc buffer of :data:`_SUM_BUFFER` elements, so it may
@@ -494,26 +503,24 @@ class Sweep:
 
     def _forward(self, scratch, padded, rows: slice) -> np.ndarray:
         """``grad(analyze(u))[:, :, rows]`` in the block buffer of ``scratch``,
-        read from ``padded``, ``u`` as :meth:`_pad_image` leaves it."""
+        read from ``padded``, ``u`` as :meth:`_pad_image` leaves it, as an
+        ``(m, 2, n, w)`` view of the buffer's first ``n`` rows."""
         planes, block = scratch[:2]
         (top, bottom), _ = self._pad
         w = self._shape[1]
         n = rows.stop - rows.start
         windows = _windows(padded[rows.start : rows.stop + top + bottom], n, w)
-        planes = planes[:, : n * w]
-        np.copyto(planes.reshape(windows.shape), windows)
-        g = block[:, :, :n]
+        planes = planes[:n]
+        np.copyto(planes.reshape(n, *windows.shape[:2], w).transpose(1, 2, 0, 3), windows)
+        g = block[:n]
         # one product per row of the block, as in _add
-        np.matmul(
-            self._taps,
-            planes[self._span].reshape(-1, n, w).transpose(1, 0, 2),
-            out=g.reshape(len(self._taps), n, w).transpose(1, 0, 2),
-        )
-        return g
+        np.matmul(self._taps, planes[:, self._span], out=g.reshape(n, -1, w))
+        return g.transpose(1, 2, 0, 3)
 
     def _add(self, scratch, rows: slice, acc, block) -> None:
         """Add the weighted adjoint of ``block``, rows ``rows`` of the field,
-        into the accumulator ``acc``.
+        into the accumulator ``acc``.  ``block`` is read as ``(n, 2m, w)``
+        through a transpose, which copies nothing for a block output's view.
 
         Plane (dy, dx) at pixel (r, c) adds onto pixel (r - dy, c - dx).  So
         that this is one sum, not one add per plane, the matrix product
@@ -530,7 +537,7 @@ class Sweep:
         middle = bordered.reshape(p * q, *bordered.shape[2:])[self._span, p - 1 : p - 1 + n]
         np.matmul(
             self._weighted,
-            block.reshape(self._weighted.shape[1], n, w).transpose(1, 0, 2),
+            block.transpose(2, 0, 1, 3).reshape(n, -1, w),
             out=middle[:, :, q - 1 : q - 1 + w].transpose(1, 0, 2),
         )
         if n < bordered.shape[2] - 2 * (p - 1):

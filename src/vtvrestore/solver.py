@@ -39,7 +39,11 @@ primitives (:func:`~vtvrestore.frames.analyze`,
 against, the u-update's KKT residual among them.
 
 :class:`SplitBregman` builds its whole state when it is constructed: one
-``(m, 2, h, w)`` stack, the multipliers ``b``; a
+stack, the multipliers ``b``, stored row by row as an ``(h, m, 2, w)``
+array whose ``(m, 2, h, w)`` transposed view is ``SplitBregman.b``, so a
+row block's rows of ``b`` are one contiguous slab, as is the block's
+``(rows, m, 2, w)`` stencil output that the sweep hands on as an
+``(m, 2, rows, w)`` view; a
 :class:`~vtvrestore.frames.Sweep`, which holds the block buffers and a
 wrap-padded accumulator; and one more float64 image of the accumulator's
 shape, ``(h + 3, w + 3)`` for the B-spline bank.  The two padded images
@@ -76,7 +80,11 @@ energy to ``SplitBregman.energy_trace``, whose TV part the same sweep sums,
 so a traced iteration runs the stencil once.  :meth:`~SplitBregman.step` is
 one FFT solve into the head of the numerator's image and one sweep into
 the other image, so an untraced step allocates no image; :func:`solve` is
-a loop over it.
+a loop over it.  No u-update follows a solve's last, the one whose
+relative change reaches ``tol`` or the ``max_iter``-th, so :func:`solve`
+has that step install and record ``u_new`` but update neither ``b`` nor
+the numerator; a traced energy's TV part then comes from a sweep of the
+stencil alone.  A caller that steps by hand gets both updated every time.
 
 ``SolverConfig.workers`` runs each sweep on that many threads: the even
 row blocks, then the odd ones, each phase split over the workers, which
@@ -409,7 +417,8 @@ class SplitBregman:
 
         self._atf = op.adjoint(self.f)
         self.u = self.f
-        self.b = np.zeros((m, 2, h, w), dtype)
+        # stored row by row: a block's rows of b are one contiguous slab
+        self.b = np.zeros((h, m, 2, w), dtype).transpose(1, 2, 0, 3)
         #: ``A* f + sum_i gamma_i F_i* G* (d_i - b_i)``, the right-hand side of
         #: the next u-update, the interior of one of the two images, first the
         #: sweep's :attr:`~vtvrestore.frames.Sweep.total`: ``A* f`` while
@@ -421,6 +430,11 @@ class SplitBregman:
         #: its relative change, and, when ``cfg.record_trace`` is set, its
         #: energy (else ``energy_trace`` stays empty).
         self.trace, self.energy_trace = [], []
+        #: A relative change of at most this ends the solve: :meth:`advance`
+        #: then installs and records ``u_new`` but leaves ``b`` and the
+        #: numerator as they were, and sums a traced energy's TV terms in a
+        #: sweep of the stencil alone.  Only :func:`solve` raises it.
+        self._stop = -math.inf
 
     # -- u-updates ---------------------------------------------------------
 
@@ -483,8 +497,11 @@ class SplitBregman:
         t = self._thresholds
         lam, isotropic, traced = self.cfg.lam, self.cfg.shrinkage == ISO, self.cfg.record_trace
 
+        def tv(rows, v, add):
+            return diffops.vtv(v, weights=lam, isotropic=isotropic) if traced else None
+
         def update(rows, v, add):
-            regularization = diffops.vtv(v, weights=lam, isotropic=isotropic) if traced else None
+            regularization = tv(rows, v, add)
             b = self.b[:, :, rows]
             v += b
             if isotropic:
@@ -500,13 +517,18 @@ class SplitBregman:
         # the image that does not hold u_new: its numerator was spent, or its
         # head held the old u, dead once the change's norm is taken
         acc = self._images[np.may_share_memory(u_new, self._images[0])]
-        terms = self._sweep.run(update, u_new, acc)
-        numerator, atf = acc[self._sweep._interior], self._atf
-        split(lambda r0, r1: np.add(numerator[r0:r1], atf[r0:r1], out=numerator[r0:r1]), len(u))
+        # the solve's last u-update: no later one reads b or the numerator
+        if rel <= self._stop:
+            terms = self._sweep.run(tv, u_new, acc) if traced else []
+        else:
+            terms = self._sweep.run(update, u_new, acc)
+            numerator, atf = acc[self._sweep._interior], self._atf
+            split(lambda r0, r1: np.add(numerator[r0:r1], atf[r0:r1], out=numerator[r0:r1]), len(u))
+            self.numerator = numerator
         if traced:
             self.energy_trace.append(sum(terms) + _fidelity(u_new, self.f, self.op))
         self.trace.append(rel)
-        self.u, self.numerator = u_new, numerator
+        self.u = u_new
         return rel
 
     def step(self) -> float:
@@ -538,13 +560,15 @@ def solve(f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> SolveRes
     """Run the split Bregman loop to tolerance or the iteration cap.
 
     Starts from ``u = f`` with zero splits and multipliers and calls
-    :meth:`SplitBregman.step` until a relative change reaches ``tol``;
-    the result carries the solver's own trace lists.  Deterministic:
-    identical inputs produce bit-identical results.
+    :meth:`SplitBregman.step` until a relative change reaches ``tol``, or
+    ``max_iter`` times; the last step updates neither ``b`` nor the
+    numerator.  The result carries the solver's own trace lists.
+    Deterministic: identical inputs produce bit-identical results.
     """
     sb = SplitBregman(f, op, bank, cfg)
     try:
-        for _ in range(cfg.max_iter):
+        for k in range(1, cfg.max_iter + 1):
+            sb._stop = cfg.tol if k < cfg.max_iter else math.inf
             if sb.step() <= cfg.tol:
                 break
     finally:

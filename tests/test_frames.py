@@ -318,6 +318,31 @@ def test_every_block_size_gives_the_same_stencil(monkeypatch, bank, shape, block
     assert np.max(np.abs(got - reference_adjoint(p, bank, gamma))) <= 1e-12
 
 
+def test_a_sweeps_planes_and_block_output_are_stored_row_by_row(bank):
+    # a worker's shifted planes are (rows, p * q, w) and its block output
+    # (rows, m, 2, w), so each row's operand and result of the per-row
+    # matrix products are contiguous; the body gets the (m, 2, n, w) view
+    stencil = bank.frame_gradient
+    (top, bottom), (left, right) = stencil._pad
+    planes = (top + bottom + 1) * (left + right + 1)
+    u = np.random.default_rng(7).uniform(0, 255, (70, 300))  # blocks of 27, 27, 16 rows
+    with frames.Sweep(stencil, u.shape, workers=2) as sweep:
+        assert sweep.workers == 2
+        for scratch in sweep._scratch:
+            assert scratch[0].shape == (27, planes, 300) and scratch[0].flags.c_contiguous
+            assert scratch[1].shape == (27, bank.m, 2, 300) and scratch[1].flags.c_contiguous
+        blocks = [s[1] for s in sweep._scratch]
+        views = sweep.run(
+            lambda rows, g, add: (
+                g.shape == (bank.m, 2, rows.stop - rows.start, 300)
+                and g.transpose(2, 0, 1, 3).flags.c_contiguous
+                and any(np.shares_memory(g, block) for block in blocks)
+            ),
+            u,
+        )
+    assert views == [True, True, True]
+
+
 # (37, 1024) runs on two workers
 @pytest.mark.parametrize("shape", [(40, 33), (9, 1), (37, 1024)])
 def test_float32_block_buffers_give_the_stencil_in_single_precision(bank, shape):

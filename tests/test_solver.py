@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.array_utils import byte_bounds
 
 from vtvrestore import (
     ANISO,
@@ -301,6 +302,22 @@ def test_split_bregman_keeps_only_its_state(bank):
         assert np.shares_memory(sb.numerator, sweep._acc)
         assert not np.shares_memory(sb.numerator, f)
         assert np.array_equal(sb.numerator, f)  # A*f, for the identity
+
+
+def test_b_is_stored_row_by_row(bank):
+    # sb.b is the (m, 2, h, w) view of an (h, m, 2, w) base, so the rows of
+    # b that a row block reads and writes are one contiguous slab; the
+    # 70x300 grid has blocks of 27, 27 and 16 rows
+    f = np.random.default_rng(6).uniform(0, 255, (70, 300))
+    sb = SplitBregman(f, DegradationOp.identity(), bank, denoise_cfg())
+    assert sb.b.shape == (bank.m, 2, 70, 300) and sb.b.dtype == np.float32
+    base = sb.b.base
+    assert base is not None and base.shape == (70, bank.m, 2, 300) and base.flags.c_contiguous
+    slabs = [byte_bounds(sb.b[:, :, rows]) for rows in sb._sweep._rows]
+    assert [r.stop - r.start for r in sb._sweep._rows] == [27, 27, 16]
+    assert all(hi - lo == sb.b[:, :, rows].nbytes
+               for (lo, hi), rows in zip(slabs, sb._sweep._rows))
+    assert [hi for _, hi in slabs[:-1]] == [lo for lo, _ in slabs[1:]]
 
 
 #: Solves a 1024x1024 image at single for three steps in a fresh
@@ -786,6 +803,45 @@ class TestSolve:
         res3 = solve(f, DegradationOp.identity(), bank, denoise_cfg())
         assert res3.energy_trace == []
 
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("max_iter", [200, 3], ids=["converges", "capped"])
+    def test_the_last_u_update_ends_the_solve(self, bank, monkeypatch, max_iter, traced):
+        # no u-update follows the last one, so the solve updates neither b
+        # nor the numerator for it: k iterations make k - 1 update sweeps,
+        # and a traced solve one more, of the stencil alone, for the last
+        # iterate's energy
+        rng = np.random.default_rng(17)
+        f = rng.uniform(0, 255, (24, 24)) + 25.5 * rng.standard_normal((24, 24))
+        op = DegradationOp.identity()
+        cfg = denoise_cfg(tol=1e-3, max_iter=max_iter, record_trace=traced, precision=DOUBLE)
+        adds = []  # per sweep over f's grid: the blocks its body added
+        run = frames.Sweep.run
+
+        def counted(sweep, body, u=None, acc=None):
+            if sweep._shape != f.shape:  # the denominator's impulse response
+                return run(sweep, body, u, acc)
+            added = []
+            adds.append(added)
+
+            def counting(rows, g, add):
+                def counted_add(block):
+                    added.append(rows)
+                    add(block)
+
+                return body(rows, g, counted_add)
+
+            return run(sweep, counting, u, acc)
+
+        monkeypatch.setattr(frames.Sweep, "run", counted)
+        res = solve(f, op, bank, cfg)
+        monkeypatch.undo()
+        k = res.iterations
+        assert res.converged == (k < max_iter) == (max_iter == 200) and k > 2
+        assert len(adds) == k - 1 + traced
+        assert all(adds[:k - 1]) and not any(adds[k - 1:])
+        if traced:
+            assert res.energy_trace[-1] == energy(res.u, f, op, bank, cfg)
+
     def test_singular_denominator_propagates(self):
         # a zero-DC observation operator with no lowpass regularization makes
         # the DC bin of the denominator vanish
@@ -968,13 +1024,24 @@ def reference_split_bregman(f, op, bank, cfg, n_iter):
 
 
 class TestFusedTrajectory:
+    @pytest.mark.parametrize("weights", ["head_rest", "distinct"])
     @pytest.mark.parametrize("shrinkage", [ANISO, ISO])
     @pytest.mark.parametrize("variant", [FULL13, REDUCED17])
-    def test_matches_reference_loop(self, bank, variant, shrinkage):
+    def test_matches_reference_loop(self, bank, variant, shrinkage, weights):
+        # "distinct" gives every channel its own threshold lam_i / gamma_i
+        # (reduced17 keeps gamma_2 .. gamma_9 equal), so a shrink that
+        # groups channels by threshold is checked where none share one
         rng = np.random.default_rng(16)
         f = rng.uniform(0, 255, (20, 17)) + 25.5 * rng.standard_normal((20, 17))
         op = DegradationOp.blur(motion_blur_kernel(3))
-        cfg = denoise_cfg(u_update=variant, shrinkage=shrinkage, tol=1e-30, precision=DOUBLE)
+        kw = dict(u_update=variant, shrinkage=shrinkage, tol=1e-30, precision=DOUBLE)
+        if weights == "head_rest":
+            cfg = denoise_cfg(**kw)
+        else:
+            rest = (4.5,) * 8 if variant == REDUCED17 else (4.5, 5.0, 3.5, 6.0, 4.0, 5.5, 3.0, 6.5)
+            lam = (2.0, 1.5, 1.3, 1.7, 0.9, 1.1, 2.2, 0.7, 1.9)
+            cfg = SolverConfig(lam=lam, gamma=(12.0, *rest), **kw)
+            assert len({lam_i / gamma_i for lam_i, gamma_i in zip(lam, cfg.gamma)}) == bank.m
         sb = SplitBregman(f, op, bank, cfg)
         for expected, expected_rel in reference_split_bregman(f, op, bank, cfg, 15):
             num_before, b_before = sb.numerator.copy(), sb.b.copy()

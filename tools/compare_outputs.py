@@ -5,7 +5,11 @@
 ``PARENT`` and ``CHANGE`` are checkouts: directories that hold
 ``src/vtvrestore``.  The calls are the three benchmark workloads' (see
 ``perfbench/workloads.py``), an isotropic ``denoise --trace`` and a
-``full13`` ``deblur --trace --dump-features``, all at one fixed seed.  Their
+``full13`` ``deblur --trace --dump-features``, and two on grids that are no
+power of two: a 300x300 isotropic ``denoise --trace``, whose row blocks
+are 27 rows with a short last one, and a 384x384 ``full13``
+``deblur --trace``, large enough to run on two sweep workers; all at one
+fixed seed.  Their
 inputs are this checkout's phantom images, written once and read by both
 sides.  Each call runs the CLI in a fresh interpreter with one BLAS thread,
 first on ``PARENT``, then on ``CHANGE``, and the two runs are compared:
@@ -42,14 +46,20 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import ONE_THREAD, WORKLOADS, Workload, make_inputs  # noqa: E402
 
-#: The calls compared: the benchmark's workloads and two that cover what they
-#: do not, the isotropic shrink and the full13 deblur.
+#: The calls compared: the benchmark's workloads and four that cover what
+#: they do not: the isotropic shrink and the full13 deblur, at 256x256 and
+#: again on grids whose row blocks are no power of two in bytes, one with
+#: a short last block (300x300) and one on two sweep workers (384x384, at
+#: least ``cli.SWEEP_GRAIN`` pixels).
 CALLS = [
     *WORKLOADS.values(),
     Workload("denoise-iso-trace", "denoise", "reduced17", 256, 1,
              ("--shrinkage", "iso", "--trace"), 1, 0.0),
     Workload("deblur-full13-trace", "deblur", "full13", 256, 1,
              ("--trace", "--dump-features"), 1, 0.0),
+    Workload("denoise-300-iso-trace", "denoise", "reduced17", 300, 1,
+             ("--shrinkage", "iso", "--trace"), 1, 0.0),
+    Workload("deblur-384-full13-trace", "deblur", "full13", 384, 1, ("--trace",), 1, 0.0),
 ]
 
 CLI_ENTRY = "import sys; from vtvrestore.cli import main; sys.exit(main())"
