@@ -345,6 +345,17 @@ def _run_restoration(task: str, args: argparse.Namespace) -> int:
     # setting they reject is reported once per run, not once per image.
     bank = bspline_bank()
     if task == "deblur":
+        # a blur longer than an input is wide does not fit it: refused before
+        # its kernel is built
+        for path in settings["input"]:
+            try:
+                width = read_image(path).shape[1]
+            except _REPORTED:
+                continue  # the image's own read reports it
+            if settings["blur_len"] > width:
+                raise ConfigError(
+                    f"blur length {settings['blur_len']} is longer than {path} is wide ({width})"
+                )
         op = DegradationOp.blur(motion_blur_kernel(settings["blur_len"]))
     else:
         op = DegradationOp.identity()

@@ -253,7 +253,10 @@ def solve_diagonal(numerator, inverse, spectrum, out=None, split=_whole) -> np.n
     bin is a row's sum, built from additions only, so it is NaN or Inf
     exactly when the row holds a NaN or Inf or its sum overflows.  Then the
     solve raises :class:`~vtvrestore.errors.NonFiniteError` before ``out``
-    is written.  A finite numerator whose solve overflows is not caught.
+    is written.  All three passes compute past the float range without
+    warnings: a finite numerator whose solve overflows writes its Inf or
+    NaN into ``out``, for the caller's own check to report (as
+    :meth:`~vtvrestore.solver.SplitBregman.advance` does), never a warning.
 
     The solve is three passes: ``rfft`` over the rows; per range of columns,
     ``fft`` down them, the multiply and ``ifft`` back; ``irfft`` over the
@@ -280,12 +283,12 @@ def solve_diagonal(numerator, inverse, spectrum, out=None, split=_whole) -> np.n
         block *= inverse[:, c0:c1]
         np.fft.ifft(block, axis=0, out=block)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks report them
         split(lambda r0, r1: np.fft.rfft(num[r0:r1], axis=-1, out=spectrum[r0:r1]), h)
-    if not np.isfinite(spectrum[:, 0]).all():
-        raise NonFiniteError("iterate contains NaN or Inf: a numerator row's sum is not finite")
-    split(columns, w // 2 + 1)
-    split(lambda r0, r1: np.fft.irfft(spectrum[r0:r1], n=w, axis=-1, out=out[r0:r1]), h)
+        if not np.isfinite(spectrum[:, 0]).all():
+            raise NonFiniteError("iterate contains NaN or Inf: a numerator row's sum is not finite")
+        split(columns, w // 2 + 1)
+        split(lambda r0, r1: np.fft.irfft(spectrum[r0:r1], n=w, axis=-1, out=out[r0:r1]), h)
     return out
 
 

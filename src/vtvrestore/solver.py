@@ -51,7 +51,8 @@ hold the numerator and the iterate between them: the ``numerator`` of the
 next u-update is the ``(h, w)`` interior of one, and from the first step
 on ``u`` is the contiguous ``(h, w)`` head of the other.  The FFT solve's
 first pass reads the whole numerator, so :meth:`~SplitBregman.step` writes
-``u_new`` into the head of the image that holds it; once
+``u_new`` into the head of the image that does not hold ``u``, the
+numerator's; once
 ``||u_new - u||`` is taken the old ``u`` is dead, and the sweep sums the
 next numerator into its image.  A numerator that holds a NaN or Inf is
 caught after that first pass, before anything is written (see
@@ -80,11 +81,21 @@ energy to ``SplitBregman.energy_trace``, whose TV part the same sweep sums,
 so a traced iteration runs the stencil once.  :meth:`~SplitBregman.step` is
 one FFT solve into the head of the numerator's image and one sweep into
 the other image, so an untraced step allocates no image; :func:`solve` is
-a loop over it.  No u-update follows a solve's last, the one whose
-relative change reaches ``tol`` or the ``max_iter``-th, so :func:`solve`
-has that step install and record ``u_new`` but update neither ``b`` nor
-the numerator; a traced energy's TV part then comes from a sweep of the
-stencil alone.  A caller that steps by hand gets both updated every time.
+a loop over it.  Every iteration runs the same sweep body, which sums the
+TV terms when traced and otherwise updates ``b`` and the numerator.  No
+u-update follows a solve's last, the one whose relative change reaches
+``tol`` or the ``max_iter``-th, so :func:`solve` has that step install and
+record ``u_new`` but update neither ``b`` nor the numerator: the body then
+only sums the TV terms, and an untraced last step runs no sweep.  A caller
+that steps by hand gets both updated every time.
+
+A step has one rule for values past the float range: it computes on
+without warnings, and its two checks report it, each by raising
+:class:`~vtvrestore.errors.NonFiniteError`: the DC check of the FFT solve
+(:func:`~vtvrestore.image.solve_diagonal`) and the check that
+``||u_new - u||`` is finite in :meth:`~SplitBregman.advance`.  So an
+overflow is never reported by a warning; :func:`energy` follows the same
+rule and returns an Inf or NaN.
 
 ``SolverConfig.workers`` runs each sweep on that many threads: the even
 row blocks, then the odd ones, each phase split over the workers, which
@@ -322,12 +333,12 @@ def energy(u, f, op: DegradationOp, bank: FilterBank, cfg: SolverConfig) -> floa
     uu = as_image(u)
     ff = as_image(f, uu.shape)
     _check_channels(bank, cfg)
-    isotropic = cfg.shrinkage == ISO
-    with Sweep(bank.frame_gradient, uu.shape, workers=cfg.workers) as sweep:
-        terms = sweep.run(
-            lambda rows, g, add: diffops.vtv(g, weights=cfg.lam, isotropic=isotropic), uu
-        )
-    return sum(terms) + _fidelity(uu, ff, op)
+    lam, isotropic = cfg.lam, cfg.shrinkage == ISO
+    sweep = Sweep(bank.frame_gradient, uu.shape, workers=cfg.workers)
+    # past the float range the energy is inf or NaN, without warnings
+    with sweep, np.errstate(over="ignore", invalid="ignore"):
+        terms = sweep.run(lambda rows, g, add: diffops.vtv(g, weights=lam, isotropic=isotropic), uu)
+        return sum(terms) + _fidelity(uu, ff, op)
 
 
 def _check_channels(bank: FilterBank, cfg: SolverConfig) -> None:
@@ -337,19 +348,19 @@ def _check_channels(bank: FilterBank, cfg: SolverConfig) -> None:
 
 
 def _fidelity(u, f, op: DegradationOp) -> float:
-    """``1/2 ||A u - f||^2``; ``inf`` past the float range."""
-    with np.errstate(over="ignore"):
-        return 0.5 * float(np.sum((op.apply(u) - f) ** 2))
+    """``1/2 ||A u - f||^2``; ``inf`` past the float range, which a caller
+    computes past without warnings."""
+    return 0.5 * float(np.sum((op.apply(u) - f) ** 2))
 
 
 def _norm(x) -> float:
-    """``||x||``, rescaled by the largest entry where the squares overflow."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(x))
-        if norm == math.inf:
-            peak = float(np.max(np.abs(x)))
-            if peak < math.inf:
-                norm = peak * float(np.linalg.norm(x / peak))
+    """``||x||``, rescaled by the largest entry where the squares overflow,
+    which a caller computes past without warnings."""
+    norm = float(np.linalg.norm(x))
+    if norm == math.inf:
+        peak = float(np.max(np.abs(x)))
+        if peak < math.inf:
+            norm = peak * float(np.linalg.norm(x / peak))
     return norm
 
 
@@ -404,11 +415,6 @@ class SplitBregman:
         #: the block buffers and the first of the two images below.  Its
         #: scratch, live only inside a sweep, also holds the spectrum.
         self._sweep = Sweep(stencil, (h, w), cfg.gamma, dtype, cfg.workers)
-        #: Complex scratch of the denominator's shape, the head of the sweep's
-        #: buffer: the FFT solve runs in it, and :meth:`advance` reuses it for
-        #: ``u_new - u``.  It is live from the solve's ``rfft`` pass to that
-        #: difference's norm, never during a sweep.
-        self._spectrum = self._sweep.spectrum
         #: Two padded float64 images of the accumulator's shape, the sweep's
         #: own first.  One holds the numerator in its ``(h, w)`` interior;
         #: from the first step on, the other holds ``u`` in its contiguous
@@ -432,8 +438,8 @@ class SplitBregman:
         self.trace, self.energy_trace = [], []
         #: A relative change of at most this ends the solve: :meth:`advance`
         #: then installs and records ``u_new`` but leaves ``b`` and the
-        #: numerator as they were, and sums a traced energy's TV terms in a
-        #: sweep of the stencil alone.  Only :func:`solve` raises it.
+        #: numerator as they were; its sweep body only sums a traced
+        #: energy's TV terms.  Only :func:`solve` raises it.
         self._stop = -math.inf
 
     # -- u-updates ---------------------------------------------------------
@@ -448,7 +454,7 @@ class SplitBregman:
         :class:`~vtvrestore.errors.NonFiniteError` before ``out`` is written.
         """
         return solve_diagonal(
-            self.numerator, self._denominator, self._spectrum, out, self._sweep.split
+            self.numerator, self._denominator, self._sweep.spectrum, out, self._sweep.split
         )
 
     # -- d/b updates and stepping -------------------------------------------
@@ -456,12 +462,15 @@ class SplitBregman:
     def advance(self, u_new) -> float:
         """Run the d and b updates for ``u_new``, install it, return rel. err.
 
-        One sweep over row blocks overwrites ``b`` in place and sums the
-        next numerator into whichever of the two images does not hold
-        ``u_new``, over the old ``u`` or numerator there; ``u_new`` is
-        never written.  Appends the relative change to :attr:`trace` and,
-        when ``cfg.record_trace`` is set, ``u_new``'s energy (the sweep's TV
-        terms plus the fidelity) to :attr:`energy_trace`.
+        One sweep over row blocks, with one body for every iteration,
+        overwrites ``b`` in place and sums the next numerator into
+        whichever of the two images does not hold ``u_new``, over the old
+        ``u`` or numerator there; ``u_new`` is never written.  Appends the
+        relative change to :attr:`trace` and, when ``cfg.record_trace`` is
+        set, ``u_new``'s energy (the sweep's TV terms plus the fidelity) to
+        :attr:`energy_trace`.  All of its numeric work runs under one numpy
+        error state that lets values pass the float range without
+        warnings: the norm check below reports them.
 
         ``u_new`` is converted by :func:`~vtvrestore.image.as_stack` (a
         float64 array is used as it is) and must have ``u``'s shape; other
@@ -481,14 +490,8 @@ class SplitBregman:
         # u_new - u in a contiguous (h, w) view of the spent spectrum buffer,
         # which the sweep below then overwrites; a fresh difference image
         # would raise the solve's peak by one image
-        change = self._spectrum.view(np.float64).ravel()[: self.u.size].reshape(self.u.shape)
+        change = self._sweep.spectrum.view(np.float64).ravel()[: self.u.size].reshape(self.u.shape)
         u, split = self.u, self._sweep.split
-        with np.errstate(over="ignore", invalid="ignore"):
-            split(lambda r0, r1: np.subtract(u_new[r0:r1], u[r0:r1], out=change[r0:r1]), len(u))
-        norm = _norm(change)
-        if not math.isfinite(norm):
-            raise NonFiniteError("iterate contains NaN or Inf; parameters look divergent")
-        rel = norm / max(_norm(self.u), _NORM_FLOOR)
         # Per block, with v = grad(F u_new) + b and d = shrink(v):
         # b <- v - d, which is clip(v, -T, T) for the anisotropic shrink, and
         # the block becomes d - b = v - 2 b, which is added into the next
@@ -497,36 +500,40 @@ class SplitBregman:
         t = self._thresholds
         lam, isotropic, traced = self.cfg.lam, self.cfg.shrinkage == ISO, self.cfg.record_trace
 
-        def tv(rows, v, add):
-            return diffops.vtv(v, weights=lam, isotropic=isotropic) if traced else None
-
         def update(rows, v, add):
-            regularization = tv(rows, v, add)
-            b = self.b[:, :, rows]
-            v += b
-            if isotropic:
-                diffops.shrink_iso(v, t[..., 0], out=b)
-                np.subtract(v, b, out=b)
-            else:
-                np.clip(v, -t, t, out=b)
-            v -= b
-            v -= b
-            add(v)
+            regularization = diffops.vtv(v, weights=lam, isotropic=isotropic) if traced else None
+            if not last:
+                b = self.b[:, :, rows]
+                v += b
+                if isotropic:
+                    diffops.shrink_iso(v, t[..., 0], out=b)
+                    np.subtract(v, b, out=b)
+                else:
+                    np.clip(v, -t, t, out=b)
+                v -= b
+                v -= b
+                add(v)
             return regularization
 
-        # the image that does not hold u_new: its numerator was spent, or its
-        # head held the old u, dead once the change's norm is taken
-        acc = self._images[np.may_share_memory(u_new, self._images[0])]
-        # the solve's last u-update: no later one reads b or the numerator
-        if rel <= self._stop:
-            terms = self._sweep.run(tv, u_new, acc) if traced else []
-        else:
-            terms = self._sweep.run(update, u_new, acc)
-            numerator, atf = acc[self._sweep._interior], self._atf
-            split(lambda r0, r1: np.add(numerator[r0:r1], atf[r0:r1], out=numerator[r0:r1]), len(u))
-            self.numerator = numerator
-        if traced:
-            self.energy_trace.append(sum(terms) + _fidelity(u_new, self.f, self.op))
+        # past the float range a step computes on; the norm check reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            split(lambda r0, r1: np.subtract(u_new[r0:r1], u[r0:r1], out=change[r0:r1]), len(u))
+            norm = _norm(change)
+            if not math.isfinite(norm):
+                raise NonFiniteError("iterate contains NaN or Inf; parameters look divergent")
+            rel = norm / max(_norm(self.u), _NORM_FLOOR)
+            # the solve's last u-update: no later one reads b or the numerator
+            last = rel <= self._stop
+            # the image that does not hold u_new: its numerator was spent, or
+            # its head held the old u, dead once the change's norm is taken
+            acc = self._images[np.may_share_memory(u_new, self._images[0])]
+            terms = self._sweep.run(update, u_new, acc) if traced or not last else []
+            if not last:
+                num, atf = acc[self._sweep._interior], self._atf
+                split(lambda r0, r1: np.add(num[r0:r1], atf[r0:r1], out=num[r0:r1]), len(u))
+                self.numerator = num
+            if traced:
+                self.energy_trace.append(sum(terms) + _fidelity(u_new, self.f, self.op))
         self.trace.append(rel)
         self.u = u_new
         return rel
@@ -535,20 +542,21 @@ class SplitBregman:
         """One full iteration; returns the relative change of u.
 
         The next iterate is written into the contiguous ``(h, w)`` head of
-        the image that holds the numerator, which the FFT solve's first pass
-        has read whole, so it is never written into ``f`` or an array a
-        caller passed to :meth:`advance`.  The sweep then sums the next
-        numerator into the other image, over the old ``u``: a caller that
-        keeps ``u`` across a step must copy it.
+        the image that does not hold ``u``, which holds the numerator that
+        the FFT solve's first pass has read whole, so it is never written
+        into ``f`` or an array a caller passed to :meth:`advance`.  The
+        sweep then sums the next numerator into the other image, over the
+        old ``u``: a caller that keeps ``u`` across a step must copy it.
 
         A numerator that holds a NaN or Inf is caught by the FFT solve
         before it writes (see :func:`~vtvrestore.image.solve_diagonal`), so
         the :class:`~vtvrestore.errors.NonFiniteError` leaves the state as
         it was.  A finite numerator whose solve overflows, past about
         1e308, raises in :meth:`advance` instead: ``u``, ``b`` and the
-        traces are kept, but the numerator is spent.
+        traces are kept, but the numerator is spent.  Neither prints a
+        warning.
         """
-        image = self._images[np.may_share_memory(self.numerator, self._images[1])]
+        image = self._images[np.may_share_memory(self.u, self._images[0])]
         return self.advance(self.u_update(out=image.ravel()[: self.u.size].reshape(self.u.shape)))
 
     def close(self) -> None:

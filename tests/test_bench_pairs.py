@@ -169,6 +169,32 @@ def test_a_stuck_run_still_writes_the_summary(pairs, monkeypatch, tmp_path):
     assert summary["metrics"]["iter_ms"]["pairs"] == 0
 
 
+@pytest.mark.parametrize("flag, seconds", [([], 12), (["--seconds", "2.5"], 2.5)])
+def test_runs_last_the_changes_run_seconds_unless_the_flag_says(
+    pairs, monkeypatch, tmp_path, flag, seconds
+):
+    change = tmp_path / "change"
+    for name in ("perfbench/run.py", "src/vtvrestore/__init__.py"):
+        (change / name).parent.mkdir(parents=True, exist_ok=True)
+        (change / name).write_text("")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    (change / "BENCHMARK.json").write_text(json.dumps({**benchmark, "run_seconds": 12}))
+    lengths = []
+    result = json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                         "metrics": {"iter_ms": {"value": 4.0}}})
+
+    def run(cmd, **kwargs):
+        lengths.append(float(cmd[cmd.index("--seconds") + 1]))
+        return subprocess.CompletedProcess(cmd, 0, stdout=result + "\n", stderr="")
+
+    monkeypatch.setattr(pairs.subprocess, "run", run)
+    out = tmp_path / "pairs.json"
+    code = pairs.main([str(ROOT), str(change), "--workload", "full13-256", "--pairs", "2",
+                       "--out", str(out), *flag])
+    assert code == 0 and lengths == [seconds] * 4
+    assert json.loads(out.read_text())["seconds"] == seconds
+
+
 def test_a_directory_that_is_not_a_checkout_is_refused(pairs, tmp_path, capsys):
     assert pairs.main([str(tmp_path), str(ROOT), "--workload", "full13-256"]) == 2
     assert "is not a checkout" in capsys.readouterr().err

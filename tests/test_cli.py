@@ -23,6 +23,8 @@ from vtvrestore.cli import SETTINGS, build_parser, main
 from conftest import make_phantom
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+#: A 32x32 ramp from 0 to 255.
+RAMP = np.add.outer(np.arange(32.0), np.arange(32.0)) * (255.0 / 62.0)
 
 #: A ``python -c`` program: ``main`` on ``sys.argv[2:]``, with an image
 #: worker that kills itself by ``SIGKILL`` on the image ``sys.argv[1]``, as
@@ -677,6 +679,67 @@ class TestConfigAndErrors:
             assert err.startswith(f"vtv-restore: error: config file {cfg_path} {problem}: ")
             assert not out.exists()
 
+    @pytest.mark.parametrize("length", ["33", "1000001"])
+    def test_a_blur_longer_than_the_image_is_wide_is_an_error(
+        self, tmp_path, capsys, length
+    ):
+        image, other = tmp_path / "ramp.pgm", tmp_path / "wide.pgm"
+        write_pgm(image, RAMP)
+        write_pgm(other, np.zeros((4, 64)))
+        out = tmp_path / "o"
+        code, stdout = run_cli(
+            "deblur", "--input", str(other), str(image), "--out", str(out), "--blur-len", length
+        )
+        # the first input the blur does not fit is named
+        narrow, width = (image, 32) if int(length) <= 64 else (other, 64)
+        err = self.assert_one_line_error(capsys, code)
+        assert err == (
+            f"vtv-restore: error: blur length {length} is longer than {narrow} is wide ({width})\n"
+        )
+        assert stdout == ""
+        assert not out.exists()
+        # a blur as long as the image is wide fits it
+        code, stdout = run_cli(
+            "deblur", "--input", str(image), "--out", str(out), "--blur-len", "31",
+            "--max-iter", "2",
+        )
+        assert code in (0, 2) and [row["image"] for row in parse_metrics(stdout)] == ["ramp"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("denoise", "--sigma", "1e300", "--shrinkage", "iso", "--max-iter", "2"),
+            ("denoise", "--sigma", "1e306", "--max-iter", "5"),
+            ("denoise", "--sigma", "1e307", "--max-iter", "5"),
+            ("denoise", "--sigma", "1e306", "--shrinkage", "iso", "--max-iter", "5"),
+            ("deblur", "--variant", "full13", "--sigma", "1e306", "--max-iter", "5"),
+            ("deblur", "--sigma", "1e307", "--max-iter", "5"),
+            ("denoise", "--sigma", "1e308", "--max-iter", "5"),
+        ],
+        ids=[
+            "denoise-1e300-iso", "denoise-1e306", "denoise-1e307", "denoise-1e306-iso",
+            "deblur-full13-1e306", "deblur-1e307", "denoise-1e308",
+        ],
+    )
+    def test_a_solve_past_the_float_range_ends_in_one_line_per_image(
+        self, tmp_path, capsys, flags, jobs
+    ):
+        # the ramp's noise or solve passes the float range; a one-row image
+        # as wide as the blur (one pixel for denoise) sums too few values to
+        # pass it, and finishes
+        ramp, good = tmp_path / "ramp.pgm", tmp_path / "good.pgm"
+        write_pgm(ramp, RAMP)
+        write_pgm(good, np.full((1, 9 if flags[0] == "deblur" else 1), 100.0))
+        code, stdout = run_cli(
+            *flags, "--input", str(good), str(ramp), "--out", str(tmp_path / "o"), "--jobs", jobs
+        )
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"vtv-restore: error: {ramp}: ")
+        assert "NaN or Inf" in err[0]
+        assert [row["image"] for row in parse_metrics(stdout)] == ["good"]
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_seed_is_an_error(self, small_pgm, tmp_path, capsys, source):
         cfg_path = tmp_path / "cfg.json"
@@ -738,6 +801,12 @@ class TestConfigAndErrors:
     }))
     @example(config={"sigma": 10**400})  # past the float range
     @example(config={"sigma": 1e300})  # noise whose squared error overflows
+    # solves that pass the float range: in the isotropic shrink, in the FFT
+    # solve, and in the noise itself
+    @example(config={"sigma": 1e300, "shrinkage": "iso"})
+    @example(config={"sigma": 1e307, "variant": "full13"})
+    @example(config={"sigma": 1.7e308})
+    @example(config={"blur_len": 17})  # one tap longer than the image is wide
     def test_fuzzed_config_gives_a_result_or_error_lines(self, fuzz_dirs, task, config):
         # the path flags win over the config, so no fuzzed path is read or written
         image, out = fuzz_dirs

@@ -34,7 +34,7 @@ def _write_run(out: Path, seconds: float, iterations: int = 12, trace_tail: str 
         "metrics": {"iterations": iterations, "seconds": seconds, "cpu_seconds": 2 * seconds},
     }
     (out / "x_run.json").write_text(json.dumps(record), encoding="utf-8")
-    return {"code": 0, "stdout": STDOUT.format(f"{seconds:.3f}"), "out": out}
+    return {"code": 0, "stdout": STDOUT.format(f"{seconds:.3f}"), "stderr": "", "out": out}
 
 
 def test_runs_that_differ_only_in_timings_and_paths_do_not_differ(compare, tmp_path):
@@ -68,14 +68,30 @@ def test_every_kind_of_difference_is_reported(compare, tmp_path):
 def test_a_differing_selftest_line_is_reported(compare):
     passed = "PASS uep-identity (max deviation 6.661e-16)\n"
     rof = "PASS rof-reduction (worst per-iterate deviation 5.684e-14)\n"
-    a = {"code": 0, "stdout": passed + rof}
+    a = {"code": 0, "stdout": passed + rof, "stderr": ""}
     assert compare.diff_selftests(a, dict(a)) == []
     failed = rof.replace("PASS", "FAIL").replace("5.684e-14", "2.318e-05")
-    problems = compare.diff_selftests(a, {"code": 3, "stdout": passed + failed})
+    problems = compare.diff_selftests(a, {"code": 3, "stdout": passed + failed, "stderr": ""})
     assert problems == [
         "exit code 0 against 3",
         f"stdout rows differ: {[passed, rof]} against {[passed, failed]}",
     ]
     # byte for byte: one changed digit is a difference
-    digit = {"code": 0, "stdout": passed + rof.replace("5.684", "5.685")}
+    digit = {"code": 0, "stdout": passed + rof.replace("5.684", "5.685"), "stderr": ""}
     assert compare.diff_selftests(a, digit) != []
+
+
+def test_a_differing_stderr_is_reported(compare, tmp_path):
+    error = "vtv-restore: error: in.pgm: iterate contains NaN or Inf\n"
+    a = dict(_write_run(tmp_path / "a", 1.0), code=1, stderr=error)
+    b = dict(_write_run(tmp_path / "b", 1.0), code=1, stderr=error)
+    assert compare.diff_runs(a, b) == []
+    # a stray warning before the error line, and a second error line
+    warning = "image.py:280: RuntimeWarning: overflow encountered in multiply\n"
+    for stderr in (warning + error, error + error):
+        assert compare.diff_runs(a, dict(b, stderr=stderr)) == [
+            f"stderr differs: {error!r} against {stderr!r}"
+        ]
+    assert compare.diff_selftests(
+        {"code": 0, "stdout": "", "stderr": ""}, {"code": 0, "stdout": "", "stderr": warning}
+    ) == [f"stderr differs: '' against {warning!r}"]

@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -291,13 +292,12 @@ def test_split_bregman_keeps_only_its_state(bank):
         # the buffer is the larger of the spectrum and the scratch, not their
         # sum; each scratch array starts on a 64-byte offset
         scratch = [sweep._padded] + [a for s in sweep._scratch for a in s]
-        assert all(a.base is sweep._buffer for a in [sb._spectrum, *scratch])
-        assert sb._spectrum is sweep.spectrum
-        assert np.shares_memory(sb._spectrum, sweep._padded)
+        assert all(a.base is sweep._buffer for a in [sweep.spectrum, *scratch])
+        assert np.shares_memory(sweep.spectrum, sweep._padded)
         assert all((a.ctypes.data - sweep._buffer.ctypes.data) % 64 == 0 for a in scratch)
         packed = sum(a.nbytes for a in scratch)
-        assert max(sb._spectrum.nbytes, packed) <= sweep._buffer.nbytes
-        assert sweep._buffer.nbytes < max(sb._spectrum.nbytes, packed + 64 * len(scratch))
+        assert max(sweep.spectrum.nbytes, packed) <= sweep._buffer.nbytes
+        assert sweep._buffer.nbytes < max(sweep.spectrum.nbytes, packed + 64 * len(scratch))
         assert sb.u is sb.f and np.shares_memory(sb.f, f)
         assert np.shares_memory(sb.numerator, sweep._acc)
         assert not np.shares_memory(sb.numerator, f)
@@ -590,6 +590,36 @@ def test_divergent_iterate_on_two_sweep_threads_keeps_the_state(bank, value):
     assert np.array_equal(sb.b, b) and np.array_equal(sb.u, u)
     assert np.array_equal(sb.numerator, numerator)
     assert solve(f, DegradationOp.identity(), bank, denoise_cfg(workers=2)).threads == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "shrinkage, scale, match",
+    [
+        # the FFT solve overflows; the change's norm is not finite
+        (ANISO, 1e306, "parameters look divergent"),
+        (ISO, 1e306, "parameters look divergent"),
+        # the isotropic shrink's magnitude overflows into the next numerator
+        (ISO, 1e300, "a numerator row's sum is not finite"),
+    ],
+)
+def test_a_step_past_the_float_range_raises_without_a_warning(
+    bank, workers, shrinkage, scale, match
+):
+    f = np.random.default_rng(7).standard_normal(THREADED_GRID) * scale
+    cfg = denoise_cfg(workers=workers, shrinkage=shrinkage, record_trace=True)
+    sb = SplitBregman(f, DegradationOp.identity(), bank, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert energy(f, f, DegradationOp.identity(), bank, cfg) > 0
+        with pytest.raises(NonFiniteError, match=match):
+            for _ in range(3):
+                u, steps = sb.u.copy(), len(sb.trace)
+                sb.step()
+    assert sb._sweep.workers == workers
+    # the error recorded nothing and kept u
+    assert np.array_equal(sb.u, u) and len(sb.trace) == len(sb.energy_trace) == steps
+    sb.close()
 
 
 @pytest.mark.parametrize("workers", [1, 2])

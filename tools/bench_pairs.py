@@ -1,17 +1,20 @@
 """Time two checkouts of vtv-restore against each other in alternating pairs.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W [--pairs 10]
-        [--seconds 8] [--seed 11] [--out FILE]
+        [--seconds T] [--seed 11] [--out FILE]
 
 ``PARENT`` and ``CHANGE`` are checkouts: directories that hold
 ``perfbench/run.py`` and ``src/vtvrestore``.  Each pair runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once on each
 checkout, each in a fresh interpreter whose working directory is that
 checkout and whose environment sets no ``PYTHONPATH``, so each side imports
-its own ``src``.  The side that runs first alternates: the parent in even
-pairs, the change in odd ones.
+its own ``src``.  ``T`` defaults to the ``run_seconds`` of the change's
+``BENCHMARK.json``, the length the benchmark runs each workload for: medians
+of shorter runs drift more between runs of the same code.  The side that
+runs first alternates: the parent in even pairs, the change in odd ones.
 
-The summary is one JSON object, written to ``--out`` or stdout:
+The summary is one JSON object, written to ``--out`` or stdout.  It
+records the workload, the seed, the seconds each run took and the pairs, and:
 
 * ``runs``: per side, each run's end-to-end metrics and its ``correct``,
   ``attempted`` and ``failed`` counts; a run that exits non-zero, prints no
@@ -143,7 +146,8 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--seconds", type=float,
+                        help="seconds per run (default the change's BENCHMARK.json run_seconds)")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--out", type=Path, help="write the summary here, not to stdout")
     args = parser.parse_args(argv)
@@ -153,19 +157,21 @@ def main(argv=None) -> int:
                                                       "src/vtvrestore/__init__.py")):
             print(f"bench_pairs: {checkout} is not a checkout", file=sys.stderr)
             return 2
-    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    spec = benchmark["end_to_end"]
+    seconds = benchmark["run_seconds"] if args.seconds is None else args.seconds
 
     runs = {side: [] for side in SIDES}
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
-            runs[side].append(run_side(checkouts[side], args.workload, args.seed, args.seconds))
+            runs[side].append(run_side(checkouts[side], args.workload, args.seed, seconds))
         values = {side: runs[side][-1]["metrics"].get("iter_ms", math.nan) for side in SIDES}
         print(f"pair {i + 1}/{args.pairs} ({order[0]} first): iter_ms parent "
               f"{values['parent']:.3f} change {values['change']:.3f}", file=sys.stderr)
 
     meta = {"tool": "tools/bench_pairs.py", "workload": args.workload, "seed": args.seed,
-            "seconds": args.seconds, "pairs": args.pairs,
+            "seconds": seconds, "pairs": args.pairs,
             "first": [(SIDES if i % 2 == 0 else SIDES[::-1])[0] for i in range(args.pairs)]}
     text = json.dumps(summarize(runs, spec, meta), indent=1)
     if args.out:

@@ -18,10 +18,12 @@ first on ``PARENT``, then on ``CHANGE``, and the two runs are compared:
 * every trace CSV value by value: exactly, or within the relative
   tolerance ``--rtol``;
 * every ``*_run.json`` without its timings and paths;
-* the stdout rows without their ``seconds`` column, and the exit codes.
+* the stdout rows without their ``seconds`` column, the stderr byte for
+  byte, so that a stray warning or a second error line is a difference,
+  and the exit codes.
 
 Then it runs ``vtv-restore selftest`` once on each checkout, the same way,
-and compares its stdout byte for byte and its exit code.
+and compares its stdout and stderr byte for byte and its exit code.
 
 It prints one line per difference and a summary per call, and exits 0 when
 nothing differs, 1 when something does and 2 when a checkout is not one.
@@ -144,24 +146,26 @@ def _rows(stdout: str) -> list:
 
 
 def _diff_exits(a: dict, b: dict, rows) -> list:
-    """How two runs' exit codes and ``rows(stdout)`` differ."""
+    """How two runs' exit codes, ``rows(stdout)`` and stderr differ."""
     problems = []
     if a["code"] != b["code"]:
         problems.append(f"exit code {a['code']} against {b['code']}")
     if rows(a["stdout"]) != rows(b["stdout"]):
         problems.append(f"stdout rows differ: {rows(a['stdout'])} against {rows(b['stdout'])}")
+    if a["stderr"] != b["stderr"]:
+        problems.append(f"stderr differs: {a['stderr']!r} against {b['stderr']!r}")
     return problems
 
 
 def diff_runs(a: dict, b: dict, rtol: float = 0.0) -> list:
     """The differences between two runs of one call: ``{"code", "stdout",
-    "out"}`` each, ``out`` the output directory."""
+    "stderr", "out"}`` each, ``out`` the output directory."""
     return _diff_exits(a, b, _rows) + diff_outputs(a["out"], b["out"], rtol)
 
 
 def diff_selftests(a: dict, b: dict) -> list:
-    """The differences between two ``selftest`` runs, ``{"code", "stdout"}``
-    each: the stdout byte for byte."""
+    """The differences between two ``selftest`` runs, ``{"code", "stdout",
+    "stderr"}`` each: the stdout and stderr byte for byte."""
     return _diff_exits(a, b, lambda stdout: stdout.splitlines(keepends=True))
 
 
@@ -173,7 +177,7 @@ def _run_cli(checkout: Path, args: list, cwd: Path) -> dict:
         [sys.executable, "-c", CLI_ENTRY, *args],
         env=env, cwd=cwd, capture_output=True, text=True, timeout=CALL_TIMEOUT_S,
     )
-    return {"code": proc.returncode, "stdout": proc.stdout}
+    return {"code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
 
 
 def run_call(checkout: Path, call: Workload, inputs: list, out: Path, seed: int) -> dict:
